@@ -25,7 +25,10 @@ assert series_mul(f1, partitions).coeffs == (1,) + (0,) * 30
 b = expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), 12)
 print("b(0..12):  ", list(b.coeffs))
 
-# coefficients grow fast but stay exact; reduction is always a separate step
+# coefficients grow fast but stay exact; with a modulus the same expansion
+# runs in (Z/25)[[q]] and gives the same residues without the big integers
 big = expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), 400)
 print("b(400) has", len(str(big.coeffs[400])), "decimal digits")
-print("b(400) mod 25 =", reduce_mod(big, 25).coeffs[400])
+residues = expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), 400, modulus=25)
+assert residues == reduce_mod(big, 25)
+print("b(400) mod 25 =", residues.coeffs[400])

@@ -143,9 +143,7 @@ def _cmd_expand(args) -> int:
     cap = _order_cap_default()
     _check_order(args.order, cap)
     spec = EtaQuotientSpec.from_string(args.spec)
-    series = expand_eta_quotient(spec, args.order)
-    if args.mod is not None:
-        series = reduce_mod(series, args.mod)
+    series = expand_eta_quotient(spec, args.order, modulus=args.mod)
     if args.format == "json":
         payload = {"spec": spec.to_spec_string(), "modulus": args.mod}
         payload.update(series.to_json_dict())
@@ -220,6 +218,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
+    if args.order is not None:
+        _check_order(args.order, _order_cap_default())
     report = run_theorem(_THEOREM_BY_ID[args.id], args.order)
     _write_output(_json_text(report.to_json_dict()), args.output)
     if not report.overall:

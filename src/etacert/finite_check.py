@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Mapping
 
-from .series import EtaQuotientSpec, expand_eta_quotient, reduce_mod
+from .series import EtaQuotientSpec, expand_eta_quotient
 
 __all__ = [
     "RSInstance",
@@ -319,7 +319,8 @@ def verify_instance(
 ) -> RSCertificate:
     """Run the full finite check for one instance and assemble its certificate.
 
-    Expands f_r exactly to order m*checked_upto + max(P), reduces mod u and
+    Expands f_r mod u (in (Z/u)[[q]], which gives the same residues as an
+    exact expansion reduced afterwards) to order m*checked_upto + max(P) and
     scans every progression in the orbit.  The certificate status is
     "verified" only when the cusp-sum hypothesis holds, every scanned residue
     vanishes, and membership of the instance tuple in the admissible set was
@@ -368,7 +369,7 @@ def verify_instance(
             "p_star": f"{violation.p_star}",
         }
     else:
-        reduced = reduce_mod(expand_eta_quotient(instance.r, required_order), instance.u)
+        reduced = expand_eta_quotient(instance.r, required_order, modulus=instance.u)
         for t_prime in p_set:
             vals = [reduced.coeffs[instance.m * n + t_prime] for n in range(checked_upto + 1)]
             residues[t_prime] = vals

@@ -139,14 +139,16 @@ _DEFAULT_ORDERS = {"T1_mod5": 1024, "T2_mod25": 1349, "T3_mod7": 1517, "T4_mod49
 _B_SCAN_DEPTH = {25: 50, 7: 30, 49: 56}
 
 
-def broken_k_diamond_series(spec: BrokenDiamondSpec, order: int) -> TruncatedSeries:
-    """Counting series of broken k-diamond partitions, exact to `order`."""
-    return expand_eta_quotient(spec.eta_spec(), order)
+def broken_k_diamond_series(
+    spec: BrokenDiamondSpec, order: int, modulus: int | None = None
+) -> TruncatedSeries:
+    """Counting series of broken k-diamond partitions to `order`, exact or mod `modulus`."""
+    return expand_eta_quotient(spec.eta_spec(), order, modulus)
 
 
-def b_series(order: int) -> TruncatedSeries:
+def b_series(order: int, modulus: int | None = None) -> TruncatedSeries:
     """The auxiliary series with coefficients b(n): quotient {1: -3, 2: 1}."""
-    return expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), order)
+    return expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), order, modulus)
 
 
 def _scan_progression(reduced: TruncatedSeries, m: int, t: int) -> tuple[int, dict | None]:
@@ -199,7 +201,7 @@ def lift_congruence(
         if n % ell != 0:
             return StepResult(name, "fail", order, {"support_violation": n})
 
-    reduced = reduce_mod(broken_k_diamond_series(spec, order), u)
+    reduced = broken_k_diamond_series(spec, order, modulus=u)
     _, witness = _scan_progression(reduced, m, t)
     return StepResult(name, "fail" if witness else "pass", order, witness)
 
@@ -260,7 +262,7 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     )
 
     # 4. the product f1^3 f2^3 has no exponent 4 mod 5 once reduced
-    product = reduce_mod(series_mul(jacobi_cube(order), cube2_series), 5)
+    product = series_mul(jacobi_cube(order), cube2_series, modulus=5)
     absence_class = dissect(product, 5).classes[4]
     absence_witness = None
     if not absence_class.is_zero():
@@ -273,7 +275,7 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     )
 
     # 5. the family itself, scanned on the concrete witness k
-    reduced = reduce_mod(broken_k_diamond_series(BrokenDiamondSpec(k), order), 5)
+    reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=5)
     _, scan_witness = _scan_progression(reduced, 25, 24)
     steps.append(
         StepResult(
@@ -297,7 +299,7 @@ def _certificate_step(instance: RSInstance, label: str) -> tuple[StepResult, RSC
 def _b_family_step(m: int, residues: tuple[int, ...], u: int) -> StepResult:
     depth = _B_SCAN_DEPTH[u]
     order = m * depth + max(residues)
-    reduced = reduce_mod(b_series(order), u)
+    reduced = b_series(order, modulus=u)
     witness = None
     for t in residues:
         _, w = _scan_progression(reduced, m, t)
@@ -400,7 +402,7 @@ def regression_suite(order: int | None = None) -> ProofReport:
         (3, 343, (82, 229, 278, 327), 7),
     )
     for k, m, ts, u in families:
-        reduced = reduce_mod(broken_k_diamond_series(BrokenDiamondSpec(k), order), u)
+        reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=u)
         for t in ts:
             _, witness = _scan_progression(reduced, m, t)
             steps.append(

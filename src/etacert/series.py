@@ -4,6 +4,13 @@ Every series is a finite prefix of a formal power series in q: exact
 arbitrary-precision integer coefficients for exponents 0..order, nothing
 floating-point anywhere.  Binary operations truncate to the smaller order;
 precision is never extended silently.
+
+`series_mul`, `series_invert`, `series_pow` and `expand_eta_quotient` take an
+optional `modulus` u and then compute in (Z/u)[[q]]: every result holds the
+least nonnegative residues.  Reduction mod u is a ring homomorphism
+Z[[q]] -> (Z/u)[[q]], so these residues equal the exact result passed
+through `reduce_mod`, while no intermediate coefficient grows beyond
+about len * u**2.
 """
 
 from dataclasses import dataclass
@@ -237,10 +244,19 @@ def _convolve_packed(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -> li
     return out
 
 
-def _convolve(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -> list[int]:
+def _convolve(
+    a: tuple[int, ...], b: tuple[int, ...], out_len: int, modulus: int | None = None
+) -> list[int]:
     if out_len * min(len(a), len(b)) <= _SCHOOLBOOK_LIMIT:
-        return _convolve_schoolbook(a, b, out_len)
-    return _convolve_packed(a, b, out_len)
+        out = _convolve_schoolbook(a, b, out_len)
+    else:
+        out = _convolve_packed(a, b, out_len)
+    return out if modulus is None else [c % modulus for c in out]
+
+
+def _check_modulus(modulus: int | None) -> None:
+    if modulus is not None and modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +272,31 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     )
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to order min(a.order, b.order)."""
+def series_mul(
+    a: TruncatedSeries, b: TruncatedSeries, modulus: int | None = None
+) -> TruncatedSeries:
+    """Cauchy product truncated to order min(a.order, b.order), optionally mod `modulus`."""
+    _check_modulus(modulus)
     order = min(a.order, b.order)
     n = order + 1
-    out = _convolve(a.coeffs[:n], b.coeffs[:n], n)
+    out = _convolve(a.coeffs[:n], b.coeffs[:n], n, modulus)
     return TruncatedSeries(order, tuple(out))
 
 
-def series_invert(a: TruncatedSeries) -> TruncatedSeries:
+def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSeries:
     """Multiplicative inverse of a series with constant term +-1.
 
     Forward recurrence b(n) = -a(0) * sum_{k>=1} a(k) b(n-k); zero terms of
     `a` are skipped, so sparse inputs (eta factors) invert in O(N sqrt N).
+    With a modulus every term b(n) is reduced as soon as it is known.
     """
+    _check_modulus(modulus)
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(f"constant term {c0} is not a unit in Z[[q]]")
     nz = [(k, ak) for k, ak in enumerate(a.coeffs) if ak and k]
     out = [0] * (a.order + 1)
-    out[0] = c0
+    out[0] = c0 if modulus is None else c0 % modulus
     for n in range(1, a.order + 1):
         acc = 0
         for k, ak in nz:
@@ -287,23 +308,27 @@ def series_invert(a: TruncatedSeries) -> TruncatedSeries:
                 acc -= out[n - k]
             else:
                 acc += ak * out[n - k]
-        out[n] = -c0 * acc
+        out[n] = -c0 * acc if modulus is None else -c0 * acc % modulus
     return TruncatedSeries(a.order, tuple(out))
 
 
-def series_pow(a: TruncatedSeries, e: int) -> TruncatedSeries:
+def series_pow(a: TruncatedSeries, e: int, modulus: int | None = None) -> TruncatedSeries:
     """a**e on the truncated ring by repeated squaring; e < 0 inverts once first."""
+    _check_modulus(modulus)
     if e == 0:
         return TruncatedSeries.one(a.order)
-    base = series_invert(a) if e < 0 else a
+    if e < 0:
+        base = series_invert(a, modulus)
+    else:
+        base = a if modulus is None else reduce_mod(a, modulus)
     e = abs(e)
     result = None
     while e:
         if e & 1:
-            result = base if result is None else series_mul(result, base)
+            result = base if result is None else series_mul(result, base, modulus)
         e >>= 1
         if e:
-            base = series_mul(base, base)
+            base = series_mul(base, base, modulus)
     return result
 
 
@@ -352,28 +377,28 @@ def eta_factor(delta: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(out))
 
 
-def expand_eta_quotient(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
+def expand_eta_quotient(
+    spec: EtaQuotientSpec, order: int, modulus: int | None = None
+) -> TruncatedSeries:
     """Expand prod_delta (q^delta; q^delta)_inf ** r_delta to the given order.
 
     Each factor is obtained from the delta = 1 series at the reduced order
     order//delta (inverted once there if r_delta < 0, then powered) and lifted
     by q -> q^delta; factors with positive exponents are multiplied first.
-    The result does not depend on that evaluation order.
+    The result does not depend on that evaluation order.  With a modulus
+    every step runs in (Z/modulus)[[q]].
     """
+    _check_modulus(modulus)
     result = None
     factors = sorted(spec.exponents, key=lambda item: (item[1] < 0, item[0]))
     for delta, r in factors:
-        base = eta_factor(1, order // delta)
-        if r < 0:
-            base = series_invert(base)
-        powered = series_pow(base, abs(r))
+        powered = series_pow(eta_factor(1, order // delta), r, modulus)
         factor = substitute_q_power(powered, delta, order)
-        result = factor if result is None else series_mul(result, factor)
+        result = factor if result is None else series_mul(result, factor, modulus)
     return TruncatedSeries.one(order) if result is None else result
 
 
 def reduce_mod(a: TruncatedSeries, u: int) -> TruncatedSeries:
     """Replace every coefficient by its least nonnegative residue mod u."""
-    if u < 2:
-        raise ValueError(f"modulus must be >= 2, got {u}")
+    _check_modulus(u)
     return TruncatedSeries(a.order, tuple(c % u for c in a.coeffs))

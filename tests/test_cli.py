@@ -1,6 +1,7 @@
 """Exit codes, output formats, and determinism of the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,9 @@ CLI = [sys.executable, "-m", "etacert.cli"]
 
 
 def run_cli(*args, env=None):
+    """Run the CLI; `env` entries are laid over the inherited environment."""
+    if env is not None:
+        env = {**os.environ, **env}
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, env=env, timeout=300
     )
@@ -36,6 +40,11 @@ class TestExpand:
         data = json.loads(proc.stdout)
         assert data["coeffs"] == ["1", "3", "3", "4", "1", "3", "1"]
         assert data["order"] == 6 and data["modulus"] == 5
+
+    def test_mod_below_two_exits_64(self):
+        proc = run_cli("expand", "--spec", "1:-3,2:1", "--order", "6", "--mod", "1")
+        assert proc.returncode == 64
+        assert "modulus must be >= 2" in proc.stderr
 
     def test_parse_error_exits_64(self):
         proc = run_cli("expand", "--spec", "1:x", "--order", "5")
@@ -151,6 +160,12 @@ class TestVerifyTheorem:
     def test_invalid_id_exits_64(self):
         proc = run_cli("verify-theorem", "9")
         assert proc.returncode == 64
+
+    def test_order_cap_env(self):
+        proc = run_cli("verify-theorem", "1", "--order", "50",
+                       env={"ETA_CERT_ORDER_CAP": "10"})
+        assert proc.returncode == 65
+        assert "exceeds cap 10" in proc.stderr
 
 
 def test_help_runs():

@@ -1,4 +1,5 @@
-"""Series kernel: frozen examples, oracle cross-checks, ring properties."""
+"""Series kernel: frozen examples, oracle cross-checks, ring properties,
+and agreement of the residue-ring (modulus) path with exact-then-reduce."""
 
 import random
 
@@ -21,7 +22,7 @@ from etacert import (
     substitute_q_power,
 )
 from etacert.oracle import naive_eta, naive_invert, naive_mul
-from etacert.series import _convolve_packed, _convolve_schoolbook
+from etacert.series import _SCHOOLBOOK_LIMIT, _convolve_packed, _convolve_schoolbook
 
 
 def S(*coeffs):
@@ -353,3 +354,86 @@ class TestRingAxioms:
     @given(a=series_any, b=series_any)
     def test_mul_matches_oracle(self, a, b):
         assert series_mul(a, b) == naive_mul(a, b)
+
+
+# --- residue ring: modulus=u equals exact-then-reduce (property) -------------
+
+# products of out_len * len <= _SCHOOLBOOK_LIMIT take the schoolbook loop, so
+# lengths up to 64 stay there and longer ones take the packed path
+_SPLIT = 64
+assert _SPLIT * _SPLIT <= _SCHOOLBOOK_LIMIT < (_SPLIT + 1) * (_SPLIT + 1)
+
+moduli = st.sampled_from((2, 3, 5, 7, 11, 13, 25, 49, 125, 343))
+lengths = st.one_of(st.integers(1, _SPLIT), st.integers(_SPLIT + 1, 200))
+mixed_specs = st.dictionaries(
+    st.sampled_from((1, 2, 3, 4, 6, 12)), st.integers(-7, 7), min_size=1, max_size=4
+).map(lambda exps: EtaQuotientSpec(12, exps))
+wide_coeffs = st.one_of(small_coeffs, st.integers(-(10**30), 10**30))
+
+
+def _series(coeffs=wide_coeffs):
+    return lengths.flatmap(
+        lambda n: st.lists(coeffs, min_size=n, max_size=n).map(TruncatedSeries.from_coeffs)
+    )
+
+
+def _with_constant(a, c0):
+    return TruncatedSeries(a.order, (c0,) + a.coeffs[1:])
+
+
+class TestResidueRing:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=mixed_specs, order=lengths.map(lambda n: n - 1), u=moduli)
+    def test_expand_matches_reduced_exact(self, spec, order, u):
+        got = expand_eta_quotient(spec, order, modulus=u)
+        assert got == reduce_mod(expand_eta_quotient(spec, order), u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_series(), b=_series(), u=moduli)
+    def test_mul_matches_reduced_exact(self, a, b, u):
+        assert series_mul(a, b, modulus=u) == reduce_mod(series_mul(a, b), u)
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=_series(small_coeffs), e=st.integers(-4, 6), u=moduli)
+    def test_pow_matches_reduced_exact(self, a, e, u):
+        if e < 0:
+            a = _with_constant(a, 1)
+        assert series_pow(a, e, modulus=u) == reduce_mod(series_pow(a, e), u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_series(small_coeffs), c0=st.sampled_from((1, -1)), u=moduli)
+    def test_invert_matches_reduced_exact(self, a, c0, u):
+        a = _with_constant(a, c0)
+        assert series_invert(a, modulus=u) == reduce_mod(series_invert(a), u)
+
+    @pytest.mark.parametrize("order", [_SPLIT - 2, 3000])
+    def test_known_quotients_both_kernel_paths(self, order):
+        for spec in (
+            EtaQuotientSpec(14, {1: 46, 2: 1, 7: -7}),
+            EtaQuotientSpec(2, {1: -3, 2: 1}),
+        ):
+            exact = expand_eta_quotient(spec, order)
+            for u in (5, 25, 49, 343):
+                got = expand_eta_quotient(spec, order, modulus=u)
+                assert got == reduce_mod(exact, u)
+                assert all(0 <= c < u for c in got.coeffs)
+
+    def test_negative_unit_inverse_is_canonical(self):
+        inv = series_invert(S(-1, 4, -2), modulus=7)
+        assert inv.coeffs == (6, 3, 0)  # exact inverse: -1, -4, -14
+        assert series_mul(S(-1, 4, -2), inv, modulus=7) == TruncatedSeries.one(2)
+
+    @pytest.mark.parametrize("u", [1, 0, -5])
+    def test_modulus_below_two_rejected(self, u):
+        s = eta_factor(1, 10)
+        spec = EtaQuotientSpec(2, {1: -3, 2: 1})
+        for call in (
+            lambda: series_mul(s, s, modulus=u),
+            lambda: series_invert(s, modulus=u),
+            lambda: series_pow(s, 2, modulus=u),
+            lambda: series_pow(s, 0, modulus=u),
+            lambda: expand_eta_quotient(spec, 10, modulus=u),
+            lambda: expand_eta_quotient(EtaQuotientSpec(1, {}), 10, modulus=u),
+        ):
+            with pytest.raises(ValueError, match="modulus must be >= 2"):
+                call()
