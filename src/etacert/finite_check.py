@@ -17,6 +17,7 @@ from math import gcd, isqrt
 from typing import Mapping
 
 from .series import EtaQuotientSpec, expand_eta_quotient
+from .theta import extract_arithmetic_progression
 
 __all__ = [
     "RSInstance",
@@ -69,6 +70,15 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
+def _cusp_count(N: int) -> int:
+    """Number of cusps of Gamma0(N): the sum over d | N of phi(gcd(d, N/d))."""
+    total = 0
+    for d in divisors(N):
+        g = gcd(d, N // d)
+        total += sum(1 for x in range(1, g + 1) if gcd(x, g) == 1)
+    return total
+
+
 @dataclass(frozen=True, slots=True)
 class RSInstance:
     """One verification problem (m, M, N, t, r, r', u)."""
@@ -92,6 +102,10 @@ class RSInstance:
             raise ValueError(f"r' has level {self.r_prime.level}, expected N = {self.N}")
         if self.u < 2:
             raise ValueError(f"congruence modulus must be >= 2, got {self.u}")
+        # the cusp sums are taken at (1 0; delta 1), one per divisor delta of N
+        cusps, checked = _cusp_count(self.N), len(divisors(self.N))
+        if cusps > checked:
+            raise ValueError(f"Gamma0({self.N}) has {cusps} cusps, the check covers only {checked}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,7 +311,7 @@ def v_bound(instance: RSInstance) -> tuple[Fraction, int]:
 
 
 def _series_hash(
-    instance: RSInstance, p_set: tuple[int, ...], checked_upto: int, residues: dict[int, list[int]]
+    instance: RSInstance, p_set: tuple[int, ...], checked_upto: int, residues: dict[int, tuple]
 ) -> str:
     block = {
         "m": instance.m,
@@ -358,7 +372,7 @@ def verify_instance(
 
     delta_star = "assumed" if assume_delta_star else "unverified"
     witness = None
-    residues: dict[int, list[int]] = {}
+    residues: dict[int, tuple[int, ...]] = {}
     residues_ok: list[tuple[int, tuple[bool, ...]]] = []
 
     if violation is not None:
@@ -371,19 +385,18 @@ def verify_instance(
     else:
         reduced = expand_eta_quotient(instance.r, required_order, modulus=instance.u)
         for t_prime in p_set:
-            vals = [reduced.coeffs[instance.m * n + t_prime] for n in range(checked_upto + 1)]
+            # n = 0..checked_upto: required_order covers exactly these for every t' in P
+            vals = extract_arithmetic_progression(reduced, instance.m, t_prime).coeffs
             residues[t_prime] = vals
             residues_ok.append((t_prime, tuple(val == 0 for val in vals)))
-            if witness is None:
-                for n, val in enumerate(vals):
-                    if val != 0:
-                        witness = {
-                            "t_prime": t_prime,
-                            "n": n,
-                            "exponent": instance.m * n + t_prime,
-                            "value": val,
-                        }
-                        break
+            n = next((n for n, val in enumerate(vals) if val), None)
+            if witness is None and n is not None:
+                witness = {
+                    "t_prime": t_prime,
+                    "n": n,
+                    "exponent": instance.m * n + t_prime,
+                    "value": vals[n],
+                }
         if witness is not None:
             status = STATUS_COUNTEREXAMPLE
         elif not assume_delta_star:

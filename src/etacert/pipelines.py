@@ -19,7 +19,7 @@ from .series import (
     series_pow,
     substitute_q_power,
 )
-from .theta import dissect, jacobi_cube, psi_series
+from .theta import dissect, extract_arithmetic_progression, jacobi_cube, psi_series
 
 __all__ = [
     "BrokenDiamondSpec",
@@ -132,11 +132,35 @@ KNOWN_INSTANCES: dict[str, RSInstance] = {
     ),
 }
 
-_DEFAULT_ORDERS = {"T1_mod5": 1024, "T2_mod25": 1349, "T3_mod7": 1517, "T4_mod49": 3771,
-                   "regression": 3071}
 
-# empirical scan depth for the coefficient families b(m n + t), per modulus u
-_B_SCAN_DEPTH = {25: 50, 7: 30, 49: 56}
+@dataclass(frozen=True, slots=True)
+class _Family:
+    """A certified b-family b(m n + t) == 0 (mod u), lifted to Delta_k.
+
+    The residues are literal data rather than the certificates' P-sets, so
+    a fault in the orbit computation changes a step name or a digest.
+    """
+
+    theorem_id: str
+    u: int
+    p: int  # the prime dividing u
+    m: int
+    residues: tuple[int, ...]
+    instance_keys: tuple[str, ...]
+    k: int
+    b_scan_depth: int  # empirical depth n of the b(m n + t) scan
+    default_order: int
+
+
+_FAMILIES = {
+    family.theorem_id: family
+    for family in (
+        #       theorem     u   p  m    residues          instance keys             k    depth order
+        _Family("T2_mod25", 25, 5, 125, (99,),            ("mod25",),               62,  50, 1349),
+        _Family("T3_mod7",  7,  7, 49,  (19, 33, 40, 47), ("mod7_t33", "mod7_t47"), 24,  30, 1517),
+        _Family("T4_mod49", 49, 7, 343, (96, 292, 341),   ("mod49",),               171, 56, 3771),
+    )
+}
 
 
 def broken_k_diamond_series(
@@ -151,14 +175,19 @@ def b_series(order: int, modulus: int | None = None) -> TruncatedSeries:
     return expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), order, modulus)
 
 
-def _scan_progression(reduced: TruncatedSeries, m: int, t: int) -> tuple[int, dict | None]:
-    """Check reduced(m n + t) == 0 for every representable n; witness on failure."""
-    n_max = (reduced.order - t) // m
-    for n in range(n_max + 1):
-        val = reduced.coeffs[m * n + t]
-        if val != 0:
-            return n_max, {"n": n, "exponent": m * n + t, "value": val}
-    return n_max, None
+def _verdict(name: str, order: int, witness: dict | None) -> StepResult:
+    return StepResult(name, "fail" if witness else "pass", order, witness)
+
+
+def _progression_witness(reduced: TruncatedSeries, m: int, t: int) -> dict | None:
+    """The first nonzero reduced(m n + t) as a witness, or None if all vanish.
+
+    Raises ValueError when `reduced` stops before exponent t: a scan of no
+    coefficients proves nothing and must not pass.
+    """
+    values = extract_arithmetic_progression(reduced, m, t).coeffs
+    n = next((n for n, value in enumerate(values) if value), None)
+    return None if n is None else {"n": n, "exponent": m * n + t, "value": values[n]}
 
 
 def _series_equal_step(
@@ -166,12 +195,33 @@ def _series_equal_step(
 ) -> StepResult:
     left = reduce_mod(lhs.truncate(order), u)
     right = reduce_mod(rhs.truncate(order), u)
-    witness = None
-    for n, (x, y) in enumerate(zip(left.coeffs, right.coeffs)):
-        if x != y:
-            witness = {"exponent": n, "lhs": x, "rhs": y}
-            break
-    return StepResult(name, "fail" if witness else "pass", order, witness)
+    pairs = enumerate(zip(left.coeffs, right.coeffs))
+    witness = next(({"exponent": n, "lhs": x, "rhs": y} for n, (x, y) in pairs if x != y), None)
+    return _verdict(name, order, witness)
+
+
+def _lift_steps(
+    m: int, residues: tuple[int, ...], u: int, ell_multiple: int, spec: BrokenDiamondSpec,
+    order: int,
+) -> list[StepResult]:
+    """`lift_congruence` for every t in `residues`, expanding the diamond series once."""
+    ell = spec.ell
+    if ell % ell_multiple != 0:
+        raise PreconditionViolated(f"2k+1 = {ell} is not a multiple of {ell_multiple}")
+    if ell_multiple % m != 0:
+        raise PreconditionViolated(f"{ell_multiple} is not a multiple of the progression modulus {m}")
+
+    names = [f"lift_k{spec.k}_m{m}_t{t}_mod{u}" for t in residues]
+    support = expand_eta_quotient(EtaQuotientSpec(2 * ell, {ell: 1, 2 * ell: -1}), order)
+    for n in support.support():
+        if n % ell != 0:
+            return [StepResult(name, "fail", order, {"support_violation": n}) for name in names]
+
+    reduced = broken_k_diamond_series(spec, order, modulus=u)
+    return [
+        _verdict(name, order, _progression_witness(reduced, m, t))
+        for name, t in zip(names, residues)
+    ]
 
 
 def lift_congruence(
@@ -189,21 +239,7 @@ def lift_congruence(
     the support claim literally, the congruence by scanning to `order`.
     """
     m, t, u = b_family
-    ell = spec.ell
-    if ell % ell_multiple != 0:
-        raise PreconditionViolated(f"2k+1 = {ell} is not a multiple of {ell_multiple}")
-    if ell_multiple % m != 0:
-        raise PreconditionViolated(f"{ell_multiple} is not a multiple of the progression modulus {m}")
-
-    name = f"lift_k{spec.k}_m{m}_t{t}_mod{u}"
-    support = expand_eta_quotient(EtaQuotientSpec(2 * ell, {ell: 1, 2 * ell: -1}), order)
-    for n in support.support():
-        if n % ell != 0:
-            return StepResult(name, "fail", order, {"support_violation": n})
-
-    reduced = broken_k_diamond_series(spec, order, modulus=u)
-    _, witness = _scan_progression(reduced, m, t)
-    return StepResult(name, "fail" if witness else "pass", order, witness)
+    return _lift_steps(m, (t,), u, ell_multiple, spec, order)[0]
 
 
 def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
@@ -234,14 +270,14 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
 
     # 2. class-4 part of psi^3 collapses to q^4 psi(q^25) psi^2(q^5)
     class4 = dissect(reduce_mod(psi_cubed, 5), 5).classes[4]
-    collapsed = series_mul(
-        series_mul(psi_series(25, order), psi_series(5, order)), psi_series(5, order)
-    )
+    psi5 = psi_series(5, order)
+    collapsed = series_mul(series_mul(psi_series(25, order), psi5), psi5)
     shifted = series_mul(TruncatedSeries.monomial(4, order), collapsed)
     steps.append(_series_equal_step("dissection" + suffix, class4, shifted, 5, order))
 
     # 3. cube supports: f1^3 lives on classes {0,1} mod 5, f2^3 on {0,2}
-    cube1 = dissect(reduce_mod(jacobi_cube(order), 5), 5)
+    cube1_series = jacobi_cube(order)
+    cube1 = dissect(reduce_mod(cube1_series, 5), 5)
     cube2_series = substitute_q_power(jacobi_cube(order // 2), 2, order)
     cube2 = dissect(reduce_mod(cube2_series, 5), 5)
     support_witness = None
@@ -252,150 +288,75 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
                 break
         if support_witness:
             break
-    steps.append(
-        StepResult(
-            "jacobi_support" + suffix,
-            "fail" if support_witness else "pass",
-            order,
-            support_witness,
-        )
-    )
+    steps.append(_verdict("jacobi_support" + suffix, order, support_witness))
 
     # 4. the product f1^3 f2^3 has no exponent 4 mod 5 once reduced
-    product = series_mul(jacobi_cube(order), cube2_series, modulus=5)
+    product = series_mul(cube1_series, cube2_series, modulus=5)
     absence_class = dissect(product, 5).classes[4]
     absence_witness = None
     if not absence_class.is_zero():
         e = absence_class.support()[0]
         absence_witness = {"exponent": e, "value": absence_class.coeffs[e]}
-    steps.append(
-        StepResult(
-            "absence" + suffix, "fail" if absence_witness else "pass", order, absence_witness
-        )
-    )
+    steps.append(_verdict("absence" + suffix, order, absence_witness))
 
     # 5. the family itself, scanned on the concrete witness k
     reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=5)
-    _, scan_witness = _scan_progression(reduced, 25, 24)
-    steps.append(
-        StepResult(
-            "conclusion" + suffix, "fail" if scan_witness else "pass", order, scan_witness
-        )
-    )
+    steps.append(_verdict("conclusion" + suffix, order, _progression_witness(reduced, 25, 24)))
 
     return ProofReport("T1_mod5", tuple(steps))
 
 
-def _certificate_step(instance: RSInstance, label: str) -> tuple[StepResult, RSCertificate]:
-    cert = verify_instance(instance)
-    witness = None
-    if not cert.verified:
-        witness = dict(cert.witness or {})
-        witness["status"] = cert.status
-    order = instance.m * cert.checked_upto + max(cert.p_set)
-    return StepResult(label, "pass" if cert.verified else "fail", order, witness), cert
+def _family_report(family: _Family, order: int) -> ProofReport:
+    """Binomial lemma, congruent form, certificates, b-family scan, then one lift per residue."""
+    u, p, m = family.u, family.p, family.m
+    basis_order = min(order, 300)
+    instances = [KNOWN_INSTANCES[key] for key in family.instance_keys]
+    steps = [
+        _series_equal_step(
+            f"binomial_lemma_mod{u}",
+            expand_eta_quotient(EtaQuotientSpec(p, {1: u}), basis_order),
+            expand_eta_quotient(EtaQuotientSpec(p, {p: u // p}), basis_order),
+            u, basis_order,
+        ),
+        _series_equal_step(
+            f"congruent_form_mod{u}",
+            b_series(basis_order),
+            expand_eta_quotient(instances[0].r, basis_order),
+            u, basis_order,
+        ),
+    ]
 
+    certs = tuple(verify_instance(instance) for instance in instances)
+    for instance, cert in zip(instances, certs):
+        witness = None if cert.verified else dict(cert.witness or {}, status=cert.status)
+        cert_order = instance.m * cert.checked_upto + max(cert.p_set)
+        steps.append(_verdict(f"certificate_m{instance.m}_t{instance.t}", cert_order, witness))
 
-def _b_family_step(m: int, residues: tuple[int, ...], u: int) -> StepResult:
-    depth = _B_SCAN_DEPTH[u]
-    order = m * depth + max(residues)
-    reduced = b_series(order, modulus=u)
-    witness = None
-    for t in residues:
-        _, w = _scan_progression(reduced, m, t)
-        if w is not None:
-            witness = dict(w, t=t)
-            break
-    return StepResult(f"b_family_scan_mod{u}", "fail" if witness else "pass", order, witness)
+    b_order = m * family.b_scan_depth + max(family.residues)
+    b_reduced = b_series(b_order, modulus=u)
+    witnesses = (_progression_witness(b_reduced, m, t) for t in family.residues)
+    b_witness = next((dict(w, t=t) for t, w in zip(family.residues, witnesses) if w), None)
+    steps.append(_verdict(f"b_family_scan_mod{u}", b_order, b_witness))
 
-
-def _eta(mapping: dict[int, int], level: int) -> EtaQuotientSpec:
-    return EtaQuotientSpec(level, mapping)
+    steps += _lift_steps(m, family.residues, u, m, BrokenDiamondSpec(family.k), order)
+    return ProofReport(family.theorem_id, tuple(steps), certs)
 
 
 def run_theorem(theorem_id: str, order: int | None = None) -> ProofReport:
     """Run one theorem pipeline; `order` controls the empirical lift scans."""
-    if theorem_id not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
     if theorem_id == "regression":
         return regression_suite(order)
-    order = order if order is not None else _DEFAULT_ORDERS[theorem_id]
-    basis_order = min(order, 300)
-
     if theorem_id == "T1_mod5":
-        return elementary_mod5_proof(order)
-
-    if theorem_id == "T2_mod25":
-        steps = [
-            _series_equal_step(
-                "binomial_lemma_mod25",
-                expand_eta_quotient(_eta({1: 25}, 5), basis_order),
-                expand_eta_quotient(_eta({5: 5}, 5), basis_order),
-                25, basis_order,
-            ),
-            _series_equal_step(
-                "congruent_form_mod25",
-                b_series(basis_order),
-                expand_eta_quotient(KNOWN_INSTANCES["mod25"].r, basis_order),
-                25, basis_order,
-            ),
-        ]
-        cert_step, cert = _certificate_step(KNOWN_INSTANCES["mod25"], "certificate_m125_t99")
-        steps.append(cert_step)
-        steps.append(_b_family_step(125, (99,), 25))
-        steps.append(lift_congruence((125, 99, 25), 125, BrokenDiamondSpec(62), order))
-        return ProofReport("T2_mod25", tuple(steps), (cert,))
-
-    if theorem_id == "T3_mod7":
-        steps = [
-            _series_equal_step(
-                "binomial_lemma_mod7",
-                expand_eta_quotient(_eta({1: 7}, 7), basis_order),
-                expand_eta_quotient(_eta({7: 1}, 7), basis_order),
-                7, basis_order,
-            ),
-            _series_equal_step(
-                "congruent_form_mod7",
-                b_series(basis_order),
-                expand_eta_quotient(KNOWN_INSTANCES["mod7_t33"].r, basis_order),
-                7, basis_order,
-            ),
-        ]
-        certs = []
-        for key, label in (("mod7_t33", "certificate_m49_t33"), ("mod7_t47", "certificate_m49_t47")):
-            cert_step, cert = _certificate_step(KNOWN_INSTANCES[key], label)
-            steps.append(cert_step)
-            certs.append(cert)
-        steps.append(_b_family_step(49, (19, 33, 40, 47), 7))
-        for s in (19, 33, 40, 47):
-            steps.append(lift_congruence((49, s, 7), 49, BrokenDiamondSpec(24), order))
-        return ProofReport("T3_mod7", tuple(steps), tuple(certs))
-
-    steps = [
-        _series_equal_step(
-            "binomial_lemma_mod49",
-            expand_eta_quotient(_eta({1: 49}, 7), basis_order),
-            expand_eta_quotient(_eta({7: 7}, 7), basis_order),
-            49, basis_order,
-        ),
-        _series_equal_step(
-            "congruent_form_mod49",
-            b_series(basis_order),
-            expand_eta_quotient(KNOWN_INSTANCES["mod49"].r, basis_order),
-            49, basis_order,
-        ),
-    ]
-    cert_step, cert = _certificate_step(KNOWN_INSTANCES["mod49"], "certificate_m343_t96")
-    steps.append(cert_step)
-    steps.append(_b_family_step(343, (96, 292, 341), 49))
-    for t in (96, 292, 341):
-        steps.append(lift_congruence((343, t, 49), 343, BrokenDiamondSpec(171), order))
-    return ProofReport("T4_mod49", tuple(steps), (cert,))
+        return elementary_mod5_proof(1024 if order is None else order)
+    if theorem_id not in _FAMILIES:
+        raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
+    family = _FAMILIES[theorem_id]
+    return _family_report(family, family.default_order if order is None else order)
 
 
 def regression_suite(order: int | None = None) -> ProofReport:
     """The previously known families: k=2 mod 5 and k=3 mod 7 congruences."""
-    order = order if order is not None else _DEFAULT_ORDERS["regression"]
+    order = 3071 if order is None else order
     steps = []
     families = (
         (2, 25, (14, 24), 5),
@@ -404,13 +365,6 @@ def regression_suite(order: int | None = None) -> ProofReport:
     for k, m, ts, u in families:
         reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=u)
         for t in ts:
-            _, witness = _scan_progression(reduced, m, t)
-            steps.append(
-                StepResult(
-                    f"delta{k}_m{m}_t{t}_mod{u}",
-                    "fail" if witness else "pass",
-                    order,
-                    witness,
-                )
-            )
+            witness = _progression_witness(reduced, m, t)
+            steps.append(_verdict(f"delta{k}_m{m}_t{t}_mod{u}", order, witness))
     return ProofReport("regression", tuple(steps))

@@ -138,6 +138,13 @@ class TestCertify:
                        "--r", "1:22,3:1", "--rprime", "1:13", "--mod", "25")
         assert proc.returncode == 64
 
+    def test_incomplete_cusp_table_exits_64(self):
+        # Gamma0(9) has 4 cusps; the divisors 1, 3, 9 give only 3 cusp sums
+        proc = run_cli("certify", "--m", "1", "--M", "1", "--N", "9", "--t", "0",
+                       "--r", "1:-1", "--rprime", "1:1", "--mod", "2")
+        assert proc.returncode == 64
+        assert proc.stdout == "" and "cusps" in proc.stderr
+
     def test_order_cap_flag_exits_65(self):
         proc = run_cli(*self.MOD25, "--order-cap", "100")
         assert proc.returncode == 65
@@ -156,6 +163,12 @@ class TestVerifyTheorem:
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
         assert data["overall"] is True
+
+    def test_order_below_residue_exits_64(self):
+        # order 5 reaches no exponent 343n + t of the mod-49 lifts
+        proc = run_cli("verify-theorem", "4", "--order", "5")
+        assert proc.returncode == 64
+        assert proc.stdout == "" and "no coefficient" in proc.stderr
 
     def test_invalid_id_exits_64(self):
         proc = run_cli("verify-theorem", "9")

@@ -249,6 +249,36 @@ class TestVerifyInstance:
             RSInstance(m=5, M=10, N=10, t=1, r=r, r_prime=rp, u=1)
 
 
+def _cusp_test_fields(N: int) -> dict:
+    return dict(
+        m=1, M=1, N=N, t=0,
+        r=EtaQuotientSpec(1, {1: -1}), r_prime=EtaQuotientSpec(N, {1: 1}), u=2,
+    )
+
+
+class TestCuspCompleteness:
+    """The check covers the cusps (1 0; delta 1), delta | N, and must cover all of them."""
+
+    @pytest.mark.parametrize("N", [9, 16, 18, 25])
+    def test_incomplete_cusp_table_refused(self, N):
+        with pytest.raises(ValueError, match="cusps"):
+            RSInstance(**_cusp_test_fields(N))
+
+    @pytest.mark.parametrize("N", [1, 10, 14])
+    def test_complete_cusp_table_accepted(self, N):
+        assert RSInstance(**_cusp_test_fields(N)).N == N
+
+    def test_replay_refuses_incomplete_cusp_table(self):
+        # a self-consistent N = 9 certificate, made by skipping the refusal:
+        # only the refusal itself can reject its replay
+        instance = object.__new__(RSInstance)
+        for name, value in _cusp_test_fields(9).items():
+            object.__setattr__(instance, name, value)
+        data = json.loads(verify_instance(instance).to_json())
+        assert len(data["cusp_table"]) == 3
+        assert not revalidate_certificate(data)
+
+
 class TestCertificateSerialization:
     def test_schema_fields(self):
         cert = verify_instance(KNOWN_INSTANCES["mod7_t47"])

@@ -11,6 +11,7 @@ from etacert import (
     elementary_mod5_proof,
     expand_eta_quotient,
     lift_congruence,
+    pipelines,
     reduce_mod,
     run_theorem,
 )
@@ -77,6 +78,11 @@ class TestLiftCongruence:
         step = lift_congruence((125, 98, 25), 125, BrokenDiamondSpec(62), 1349)
         assert not step.passed
         assert step.witness["value"] % 25 != 0
+
+    def test_order_below_residue_refused(self):
+        # order 50 reaches no exponent 125n + 99: an empty scan must not pass
+        with pytest.raises(ValueError, match="no coefficient"):
+            lift_congruence((125, 99, 25), 125, BrokenDiamondSpec(62), 50)
 
 
 class TestElementaryProof:
@@ -149,6 +155,46 @@ class TestRunTheorem:
         data = report.to_json_dict()
         assert data["certificates"][0]["v"]["floor"] == 21
         assert data["overall"] is True
+
+
+class TestFamilyLifts:
+    """The families' shared lift path against the public lift_congruence."""
+
+    @pytest.mark.parametrize(
+        "fixture,m,residues,u,k,order",
+        [
+            ("t2_report", 125, (99,), 25, 62, 1349),
+            ("t3_report", 49, (19, 33, 40, 47), 7, 24, 1517),
+            ("t4_report", 343, (96, 292, 341), 49, 171, 3771),
+        ],
+    )
+    def test_lift_steps_match_lift_congruence(self, fixture, m, residues, u, k, order, request):
+        report, _ = request.getfixturevalue(fixture)
+        lifts = [s for s in report.steps if s.name.startswith("lift_")]
+        assert lifts == [
+            lift_congruence((m, t, u), m, BrokenDiamondSpec(k), order) for t in residues
+        ]
+
+    @pytest.mark.parametrize("theorem_id,k", [("T3_mod7", 24), ("T4_mod49", 171)])
+    def test_diamond_series_expanded_once(self, theorem_id, k, monkeypatch):
+        expanded = []
+        expand = pipelines.expand_eta_quotient
+
+        def counting_expand(spec, *args, **kwargs):
+            expanded.append(spec)
+            return expand(spec, *args, **kwargs)
+
+        monkeypatch.setattr(pipelines, "expand_eta_quotient", counting_expand)
+        assert run_theorem(theorem_id).overall
+        assert expanded.count(BrokenDiamondSpec(k).eta_spec()) == 1
+
+    @pytest.mark.parametrize(
+        "theorem_id,order", [("T1_mod5", 10), ("T3_mod7", 10), ("regression", 100)]
+    )
+    def test_order_below_residue_refused(self, theorem_id, order):
+        # some scanned progression m n + t starts beyond `order`
+        with pytest.raises(ValueError, match="no coefficient"):
+            run_theorem(theorem_id, order)
 
 
 class TestRegressionSuite:
