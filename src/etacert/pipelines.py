@@ -9,7 +9,13 @@ previously known congruences.
 
 from dataclasses import dataclass, field
 
-from .finite_check import RSCertificate, RSInstance, verify_instance
+from .finite_check import (
+    DEFAULT_ORDER_CAP,
+    OrderCapExceeded,
+    RSCertificate,
+    RSInstance,
+    verify_instance,
+)
 from .series import (
     EtaQuotientSpec,
     TruncatedSeries,
@@ -307,7 +313,14 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
 
 
 def _family_report(family: _Family, order: int) -> ProofReport:
-    """Binomial lemma, congruent form, certificates, b-family scan, then one lift per residue."""
+    """Binomial lemma, congruent form, certificates, b-family scan, then one lift per residue.
+
+    An `order` below the largest residue would leave a lift scan empty; it
+    is refused before any series is expanded.
+    """
+    t_max = max(family.residues)
+    if order < t_max:
+        raise ValueError(f"no coefficient at exponent {t_max} is known (order {order})")
     u, p, m = family.u, family.p, family.m
     basis_order = min(order, 300)
     instances = [KNOWN_INSTANCES[key] for key in family.instance_keys]
@@ -332,7 +345,7 @@ def _family_report(family: _Family, order: int) -> ProofReport:
         cert_order = instance.m * cert.checked_upto + max(cert.p_set)
         steps.append(_verdict(f"certificate_m{instance.m}_t{instance.t}", cert_order, witness))
 
-    b_order = m * family.b_scan_depth + max(family.residues)
+    b_order = m * family.b_scan_depth + t_max
     b_reduced = b_series(b_order, modulus=u)
     witnesses = (_progression_witness(b_reduced, m, t) for t in family.residues)
     b_witness = next((dict(w, t=t) for t, w in zip(family.residues, witnesses) if w), None)
@@ -343,7 +356,13 @@ def _family_report(family: _Family, order: int) -> ProofReport:
 
 
 def run_theorem(theorem_id: str, order: int | None = None) -> ProofReport:
-    """Run one theorem pipeline; `order` controls the empirical lift scans."""
+    """Run one theorem pipeline; `order` controls the empirical lift scans.
+
+    An `order` above DEFAULT_ORDER_CAP raises OrderCapExceeded before any
+    series work starts.
+    """
+    if order is not None and order > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     if theorem_id == "regression":
         return regression_suite(order)
     if theorem_id == "T1_mod5":

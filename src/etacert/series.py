@@ -2,8 +2,9 @@
 
 Every series is a finite prefix of a formal power series in q: exact
 arbitrary-precision integer coefficients for exponents 0..order, nothing
-floating-point anywhere.  Binary operations truncate to the smaller order;
-precision is never extended silently.
+rounded anywhere (the packed products use `decimal` only as an exact
+integer carrier, with rounding trapped).  Binary operations truncate to the
+smaller order; precision is never extended silently.
 
 `series_mul`, `series_invert`, `series_pow` and `expand_eta_quotient` take an
 optional `modulus` u and then compute in (Z/u)[[q]]: every result holds the
@@ -14,6 +15,7 @@ about len * u**2.
 """
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -192,9 +194,13 @@ class EtaQuotientSpec:
 # ---------------------------------------------------------------------------
 
 # Below this product-size threshold the plain double loop wins; above it the
-# coefficients are packed into one big integer per operand so the convolution
-# runs inside CPython's native integer multiply.
+# coefficients are packed into one big decimal number per operand so the
+# convolution runs inside the C decimal module's multiply.
 _SCHOOLBOOK_LIMIT = 4096
+
+# CPython refuses int <-> decimal-string conversions longer than
+# sys.get_int_max_str_digits(), a limit that is 0 (off) or at least 640.
+_INT_STR_SAFE_DIGITS = 640
 
 
 def _convolve_schoolbook(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -> list[int]:
@@ -210,36 +216,60 @@ def _convolve_schoolbook(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -
 
 
 def _convolve_packed(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -> list[int]:
-    """Exact signed convolution via fixed-width packing into big integers.
+    """Exact signed convolution via fixed-width packing into big decimals.
 
-    Each coefficient occupies w bytes, with w chosen so every coefficient of
-    the product stays strictly below 2**(8w - 1); adding that half-slot offset
-    to the product makes all slots nonnegative, so they can be sliced back out
-    of the byte representation without borrow propagation.
+    Each coefficient occupies a slot of w decimal digits, with w chosen so
+    every coefficient c of the product has c < 10**w, or |c| below the
+    half-slot 5 * 10**(w - 1) when an input has a negative coefficient;
+    adding that half-slot to every slot of the product then makes all slots
+    nonnegative, so they are sliced back out of its digit string without
+    borrow propagation.  The carrier is `decimal.Decimal` because CPython's
+    C decimal module (libmpdec) multiplies long operands by number-theoretic
+    transform, where `int` multiplication is Karatsuba.
+
+    The result is exact: the multiply runs at the maximal precision with
+    `Inexact` and `Rounded` trapped, so any rounding would raise.  Operands
+    are built from and read back into per-slot strings; a whole operand is
+    never converted between `int` and `Decimal`, which would be quadratic.
     """
     amax = max(map(abs, a))
     bmax = max(map(abs, b))
     if amax == 0 or bmax == 0:
         return [0] * out_len
-    bound = min(len(a), len(b)) * amax * bmax
-    w = (bound.bit_length() + 8) // 8
+    a_signed = min(a) < 0
+    b_signed = min(b) < 0
+    signed = a_signed or b_signed
+    # every product coefficient c has |c| <= min(len) * amax * bmax; w is the
+    # digit count of that bound, or of twice it when signed, so that
+    # |c| < 5 * 10**(w - 1) and the half-slot offset keeps c in its slot
+    span = (min(len(a), len(b)) * amax * bmax) << signed
+    w = span.bit_length() * 30103 // 100000 + 1  # the digit count, or one more
+    if span < 10 ** (w - 1):
+        w -= 1
+    if w > _INT_STR_SAFE_DIGITS:
+        to_str, to_int = (lambda c: str(Decimal(c))), (lambda s: int(Decimal(s)))
+    else:
+        to_str, to_int = str, int
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+    zero = "0" * w
 
-    def pack(coeffs: tuple[int, ...]) -> int:
-        pos = bytearray(len(coeffs) * w)
-        neg = bytearray(len(coeffs) * w)
-        for i, c in enumerate(coeffs):
-            if c > 0:
-                pos[i * w : i * w + w] = c.to_bytes(w, "little")
-            elif c < 0:
-                neg[i * w : i * w + w] = (-c).to_bytes(w, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    def pack(coeffs: tuple[int, ...], negatives: bool) -> Decimal:
+        pos = Decimal("".join([to_str(c).zfill(w) if c > 0 else zero for c in reversed(coeffs)]))
+        if not negatives:
+            return pos
+        neg = Decimal("".join([to_str(-c).zfill(w) if c < 0 else zero for c in reversed(coeffs)]))
+        return ctx.subtract(pos, neg)
 
     n_slots = len(a) + len(b) - 1
-    half = 1 << (8 * w - 1)
-    offset = int.from_bytes(half.to_bytes(w, "little") * n_slots, "little")
-    buf = (pack(a) * pack(b) + offset).to_bytes(n_slots * w, "little")
+    packed_a = pack(a, a_signed)
+    product = ctx.multiply(packed_a, packed_a if b is a else pack(b, b_signed))
+    half = 0
+    if signed:
+        half = 5 * 10 ** (w - 1)
+        product = ctx.add(product, Decimal(("5" + "0" * (w - 1)) * n_slots))
     take = min(out_len, n_slots)
-    out = [int.from_bytes(buf[i * w : i * w + w], "little") - half for i in range(take)]
+    digits = str(product)[-take * w :].zfill(take * w)
+    out = [to_int(digits[i : i + w]) - half for i in range((take - 1) * w, -1, -w)]
     out.extend([0] * (out_len - take))
     return out
 

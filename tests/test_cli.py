@@ -180,6 +180,13 @@ class TestVerifyTheorem:
         assert proc.returncode == 65
         assert "exceeds cap 10" in proc.stderr
 
+    def test_library_order_cap_exits_65(self):
+        # a raised environment cap still meets run_theorem's own cap
+        proc = run_cli("verify-theorem", "2", "--order", "2000000",
+                       env={"ETA_CERT_ORDER_CAP": "3000000"})
+        assert proc.returncode == 65
+        assert "exceeds cap 1000000" in proc.stderr
+
 
 def test_help_runs():
     proc = run_cli("--help")

@@ -3,8 +3,11 @@
 import pytest
 
 from etacert import (
+    DEFAULT_ORDER_CAP,
+    THEOREM_IDS,
     BrokenDiamondSpec,
     EtaQuotientSpec,
+    OrderCapExceeded,
     PreconditionViolated,
     b_series,
     broken_k_diamond_series,
@@ -195,6 +198,28 @@ class TestFamilyLifts:
         # some scanned progression m n + t starts beyond `order`
         with pytest.raises(ValueError, match="no coefficient"):
             run_theorem(theorem_id, order)
+
+
+class TestRunTheoremRefusals:
+    """Orders that cannot give a sound report are refused before any series work."""
+
+    @pytest.fixture
+    def no_series_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("series work started before the order was checked")
+
+        for name in ("verify_instance", "expand_eta_quotient", "series_pow", "series_mul"):
+            monkeypatch.setattr(pipelines, name, refuse)
+
+    @pytest.mark.parametrize("theorem_id,order", [("T2_mod25", 98), ("T4_mod49", 5)])
+    def test_order_below_residue_refused_up_front(self, theorem_id, order, no_series_work):
+        with pytest.raises(ValueError, match="no coefficient"):
+            run_theorem(theorem_id, order)
+
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_order_cap(self, theorem_id, no_series_work):
+        with pytest.raises(OrderCapExceeded, match=f"exceeds cap {DEFAULT_ORDER_CAP}"):
+            run_theorem(theorem_id, DEFAULT_ORDER_CAP + 1)
 
 
 class TestRegressionSuite:

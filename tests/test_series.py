@@ -2,6 +2,7 @@
 and agreement of the residue-ring (modulus) path with exact-then-reduce."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +305,10 @@ def test_binomial_lemma(p, alpha):
 
 # --- convolution kernel equivalence ------------------------------------------
 
+def _sparse(rng, length, mag, density):
+    return tuple(rng.randint(-mag, mag) if rng.random() < density else 0 for _ in range(length))
+
+
 def test_packed_matches_schoolbook_random():
     rng = random.Random(20260810)
     for _ in range(300):
@@ -314,11 +319,92 @@ def test_packed_matches_schoolbook_random():
         b = tuple(rng.randint(-mag, mag) for _ in range(lb))
         out_len = rng.randint(1, la + lb)
         assert _convolve_packed(a, b, out_len) == _convolve_schoolbook(a, b, out_len)
+    # lengths of a few thousand: the schoolbook loop skips zero entries of its
+    # first operand, so a sparse first operand keeps the reference cheap
+    for mag in (1, 48, 10**6, 10**30, 2**300):
+        la, lb = rng.randint(1000, 3000), rng.randint(1000, 3000)
+        a = _sparse(rng, la, mag, 0.02)
+        b = tuple(rng.randint(-mag, mag) for _ in range(lb))
+        out_len = rng.randint(1, la + lb - 1)
+        expected = _convolve_schoolbook(a, b, out_len)
+        assert _convolve_packed(a, b, out_len) == expected
+        assert _convolve_packed(b, a, out_len) == expected
 
 
 def test_packed_edge_cases():
     assert _convolve_packed((0, 0), (0, 0, 0), 4) == [0, 0, 0, 0]
     assert _convolve_packed((-1,), (1, -1, 1), 3) == [-1, 1, -1]
+    # a zero operand on either side
+    b = tuple(range(-200, 200))
+    assert _convolve_packed((0,) * 200, b, 300) == [0] * 300
+    assert _convolve_packed(b, (0,), 401) == [0] * 401
+    # out_len beyond len(a) + len(b) - 1 pads with zeros
+    a, b = (3, -1, 4), (1, -5, 9, 2)
+    assert _convolve_packed(a, b, 10) == _convolve_schoolbook(a, b, 6) + [0] * 4
+    assert _convolve_packed(a, b, 10) == _convolve_schoolbook(a, b, 10)
+
+
+def test_packed_nonnegative_inputs():
+    # residues mod u: no negative half is packed and no offset is needed
+    rng = random.Random(49)
+    for u in (2, 49, 10**12):
+        a = tuple(abs(c) for c in _sparse(rng, 2000, u - 1, 0.1))
+        b = tuple(rng.randrange(u) for _ in range(2500))
+        assert _convolve_packed(a, b, 2000) == _convolve_schoolbook(a, b, 2000)
+    assert _convolve_packed((0, 3), (5, 0, 7), 4) == [0, 15, 0, 21]
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_packed_aliased_operands(signed):
+    rng = random.Random(11)
+    low = -(10**40) if signed else 0
+    a = tuple(rng.randint(low, 10**40) for _ in range(900))
+    assert (min(a) < 0) == signed
+    expected = _convolve_schoolbook(a, a, 900)
+    assert _convolve_packed(a, a, 900) == expected
+    assert _convolve_packed(a, tuple(list(a)), 900) == expected
+
+
+@pytest.mark.parametrize(
+    "value", [4, 5, 9, 10, 49, 50, 99, 100, 5 * 10**20 - 1, 5 * 10**20, 10**21 - 1, 10**21]
+)
+def test_packed_slot_width_boundaries(value):
+    # products whose largest coefficient sits at either side of a digit or
+    # half-slot boundary, in both signs
+    for a, b in (((value,), (1,)), ((-value,), (1,)), ((value, value), (1, 1)),
+                 ((value, -value), (1, 1)), ((1,) * 3, (value,) * 3)):
+        assert _convolve_packed(a, b, 4) == _convolve_schoolbook(a, b, 4)
+
+
+def test_packed_wide_slots():
+    # slots of more than 4300 digits: CPython refuses int <-> str conversions
+    # that long unless the process-wide limit is raised, which the kernel must not do
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    a, b = (10**5000, 1) * 40, (10**5000, -1) * 40
+    assert _convolve_packed(a, b, 80) == _convolve_schoolbook(a, b, 80)
+    c = (-(7**6000), 3, 0, 2**20000)
+    assert _convolve_packed(c, c, 7) == _convolve_schoolbook(c, c, 7)
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str conversion limit"
+)
+def test_packed_slots_beyond_lowest_conversion_limit():
+    # 640 digits is the lowest limit CPython accepts; slots of 700-1300 digits
+    # must decode under it as well
+    rng = random.Random(640)
+    a = tuple(rng.randint(-(10**600), 10**600) for _ in range(30))
+    b = tuple(rng.randint(-(10**650), 10**650) for _ in range(30))
+    expected = _convolve_schoolbook(a, b, 59)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = _convolve_packed(a, b, 59)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == expected
 
 
 # --- ring axioms (property) --------------------------------------------------
