@@ -218,9 +218,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    if args.order is not None:
-        _check_order(args.order, _order_cap_default())
-    report = run_theorem(_THEOREM_BY_ID[args.id], args.order)
+    # run_theorem refuses a negative order (ValueError) and any order above the cap
+    report = run_theorem(_THEOREM_BY_ID[args.id], args.order, order_cap=_order_cap_default())
     _write_output(_json_text(report.to_json_dict()), args.output)
     if not report.overall:
         failed = [s.name for s in report.steps if not s.passed]

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .series import EtaQuotientSpec, expand_eta_quotient
 from .theta import extract_arithmetic_progression
@@ -70,15 +70,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-def _cusp_count(N: int) -> int:
-    """Number of cusps of Gamma0(N): the sum over d | N of phi(gcd(d, N/d))."""
-    total = 0
-    for d in divisors(N):
-        g = gcd(d, N // d)
-        total += sum(1 for x in range(1, g + 1) if gcd(x, g) == 1)
-    return total
-
-
 @dataclass(frozen=True, slots=True)
 class RSInstance:
     """One verification problem (m, M, N, t, r, r', u)."""
@@ -102,10 +93,12 @@ class RSInstance:
             raise ValueError(f"r' has level {self.r_prime.level}, expected N = {self.N}")
         if self.u < 2:
             raise ValueError(f"congruence modulus must be >= 2, got {self.u}")
-        # the cusp sums are taken at (1 0; delta 1), one per divisor delta of N
-        cusps, checked = _cusp_count(self.N), len(divisors(self.N))
-        if cusps > checked:
-            raise ValueError(f"Gamma0({self.N}) has {cusps} cusps, the check covers only {checked}")
+        # the cusp sums are taken at (1 0; delta 1), one per divisor delta of N, but
+        # Gamma0(N) has sum over d | N of phi(gcd(d, N/d)) cusps, and phi(g) > 1 iff g > 2
+        for d in divisors(self.N):
+            if gcd(d, self.N // d) > 2:
+                raise ValueError(f"Gamma0({self.N}) has more cusps than the divisors of N "
+                                 f"the check covers: gcd({d}, {self.N // d}) > 2")
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,31 +259,30 @@ def coset_representatives(N: int) -> tuple[CosetRep, ...]:
     return tuple(CosetRep(1, 0, d, 1) for d in divisors(N))
 
 
+def _cusp_sum(r: EtaQuotientSpec, xs: Iterable[int], y: int, m: int) -> Fraction:
+    """min over x in xs of S(r; x, y, m) = (1/24) sum_delta r_delta gcd^2(delta x, y) / (delta m).
+
+    Summed in integers over the common denominator 24 m L, L = lcm of the deltas.
+    """
+    lcm = math.lcm(*(delta for delta, _ in r.exponents))
+    weights = [(delta, r_delta * (lcm // delta)) for delta, r_delta in r.exponents]
+    num = min(sum(w * gcd(delta * x, y) ** 2 for delta, w in weights) for x in xs)
+    return Fraction(num, 24 * m * lcm)
+
+
 def p_min(instance: RSInstance, gamma: CosetRep) -> Fraction:
     """min over lambda in 0..m-1 of (1/24) sum_delta r_delta gcd^2(delta(a + kappa lambda c), mc) / (delta m)."""
     if gamma.c == 0:
         raise ValueError("representative must have a nonzero lower-left entry")
     m = instance.m
     kap = kappa(m)
-    mc = abs(m * gamma.c)
-    best = None
-    for lam in range(m):
-        total = Fraction(0)
-        for delta, r in instance.r.exponents:
-            g = gcd(abs(delta * (gamma.a + kap * lam * gamma.c)), mc)
-            total += Fraction(r * g * g, 24 * delta * m)
-        if best is None or total < best:
-            best = total
-    return Fraction(0) if best is None else best
+    xs = (gamma.a + kap * lam * gamma.c for lam in range(m))
+    return _cusp_sum(instance.r, xs, m * gamma.c, m)
 
 
 def p_star(instance: RSInstance, gamma: CosetRep) -> Fraction:
     """(1/24) sum over delta | N of r'_delta gcd^2(delta, c) / delta."""
-    total = Fraction(0)
-    for delta, r in instance.r_prime.exponents:
-        g = gcd(delta, abs(gamma.c))
-        total += Fraction(r * g * g, 24 * delta)
-    return total
+    return _cusp_sum(instance.r_prime, (1,), gamma.c, 1)
 
 
 def _v_exact(instance: RSInstance, t_min: int) -> Fraction:
@@ -357,12 +349,9 @@ def verify_instance(
     violation = next((e for e in cusp_table if e.p_min + e.p_star < 0), None)
     v = _v_exact(instance, t_min)
     v_floor = math.floor(v)
-    if check_upto is None:
-        checked_upto = v_floor
-    elif check_upto < v_floor:
+    checked_upto = v_floor if check_upto is None else check_upto
+    if checked_upto < v_floor:
         raise ValueError(f"check_upto = {check_upto} undercuts the bound floor(v) = {v_floor}")
-    else:
-        checked_upto = check_upto
 
     required_order = instance.m * checked_upto + max(p_set)
     if required_order > order_cap:

@@ -110,6 +110,7 @@ class ProofReport:
 
 
 THEOREM_IDS = ("T1_mod5", "T2_mod25", "T3_mod7", "T4_mod49", "regression")
+_DEFAULT_ORDERS = {"T1_mod5": 1024, "regression": 3071}  # the families carry their own
 
 KNOWN_INSTANCES: dict[str, RSInstance] = {
     "mod25": RSInstance(
@@ -156,6 +157,10 @@ class _Family:
     k: int
     b_scan_depth: int  # empirical depth n of the b(m n + t) scan
     default_order: int
+
+    @property
+    def b_order(self) -> int:
+        return self.m * self.b_scan_depth + max(self.residues)
 
 
 _FAMILIES = {
@@ -260,17 +265,16 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     suffix = "" if j == 1 else f"_j{j}"
     steps = []
 
-    # 1. generating function reduces to psi^3(q) / f10 times a spectator factor
-    lhs = expand_eta_quotient(
-        EtaQuotientSpec(50 * j, {1: -3, 2: 1, 25 * j: 1, 50 * j: -1}), order
-    )
+    # 1. generating function reduces to psi^3(q) / f10 times a spectator factor;
+    # its mod-5 expansion is also the series scanned in step 5
+    reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=5)
     psi_cubed = series_pow(psi_series(1, order), 3)
     spectator = expand_eta_quotient(
         EtaQuotientSpec(50 * j, {10: -1, 25 * j: 1, 50 * j: -1}), order
     )
     steps.append(
         _series_equal_step(
-            "reduction" + suffix, lhs, series_mul(psi_cubed, spectator), 5, order
+            "reduction" + suffix, reduced, series_mul(psi_cubed, spectator), 5, order
         )
     )
 
@@ -306,13 +310,12 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     steps.append(_verdict("absence" + suffix, order, absence_witness))
 
     # 5. the family itself, scanned on the concrete witness k
-    reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=5)
     steps.append(_verdict("conclusion" + suffix, order, _progression_witness(reduced, 25, 24)))
 
     return ProofReport("T1_mod5", tuple(steps))
 
 
-def _family_report(family: _Family, order: int) -> ProofReport:
+def _family_report(family: _Family, order: int, order_cap: int) -> ProofReport:
     """Binomial lemma, congruent form, certificates, b-family scan, then one lift per residue.
 
     An `order` below the largest residue would leave a lift scan empty; it
@@ -339,43 +342,48 @@ def _family_report(family: _Family, order: int) -> ProofReport:
         ),
     ]
 
-    certs = tuple(verify_instance(instance) for instance in instances)
+    certs = tuple(verify_instance(instance, order_cap=order_cap) for instance in instances)
     for instance, cert in zip(instances, certs):
         witness = None if cert.verified else dict(cert.witness or {}, status=cert.status)
         cert_order = instance.m * cert.checked_upto + max(cert.p_set)
         steps.append(_verdict(f"certificate_m{instance.m}_t{instance.t}", cert_order, witness))
 
-    b_order = m * family.b_scan_depth + t_max
-    b_reduced = b_series(b_order, modulus=u)
+    b_reduced = b_series(family.b_order, modulus=u)
     witnesses = (_progression_witness(b_reduced, m, t) for t in family.residues)
     b_witness = next((dict(w, t=t) for t, w in zip(family.residues, witnesses) if w), None)
-    steps.append(_verdict(f"b_family_scan_mod{u}", b_order, b_witness))
+    steps.append(_verdict(f"b_family_scan_mod{u}", family.b_order, b_witness))
 
     steps += _lift_steps(m, family.residues, u, m, BrokenDiamondSpec(family.k), order)
     return ProofReport(family.theorem_id, tuple(steps), certs)
 
 
-def run_theorem(theorem_id: str, order: int | None = None) -> ProofReport:
+def run_theorem(
+    theorem_id: str, order: int | None = None, *, order_cap: int = DEFAULT_ORDER_CAP
+) -> ProofReport:
     """Run one theorem pipeline; `order` controls the empirical lift scans.
 
-    An `order` above DEFAULT_ORDER_CAP raises OrderCapExceeded before any
-    series work starts.
+    The scan order, and a family's b-scan order, above min(order_cap,
+    DEFAULT_ORDER_CAP) raise OrderCapExceeded before any series work starts.
     """
-    if order is not None and order > DEFAULT_ORDER_CAP:
-        raise OrderCapExceeded(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+    cap = min(order_cap, DEFAULT_ORDER_CAP)
+    family = _FAMILIES.get(theorem_id)
+    if family is None and theorem_id not in _DEFAULT_ORDERS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
+    if order is None:
+        order = family.default_order if family else _DEFAULT_ORDERS[theorem_id]
+    needed = order if family is None else max(order, family.b_order)
+    if needed > cap:
+        raise OrderCapExceeded(f"order {needed} exceeds cap {cap}")
     if theorem_id == "regression":
         return regression_suite(order)
     if theorem_id == "T1_mod5":
-        return elementary_mod5_proof(1024 if order is None else order)
-    if theorem_id not in _FAMILIES:
-        raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
-    family = _FAMILIES[theorem_id]
-    return _family_report(family, family.default_order if order is None else order)
+        return elementary_mod5_proof(order)
+    return _family_report(family, order, cap)
 
 
 def regression_suite(order: int | None = None) -> ProofReport:
     """The previously known families: k=2 mod 5 and k=3 mod 7 congruences."""
-    order = 3071 if order is None else order
+    order = _DEFAULT_ORDERS["regression"] if order is None else order
     steps = []
     families = (
         (2, 25, (14, 24), 5),

@@ -391,6 +391,8 @@ def eta_factor(delta: int, order: int) -> TruncatedSeries:
     """
     if delta < 1:
         raise ValueError(f"delta must be positive, got {delta}")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     out = [0] * (order + 1)
     out[0] = 1
     k = 1

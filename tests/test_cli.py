@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "etacert.cli"]
 
 
@@ -170,6 +172,11 @@ class TestVerifyTheorem:
         assert proc.returncode == 64
         assert proc.stdout == "" and "no coefficient" in proc.stderr
 
+    @pytest.mark.parametrize("theorem", ["1", "4", "regressions"])
+    def test_negative_order_exits_64(self, theorem):
+        proc = run_cli("verify-theorem", theorem, "--order", "-1")
+        assert proc.returncode == 64 and proc.stdout == ""
+
     def test_invalid_id_exits_64(self):
         proc = run_cli("verify-theorem", "9")
         assert proc.returncode == 64
@@ -179,6 +186,15 @@ class TestVerifyTheorem:
                        env={"ETA_CERT_ORDER_CAP": "10"})
         assert proc.returncode == 65
         assert "exceeds cap 10" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "theorem,order", [("4", 19549), ("1", 1024), ("regressions", 3071)]
+    )
+    def test_lowered_env_cap_bounds_default_orders(self, theorem, order):
+        # without --order the default scan orders must still meet the cap
+        proc = run_cli("verify-theorem", theorem, env={"ETA_CERT_ORDER_CAP": "1000"})
+        assert proc.returncode == 65
+        assert proc.stdout == "" and f"order {order} exceeds cap 1000" in proc.stderr
 
     def test_library_order_cap_exits_65(self):
         # a raised environment cap still meets run_theorem's own cap

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from etacert import (
     CosetRep,
@@ -134,6 +136,92 @@ class TestCuspSums:
         inst = KNOWN_INSTANCES[key]
         for gamma in coset_representatives(inst.N):
             assert p_min(inst, gamma) + p_star(inst, gamma) >= 0
+
+
+def _reference_p_min(instance: RSInstance, gamma: CosetRep) -> Fraction:
+    """min over lambda in 0..m-1 of (1/24) sum_delta r_delta gcd^2(delta(a + kappa lambda c), mc) / (delta m)."""
+    m = instance.m
+    kap = math.gcd(m * m - 1, 24)
+    best = None
+    for lam in range(m):
+        total = Fraction(0)
+        for delta, r in instance.r.exponents:
+            g = math.gcd(abs(delta * (gamma.a + kap * lam * gamma.c)), abs(m * gamma.c))
+            total += Fraction(r * g * g, 24 * delta * m)
+        if best is None or total < best:
+            best = total
+    return best
+
+
+def _reference_p_star(instance: RSInstance, gamma: CosetRep) -> Fraction:
+    """(1/24) sum over delta | N of r'_delta gcd^2(delta, c) / delta."""
+    total = Fraction(0)
+    for delta, r in instance.r_prime.exponents:
+        g = math.gcd(delta, abs(gamma.c))
+        total += Fraction(r * g * g, 24 * delta)
+    return total
+
+
+def _reference_cusp_count(N: int) -> int:
+    """Number of cusps of Gamma0(N): the sum over d | N of phi(gcd(d, N/d))."""
+    total = 0
+    for d in divisors(N):
+        g = math.gcd(d, N // d)
+        total += sum(1 for x in range(1, g + 1) if math.gcd(x, g) == 1)
+    return total
+
+
+# levels whose cusps are all of the form (1 0; delta 1), so RSInstance accepts them
+_COMPLETE_LEVELS = [N for N in range(1, 61) if _reference_cusp_count(N) == len(divisors(N))]
+
+
+@st.composite
+def _eta_spec(draw, levels):
+    level = draw(st.sampled_from(levels))
+    deltas = draw(st.lists(st.sampled_from(divisors(level)), unique=True, max_size=4))
+    return EtaQuotientSpec(level, {d: draw(st.integers(-30, 30)) for d in deltas})
+
+
+@st.composite
+def _representative(draw, c_values):
+    """(a b; c d) of determinant one, with either sign on a and c."""
+    c = draw(c_values)
+    if c == 0:
+        a = draw(st.sampled_from((1, -1)))
+        return CosetRep(a, 0, 0, a)
+    a = draw(st.integers(-40, 40).filter(lambda a: math.gcd(a, c) == 1))
+    d = pow(a, -1, abs(c))
+    return CosetRep(a, (a * d - 1) // c, c, d)
+
+
+class TestCuspSumsAgainstReference:
+    """p_min and p_star against the term-by-term Fraction sums they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 60),
+        r=_eta_spec(list(range(1, 61))),
+        r_prime=_eta_spec(_COMPLETE_LEVELS),
+        gamma=_representative(st.integers(-40, 40).filter(bool)),
+    )
+    @example(m=24, r=EtaQuotientSpec(6, {1: 5, 2: -3, 3: 1, 6: -7}),
+             r_prime=EtaQuotientSpec(6, {1: -2, 6: 3}), gamma=CosetRep(-5, 2, -3, 1))
+    @example(m=49, r=EtaQuotientSpec(14, {}), r_prime=EtaQuotientSpec(14, {}),
+             gamma=CosetRep(1, 0, 7, 1))
+    def test_p_min_and_p_star(self, m, r, r_prime, gamma):
+        inst = RSInstance(m=m, M=r.level, N=r_prime.level, t=0, r=r, r_prime=r_prime, u=2)
+        assert p_min(inst, gamma) == _reference_p_min(inst, gamma)
+        assert p_star(inst, gamma) == _reference_p_star(inst, gamma)
+        assert type(p_min(inst, gamma)) is type(p_star(inst, gamma)) is Fraction
+
+    @settings(max_examples=40, deadline=None)
+    @given(r_prime=_eta_spec(_COMPLETE_LEVELS), gamma=_representative(st.just(0)))
+    def test_zero_c(self, r_prime, gamma):
+        inst = RSInstance(m=1, M=1, N=r_prime.level, t=0, r=EtaQuotientSpec(1, {1: 1}),
+                          r_prime=r_prime, u=2)
+        assert p_star(inst, gamma) == _reference_p_star(inst, gamma)
+        with pytest.raises(ValueError):
+            p_min(inst, gamma)
 
 
 class TestVBound:
@@ -267,6 +355,17 @@ class TestCuspCompleteness:
     @pytest.mark.parametrize("N", [1, 10, 14])
     def test_complete_cusp_table_accepted(self, N):
         assert RSInstance(**_cusp_test_fields(N)).N == N
+
+    def test_refusal_matches_cusp_count(self):
+        # the gcd rule refuses exactly the N with more cusps than divisors
+        for N in range(1, 301):
+            incomplete = _reference_cusp_count(N) > len(divisors(N))
+            try:
+                RSInstance(**_cusp_test_fields(N))
+            except ValueError as exc:
+                assert incomplete and "cusps" in str(exc), N
+            else:
+                assert not incomplete, N
 
     def test_replay_refuses_incomplete_cusp_table(self):
         # a self-consistent N = 9 certificate, made by skipping the refusal:

@@ -12,6 +12,7 @@ from etacert import (
     b_series,
     broken_k_diamond_series,
     elementary_mod5_proof,
+    eta_factor,
     expand_eta_quotient,
     lift_congruence,
     pipelines,
@@ -178,7 +179,9 @@ class TestFamilyLifts:
             lift_congruence((m, t, u), m, BrokenDiamondSpec(k), order) for t in residues
         ]
 
-    @pytest.mark.parametrize("theorem_id,k", [("T3_mod7", 24), ("T4_mod49", 171)])
+    @pytest.mark.parametrize(
+        "theorem_id,k", [("T1_mod5", 12), ("T3_mod7", 24), ("T4_mod49", 171)]
+    )
     def test_diamond_series_expanded_once(self, theorem_id, k, monkeypatch):
         expanded = []
         expand = pipelines.expand_eta_quotient
@@ -220,6 +223,44 @@ class TestRunTheoremRefusals:
     def test_order_cap(self, theorem_id, no_series_work):
         with pytest.raises(OrderCapExceeded, match=f"exceeds cap {DEFAULT_ORDER_CAP}"):
             run_theorem(theorem_id, DEFAULT_ORDER_CAP + 1)
+
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_lowered_cap_refused_up_front(self, theorem_id, no_series_work):
+        # every default scan or b-scan order is above 1000
+        with pytest.raises(OrderCapExceeded, match="exceeds cap 1000$"):
+            run_theorem(theorem_id, order_cap=1000)
+
+    def test_cap_above_default_is_clamped(self, no_series_work):
+        with pytest.raises(OrderCapExceeded, match=f"exceeds cap {DEFAULT_ORDER_CAP}"):
+            run_theorem("T1_mod5", DEFAULT_ORDER_CAP + 1, order_cap=3 * DEFAULT_ORDER_CAP)
+
+    def test_cap_reaches_certificates(self, monkeypatch):
+        caps = []
+        verify = pipelines.verify_instance
+
+        def recording_verify(instance, **kwargs):
+            caps.append(kwargs.get("order_cap"))
+            return verify(instance, **kwargs)
+
+        monkeypatch.setattr(pipelines, "verify_instance", recording_verify)
+        assert run_theorem("T3_mod7", order_cap=5000).overall
+        assert caps == [5000, 5000]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eta_factor(1, -1),
+        lambda: expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), -1),
+        lambda: run_theorem("T1_mod5", -1),
+        lambda: run_theorem("regression", -1),
+        lambda: lift_congruence((25, 24, 5), 25, BrokenDiamondSpec(12), -1),
+    ],
+    ids=["eta_factor", "expand_eta_quotient", "T1_mod5", "regression", "lift_congruence"],
+)
+def test_negative_order_is_value_error(call):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        call()
 
 
 class TestRegressionSuite:
