@@ -3,130 +3,16 @@
 Truncated integer power series, eta-quotient expansion, theta dissection,
 and finite coefficient checks that certify infinite congruence families for
 broken k-diamond partition counts (mod 5, 25, 7 and 49), with
-machine-readable certificates.
+machine-readable certificates.  The package exports each layer module's
+own `__all__`; `oracle` stays unexported.
 """
 
-from .series import (
-    EtaQuotientSpec,
-    NonUnitConstantTerm,
-    ParseError,
-    TruncatedSeries,
-    eta_factor,
-    expand_eta_quotient,
-    reduce_mod,
-    series_add,
-    series_invert,
-    series_mul,
-    series_pow,
-    substitute_q_power,
-)
-from .theta import (
-    DissectionBlocks,
-    ResidueClassSplit,
-    ThetaSpec,
-    build_dissection_blocks,
-    dissect,
-    extract_arithmetic_progression,
-    jacobi_cube,
-    jtp_product,
-    psi_series,
-    theta_series,
-)
-from .finite_check import (
-    CERTIFICATE_SCHEMA_VERSION,
-    DEFAULT_ORDER_CAP,
-    CosetRep,
-    CuspEntry,
-    InternalAssertionFailure,
-    OrderCapExceeded,
-    RSCertificate,
-    RSInstance,
-    compute_p_set,
-    coset_representatives,
-    divisors,
-    index_gamma0,
-    instance_from_dict,
-    kappa,
-    p_min,
-    p_star,
-    revalidate_certificate,
-    v_bound,
-    verify_instance,
-)
-from .pipelines import (
-    KNOWN_INSTANCES,
-    THEOREM_IDS,
-    BrokenDiamondSpec,
-    PreconditionViolated,
-    ProofReport,
-    StepResult,
-    b_series,
-    broken_k_diamond_series,
-    elementary_mod5_proof,
-    lift_congruence,
-    regression_suite,
-    run_theorem,
-)
+from . import finite_check, pipelines, series, theta
+from .series import *  # noqa: F403
+from .theta import *  # noqa: F403
+from .finite_check import *  # noqa: F403
+from .pipelines import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # series
-    "TruncatedSeries",
-    "EtaQuotientSpec",
-    "NonUnitConstantTerm",
-    "ParseError",
-    "series_add",
-    "series_mul",
-    "series_invert",
-    "series_pow",
-    "substitute_q_power",
-    "eta_factor",
-    "expand_eta_quotient",
-    "reduce_mod",
-    # theta
-    "ThetaSpec",
-    "DissectionBlocks",
-    "ResidueClassSplit",
-    "theta_series",
-    "jtp_product",
-    "psi_series",
-    "jacobi_cube",
-    "dissect",
-    "extract_arithmetic_progression",
-    "build_dissection_blocks",
-    # finite check
-    "RSInstance",
-    "CosetRep",
-    "CuspEntry",
-    "RSCertificate",
-    "InternalAssertionFailure",
-    "OrderCapExceeded",
-    "DEFAULT_ORDER_CAP",
-    "CERTIFICATE_SCHEMA_VERSION",
-    "divisors",
-    "kappa",
-    "compute_p_set",
-    "index_gamma0",
-    "coset_representatives",
-    "p_min",
-    "p_star",
-    "v_bound",
-    "verify_instance",
-    "instance_from_dict",
-    "revalidate_certificate",
-    # pipelines
-    "BrokenDiamondSpec",
-    "StepResult",
-    "ProofReport",
-    "PreconditionViolated",
-    "KNOWN_INSTANCES",
-    "THEOREM_IDS",
-    "broken_k_diamond_series",
-    "b_series",
-    "lift_congruence",
-    "elementary_mod5_proof",
-    "run_theorem",
-    "regression_suite",
-]
+__all__ = ["__version__", *series.__all__, *theta.__all__, *finite_check.__all__, *pipelines.__all__]

@@ -18,12 +18,16 @@ import tempfile
 
 from .finite_check import (
     DEFAULT_ORDER_CAP,
+    STATUS_COUNTEREXAMPLE,
+    STATUS_DELTA_STAR_UNVERIFIED,
+    STATUS_HYPOTHESIS_VIOLATION,
+    STATUS_VERIFIED,
     OrderCapExceeded,
     RSInstance,
     verify_instance,
 )
 from .series import EtaQuotientSpec, ParseError, expand_eta_quotient, reduce_mod
-from .theta import dissect
+from .theta import extract_arithmetic_progression
 from .pipelines import run_theorem
 
 __all__ = ["main"]
@@ -37,10 +41,10 @@ EXIT_USAGE = 64
 EXIT_ORDER_CAP = 65
 
 _STATUS_EXIT = {
-    "verified": EXIT_OK,
-    "hypothesis_violation": EXIT_HYPOTHESIS,
-    "counterexample": EXIT_COUNTEREXAMPLE,
-    "delta_star_unverified": EXIT_DELTA_STAR,
+    STATUS_VERIFIED: EXIT_OK,
+    STATUS_HYPOTHESIS_VIOLATION: EXIT_HYPOTHESIS,
+    STATUS_COUNTEREXAMPLE: EXIT_COUNTEREXAMPLE,
+    STATUS_DELTA_STAR_UNVERIFIED: EXIT_DELTA_STAR,
 }
 
 _THEOREM_BY_ID = {
@@ -161,14 +165,16 @@ def _cmd_dissect(args) -> int:
         raise ParseError(f"dissection modulus must be >= 1, got {args.m}", 0)
     spec = EtaQuotientSpec.from_string(args.spec)
     series = expand_eta_quotient(spec, args.order)
-    split = dissect(series, args.m)
+    # each class is read off its own progression, never held at full length;
+    # classes past the order are empty
     classes = []
-    for i, cls in enumerate(split.classes):
-        support = cls.support()
+    for i in range(args.m):
+        cls = extract_arithmetic_progression(series, args.m, i) if i <= args.order else None
+        support = cls.support() if cls is not None else ()
         entry = {
             "residue": i,
             "nonzero_terms": len(support),
-            "first_exponent": support[0] if support else None,
+            "first_exponent": args.m * support[0] + i if support else None,
         }
         if args.mod is not None:
             entry["zero_mod"] = reduce_mod(cls, args.mod).is_zero() if support else True

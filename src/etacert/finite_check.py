@@ -112,16 +112,20 @@ class RSInstance:
         }
 
 
+def _spec_from_dict(level: int, exponents: Mapping) -> EtaQuotientSpec:
+    if not isinstance(exponents, Mapping):
+        raise TypeError(f"eta exponents must be a mapping, got {type(exponents).__name__}")
+    return EtaQuotientSpec(int(level), {int(d): int(r) for d, r in exponents.items()})
+
+
 def instance_from_dict(data: Mapping) -> RSInstance:
     return RSInstance(
         m=int(data["m"]),
         M=int(data["M"]),
         N=int(data["N"]),
         t=int(data["t"]),
-        r=EtaQuotientSpec(int(data["M"]), {int(d): int(r) for d, r in data["r"].items()}),
-        r_prime=EtaQuotientSpec(
-            int(data["N"]), {int(d): int(r) for d, r in data["r_prime"].items()}
-        ),
+        r=_spec_from_dict(data["M"], data["r"]),
+        r_prime=_spec_from_dict(data["N"], data["r_prime"]),
         u=int(data["u"]),
     )
 
@@ -413,7 +417,7 @@ def verify_instance(
 
 def revalidate_certificate(data: Mapping, *, order_cap: int = DEFAULT_ORDER_CAP) -> bool:
     """Replay a certificate dict against a fresh expansion; True iff it reproduces."""
-    if data.get("schema_version") != CERTIFICATE_SCHEMA_VERSION:
+    if not isinstance(data, Mapping) or data.get("schema_version") != CERTIFICATE_SCHEMA_VERSION:
         return False
     try:
         instance = instance_from_dict(data["instance"])

@@ -14,6 +14,7 @@ from .finite_check import (
     OrderCapExceeded,
     RSCertificate,
     RSInstance,
+    divisors,
     verify_instance,
 )
 from .series import (
@@ -144,14 +145,13 @@ KNOWN_INSTANCES: dict[str, RSInstance] = {
 class _Family:
     """A certified b-family b(m n + t) == 0 (mod u), lifted to Delta_k.
 
-    The residues are literal data rather than the certificates' P-sets, so
-    a fault in the orbit computation changes a step name or a digest.
+    m and u are those of the family's certificate instances, which share
+    them.  The residues are literal data rather than the certificates'
+    P-sets, so a fault in the orbit computation changes a step name or a
+    digest.
     """
 
     theorem_id: str
-    u: int
-    p: int  # the prime dividing u
-    m: int
     residues: tuple[int, ...]
     instance_keys: tuple[str, ...]
     k: int
@@ -159,17 +159,21 @@ class _Family:
     default_order: int
 
     @property
+    def instances(self) -> tuple[RSInstance, ...]:
+        return tuple(KNOWN_INSTANCES[key] for key in self.instance_keys)
+
+    @property
     def b_order(self) -> int:
-        return self.m * self.b_scan_depth + max(self.residues)
+        return self.instances[0].m * self.b_scan_depth + max(self.residues)
 
 
 _FAMILIES = {
     family.theorem_id: family
     for family in (
-        #       theorem     u   p  m    residues          instance keys             k    depth order
-        _Family("T2_mod25", 25, 5, 125, (99,),            ("mod25",),               62,  50, 1349),
-        _Family("T3_mod7",  7,  7, 49,  (19, 33, 40, 47), ("mod7_t33", "mod7_t47"), 24,  30, 1517),
-        _Family("T4_mod49", 49, 7, 343, (96, 292, 341),   ("mod49",),               171, 56, 3771),
+        #       theorem     residues          instance keys             k    depth order
+        _Family("T2_mod25", (99,),            ("mod25",),               62,  50, 1349),
+        _Family("T3_mod7",  (19, 33, 40, 47), ("mod7_t33", "mod7_t47"), 24,  30, 1517),
+        _Family("T4_mod49", (96, 292, 341),   ("mod49",),               171, 56, 3771),
     )
 }
 
@@ -324,9 +328,10 @@ def _family_report(family: _Family, order: int, order_cap: int) -> ProofReport:
     t_max = max(family.residues)
     if order < t_max:
         raise ValueError(f"no coefficient at exponent {t_max} is known (order {order})")
-    u, p, m = family.u, family.p, family.m
+    instances = family.instances
+    m, u = instances[0].m, instances[0].u
+    p = divisors(u)[1]  # the prime dividing u
     basis_order = min(order, 300)
-    instances = [KNOWN_INSTANCES[key] for key in family.instance_keys]
     steps = [
         _series_equal_step(
             f"binomial_lemma_mod{u}",

@@ -1,11 +1,16 @@
 """Exit codes, output formats, and determinism of the command-line surface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+
+from etacert import EtaQuotientSpec, cli, dissect, expand_eta_quotient, reduce_mod
 
 CLI = [sys.executable, "-m", "etacert.cli"]
 
@@ -89,6 +94,79 @@ class TestDissect:
                        "--order", "60", "--format", "json")
         data = json.loads(proc.stdout)
         assert [c["zero_mod"] for c in data["classes"]] == [False, False, True, True, True]
+
+
+def _main_output(*argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reference_dissect_classes(spec, m, order, mod):
+    """Per-class summaries built from the full-length classes of the library `dissect`."""
+    split = dissect(expand_eta_quotient(EtaQuotientSpec.from_string(spec), order), m)
+    classes = []
+    for i, cls in enumerate(split.classes):
+        support = cls.support()
+        entry = {"residue": i, "nonzero_terms": len(support),
+                 "first_exponent": support[0] if support else None}
+        if mod is not None:
+            entry["zero_mod"] = reduce_mod(cls, mod).is_zero() if support else True
+        classes.append(entry)
+    return classes
+
+
+class TestDissectSummary:
+    CASES = [
+        ("1:4,2:1", 5, 200, 5),
+        ("1:4,2:1", 49, 600, 7),
+        ("1:-3,2:1", 7, 300, None),
+        ("1:3", 13, 12, 5),  # m = order + 1
+        ("1:3", 40, 10, 5),  # m > order + 1: classes past the order are empty
+        ("1:-3,2:1", 9, 0, 3),
+        ("1:0", 1, 20, 2),
+    ]
+
+    @pytest.mark.parametrize("spec,m,order,mod", CASES)
+    def test_matches_full_classes(self, spec, m, order, mod):
+        argv = ["dissect", "--spec", spec, "--m", str(m), "--order", str(order)]
+        if mod is not None:
+            argv += ["--mod", str(mod)]
+        classes = _reference_dissect_classes(spec, m, order, mod)
+        lines = []
+        for entry in classes:
+            line = f"class {entry['residue']}: nonzero={entry['nonzero_terms']}"
+            if entry["first_exponent"] is not None:
+                line += f" first=q^{entry['first_exponent']}"
+            if mod is not None:
+                line += f" zero_mod_{mod}={'yes' if entry['zero_mod'] else 'no'}"
+            lines.append(line + "\n")
+        assert _main_output(*argv) == (0, "".join(lines), "")
+        spec_text = EtaQuotientSpec.from_string(spec).to_spec_string()
+        payload = {"spec": spec_text, "m": m, "order": order, "modulus": mod, "classes": classes}
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert _main_output(*argv, "--format", "json") == (0, text, "")
+
+    @pytest.mark.parametrize("mod", ["1", "0", "-5"])
+    def test_mod_below_two_exits_64(self, mod):
+        code, out, err = _main_output("dissect", "--spec", "1:3", "--m", "5",
+                                      "--order", "20", "--mod", mod)
+        assert (code, out) == (64, "")
+        assert err == f"etacert: modulus must be >= 2, got {mod}\n"
+
+    def test_peak_memory_independent_of_m(self):
+        # m full-length classes would take about 60 MiB here
+        tracemalloc.start()
+        try:
+            code, _, _ = _main_output("dissect", "--spec", "1:4,2:1", "--m", "400",
+                                      "--order", "10000", "--mod", "5")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
 
 
 class TestCertify:

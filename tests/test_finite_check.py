@@ -422,3 +422,8 @@ class TestCertificateSerialization:
         data = json.loads(cert.to_json())
         del data["instance"]["r"]
         assert not revalidate_certificate(data)
+        for bad_r in ([4, 1, -1], None):  # r must be a mapping; refuse, not crash
+            data = json.loads(cert.to_json())
+            data["instance"]["r"] = bad_r
+            assert not revalidate_certificate(data)
+        assert not revalidate_certificate([json.loads(cert.to_json())])

@@ -11,6 +11,8 @@ from etacert import (
     PreconditionViolated,
     b_series,
     broken_k_diamond_series,
+    compute_p_set,
+    divisors,
     elementary_mod5_proof,
     eta_factor,
     expand_eta_quotient,
@@ -201,6 +203,29 @@ class TestFamilyLifts:
         # some scanned progression m n + t starts beyond `order`
         with pytest.raises(ValueError, match="no coefficient"):
             run_theorem(theorem_id, order)
+
+
+class TestFamilyTable:
+    """The invariant behind each row's derived m, u and p."""
+
+    @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
+    def test_residues_are_the_union_of_instance_orbits(self, theorem_id):
+        family = pipelines._FAMILIES[theorem_id]
+        orbits = [compute_p_set(instance) for instance in family.instances]
+        assert family.residues == tuple(sorted(set().union(*orbits)))
+        assert sum(map(len, orbits)) == len(family.residues)  # the orbits are disjoint
+
+    @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
+    def test_instances_share_m_and_a_prime_power_u(self, theorem_id):
+        instances = pipelines._FAMILIES[theorem_id].instances
+        assert len({(instance.m, instance.u) for instance in instances}) == 1
+        m, u = instances[0].m, instances[0].u
+        p = divisors(u)[1]
+        assert len(divisors(p)) == 2 and p ** (len(divisors(u)) - 1) == u
+        assert m % p == 0
+
+    def test_rows_cover_the_certified_theorems(self):
+        assert set(pipelines._FAMILIES) == set(THEOREM_IDS) - {"T1_mod5", "regression"}
 
 
 class TestRunTheoremRefusals:
