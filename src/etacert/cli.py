@@ -161,8 +161,9 @@ def _cmd_expand(args) -> int:
 def _cmd_dissect(args) -> int:
     cap = _order_cap_default()
     _check_order(args.order, cap)
-    if args.m < 1:
-        raise ParseError(f"dissection modulus must be >= 1, got {args.m}", 0)
+    # one summary line per class: m is bounded by the cap, as the order is
+    if not 1 <= args.m <= cap:
+        raise ParseError(f"dissection modulus must be in 1..{cap}, got {args.m}", 0)
     spec = EtaQuotientSpec.from_string(args.spec)
     series = expand_eta_quotient(spec, args.order)
     # each class is read off its own progression, never held at full length;

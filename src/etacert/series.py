@@ -11,13 +11,16 @@ optional `modulus` u and then compute in (Z/u)[[q]]: every result holds the
 least nonnegative residues.  Reduction mod u is a ring homomorphism
 Z[[q]] -> (Z/u)[[q]], so these residues equal the exact result passed
 through `reduce_mod`, while no intermediate coefficient grows beyond
-about len * u**2.
+about len * u**2.  The modular products pack residues 0..u-1 through a
+table of fixed-width digit strings and reduce each slot as they unpack it,
+and long modular inverses run Newton iteration on those products; the
+exact path packs signed coefficients and inverts by the sparse recurrence.
 """
 
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "TruncatedSeries",
@@ -202,8 +205,14 @@ _SCHOOLBOOK_LIMIT = 4096
 # sys.get_int_max_str_digits(), a limit that is 0 (off) or at least 640.
 _INT_STR_SAFE_DIGITS = 640
 
+# A modular inverse longer than this is seeded by the recurrence on a prefix
+# of at most this many coefficients and then doubled by Newton steps on the
+# packed multiply.  Timed on eta factors mod 7 up to 10**6, Newton wins from
+# about 2000 coefficients on, and the sparse recurrence is as fast below that.
+_NEWTON_MIN = 2048
 
-def _convolve_schoolbook(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -> list[int]:
+
+def _convolve_schoolbook(a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
     out = [0] * out_len
     for i, ai in enumerate(a):
         if i >= out_len:
@@ -215,7 +224,9 @@ def _convolve_schoolbook(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -
     return out
 
 
-def _convolve_packed(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -> list[int]:
+def _convolve_packed(
+    a: Sequence[int], b: Sequence[int], out_len: int, modulus: int | None = None
+) -> list[int]:
     """Exact signed convolution via fixed-width packing into big decimals.
 
     Each coefficient occupies a slot of w decimal digits, with w chosen so
@@ -227,17 +238,30 @@ def _convolve_packed(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -> li
     C decimal module (libmpdec) multiplies long operands by number-theoretic
     transform, where `int` multiplication is Karatsuba.
 
+    With a modulus u the inputs are first reduced to residues 0..u-1, so no
+    slot is signed and w is the digit count of min(len) * (u - 1)**2, known
+    without scanning; residues are packed through a table of w-digit strings
+    when u is at most the number of coefficients to pack, and every slot is
+    reduced mod u as it is read back.
+
     The result is exact: the multiply runs at the maximal precision with
     `Inexact` and `Rounded` trapped, so any rounding would raise.  Operands
     are built from and read back into per-slot strings; a whole operand is
     never converted between `int` and `Decimal`, which would be quadratic.
     """
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
-    if amax == 0 or bmax == 0:
-        return [0] * out_len
-    a_signed = min(a) < 0
-    b_signed = min(b) < 0
+    if modulus is None:
+        amax = max(map(abs, a))
+        bmax = max(map(abs, b))
+        if amax == 0 or bmax == 0:
+            return [0] * out_len
+        a_signed = min(a) < 0
+        b_signed = min(b) < 0
+    else:
+        aliased = b is a
+        a = [c % modulus for c in a]
+        b = a if aliased else [c % modulus for c in b]
+        amax = bmax = modulus - 1
+        a_signed = b_signed = False
     signed = a_signed or b_signed
     # every product coefficient c has |c| <= min(len) * amax * bmax; w is the
     # digit count of that bound, or of twice it when signed, so that
@@ -252,8 +276,13 @@ def _convolve_packed(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -> li
         to_str, to_int = str, int
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
     zero = "0" * w
+    table = None
+    if modulus is not None and modulus <= len(a) + len(b):
+        table = [to_str(r).zfill(w) for r in range(modulus)]
 
-    def pack(coeffs: tuple[int, ...], negatives: bool) -> Decimal:
+    def pack(coeffs: Sequence[int], negatives: bool) -> Decimal:
+        if table is not None:
+            return Decimal("".join([table[c] for c in reversed(coeffs)]))
         pos = Decimal("".join([to_str(c).zfill(w) if c > 0 else zero for c in reversed(coeffs)]))
         if not negatives:
             return pos
@@ -269,18 +298,21 @@ def _convolve_packed(a: tuple[int, ...], b: tuple[int, ...], out_len: int) -> li
         product = ctx.add(product, Decimal(("5" + "0" * (w - 1)) * n_slots))
     take = min(out_len, n_slots)
     digits = str(product)[-take * w :].zfill(take * w)
-    out = [to_int(digits[i : i + w]) - half for i in range((take - 1) * w, -1, -w)]
+    slots = range((take - 1) * w, -1, -w)
+    if modulus is None:
+        out = [to_int(digits[i : i + w]) - half for i in slots]
+    else:
+        out = [to_int(digits[i : i + w]) % modulus for i in slots]
     out.extend([0] * (out_len - take))
     return out
 
 
 def _convolve(
-    a: tuple[int, ...], b: tuple[int, ...], out_len: int, modulus: int | None = None
+    a: Sequence[int], b: Sequence[int], out_len: int, modulus: int | None = None
 ) -> list[int]:
-    if out_len * min(len(a), len(b)) <= _SCHOOLBOOK_LIMIT:
-        out = _convolve_schoolbook(a, b, out_len)
-    else:
-        out = _convolve_packed(a, b, out_len)
+    if out_len * min(len(a), len(b)) > _SCHOOLBOOK_LIMIT:
+        return _convolve_packed(a, b, out_len, modulus)
+    out = _convolve_schoolbook(a, b, out_len)
     return out if modulus is None else [c % modulus for c in out]
 
 
@@ -317,13 +349,38 @@ def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSe
     """Multiplicative inverse of a series with constant term +-1.
 
     Forward recurrence b(n) = -a(0) * sum_{k>=1} a(k) b(n-k); zero terms of
-    `a` are skipped, so sparse inputs (eta factors) invert in O(N sqrt N).
-    With a modulus every term b(n) is reduced as soon as it is known.
+    `a` are skipped, so sparse inputs (eta factors) invert in O(N sqrt N)
+    and dense ones in O(N**2).  With a modulus every term b(n) is reduced as
+    soon as it is known.  Above _NEWTON_MIN coefficients the modular
+    recurrence only seeds a prefix of ceil(N / 2**k) <= _NEWTON_MIN terms;
+    Newton iteration g <- g - g * (a * g - 1) then doubles the known prefix
+    k times on the packed modular multiply, computing only the new half each
+    time, in O(M(N)) for M(N) the cost of one length-N product.  The exact
+    path keeps the recurrence at every length, since its coefficients grow
+    and make the products of a Newton step dearer.
     """
     _check_modulus(modulus)
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(f"constant term {c0} is not a unit in Z[[q]]")
+    length = n = a.order + 1
+    while modulus is not None and n > _NEWTON_MIN:
+        n = (n + 1) // 2
+    if n == length:
+        return _invert_recurrence(a, modulus)
+    known = list(_invert_recurrence(a.truncate(n - 1), modulus).coeffs)
+    while n < length:
+        # a * g = 1 + q^n * h (mod q^m), so the next m - n terms of the
+        # inverse are those of -g * h
+        m = min(2 * n, length)
+        h = _convolve(a.coeffs[:m], known, m, modulus)[n:]
+        known.extend([-c % modulus for c in _convolve(known[: m - n], h, m - n, modulus)])
+        n = m
+    return TruncatedSeries(a.order, tuple(known))
+
+
+def _invert_recurrence(a: TruncatedSeries, modulus: int | None) -> TruncatedSeries:
+    c0 = a.coeffs[0]
     nz = [(k, ak) for k, ak in enumerate(a.coeffs) if ak and k]
     out = [0] * (a.order + 1)
     out[0] = c0 if modulus is None else c0 % modulus

@@ -156,6 +156,34 @@ class TestDissectSummary:
         assert (code, out) == (64, "")
         assert err == f"etacert: modulus must be >= 2, got {mod}\n"
 
+    @pytest.mark.parametrize("m", [0, 51, 10**6])
+    def test_m_outside_cap_exits_64_before_expanding(self, m, monkeypatch):
+        monkeypatch.setenv("ETA_CERT_ORDER_CAP", "50")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("expanded before the --m check")
+
+        monkeypatch.setattr(cli, "expand_eta_quotient", refuse)
+        code, out, err = _main_output("dissect", "--spec", "1:3", "--m", str(m),
+                                      "--order", "10")
+        assert (code, out) == (64, "")
+        assert err == f"etacert: dissection modulus must be in 1..50, got {m} (at position 0)\n"
+
+    def test_m_at_cap_runs(self, monkeypatch):
+        monkeypatch.setenv("ETA_CERT_ORDER_CAP", "50")
+        code, out, err = _main_output("dissect", "--spec", "1:3", "--m", "50",
+                                      "--order", "10", "--mod", "5")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 50)
+        assert lines[0] == "class 0: nonzero=1 first=q^0 zero_mod_5=no"
+        assert lines[49] == "class 49: nonzero=0 zero_mod_5=yes"
+
+    def test_m_above_cap_subprocess(self):
+        proc = run_cli("dissect", "--spec", "1:3", "--m", "1000000", "--order", "10",
+                       env={"ETA_CERT_ORDER_CAP": "999999"})
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert "dissection modulus must be in 1..999999, got 1000000" in proc.stderr
+
     def test_peak_memory_independent_of_m(self):
         # m full-length classes would take about 60 MiB here
         tracemalloc.start()

@@ -22,6 +22,7 @@ from etacert import (
     series_pow,
     substitute_q_power,
 )
+from etacert import series as series_module
 from etacert.oracle import naive_eta, naive_invert, naive_mul
 from etacert.series import _SCHOOLBOOK_LIMIT, _convolve_packed, _convolve_schoolbook
 
@@ -407,6 +408,83 @@ def test_packed_slots_beyond_lowest_conversion_limit():
     assert got == expected
 
 
+# --- residue packing: the modulus path of the packed kernel -------------------
+
+def _reduced_schoolbook(a, b, out_len, u):
+    return [c % u for c in _convolve_schoolbook(a, b, out_len)]
+
+
+@pytest.mark.parametrize("u", [2, 3, 49, 125, 1999, 2000, 2001, 10**6, 10**30])
+def test_residue_packing_matches_reduced_schoolbook(u):
+    # 1000 + 1000 coefficients: u up to 2000 packs by table, larger u per
+    # coefficient; inputs carry negative entries and entries >= u
+    rng = random.Random(u)
+    mag = 3 * u
+    a = _sparse(rng, 1000, mag, 0.05)
+    b = tuple(rng.randint(-mag, mag) for _ in range(1000))
+    assert min(a) < 0 and min(b) < 0 and max(b) >= u
+    for out_len in (1, 999, 1000, 1999):
+        expected = _reduced_schoolbook(a, b, out_len, u)
+        assert _convolve_packed(a, b, out_len, u) == expected
+        assert _convolve_packed(b, a, out_len, u) == expected
+
+
+def test_residue_packing_residue_inputs():
+    # residues already in 0..u-1, including all u - 1 (the slot-width bound)
+    # and all zero
+    for u in (2, 7, 49, 10**12):
+        top = (u - 1,) * 700
+        assert _convolve_packed(top, top[:500], 1199, u) == _reduced_schoolbook(
+            top, top[:500], 1199, u
+        )
+        assert _convolve_packed((0,) * 300, top, 500, u) == [0] * 500
+        assert _convolve_packed(top, (u, -u, 2 * u), 702, u) == [0] * 702
+
+
+@pytest.mark.parametrize("u", [5, 49, 10**6])
+def test_residue_packing_aliased_operands(u):
+    rng = random.Random(u + 1)
+    a = tuple(rng.randint(-2 * u, 2 * u) for _ in range(900))
+    expected = _reduced_schoolbook(a, a, 900, u)
+    assert _convolve_packed(a, a, 900, u) == expected
+    assert _convolve_packed(a, tuple(list(a)), 900, u) == expected
+
+
+def test_residue_packing_out_len_beyond_product():
+    rng = random.Random(7)
+    a = tuple(rng.randint(-100, 100) for _ in range(70))
+    b = tuple(rng.randint(-100, 100) for _ in range(90))
+    for u in (7, 49, 10**9):
+        got = _convolve_packed(a, b, 200, u)
+        assert got == _reduced_schoolbook(a, b, 159, u) + [0] * 41
+        assert got == _reduced_schoolbook(a, b, 200, u)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str conversion limit"
+)
+def test_residue_packing_slots_beyond_lowest_conversion_limit():
+    # u = 10**400 + 1: slots of about 800 digits must decode under the lowest
+    # limit CPython accepts, without the kernel raising it
+    u = 10**400 + 1
+    rng = random.Random(400)
+    a = tuple(rng.randint(-2 * u, 2 * u) for _ in range(40))
+    b = tuple(rng.randint(0, u - 1) for _ in range(30))
+    expected = _reduced_schoolbook(a, b, 69, u)
+    square = _reduced_schoolbook(a, a, 79, u)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = _convolve_packed(a, b, 69, u)
+        got_square = _convolve_packed(a, a, 79, u)
+        got_series = series_mul(S(*a), S(*a), modulus=u)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == expected
+    assert got_square == square
+    assert got_series.coeffs == tuple(square[:40])
+
+
 # --- ring axioms (property) --------------------------------------------------
 
 class TestRingAxioms:
@@ -523,3 +601,80 @@ class TestResidueRing:
         ):
             with pytest.raises(ValueError, match="modulus must be >= 2"):
                 call()
+
+
+# --- Newton inversion on the modular path ---------------------------------------
+
+_T = series_module._NEWTON_MIN
+# around the threshold, and lengths one past a doubling: the last Newton step
+# then stops short of a full doubling
+_NEWTON_LENGTHS = (_T - 1, _T, _T + 1, 2 * _T + 1, 4 * _T, 4 * _T + 1)
+_NEWTON_MODULI = (2, 49, 125, 10**30)
+
+
+class TestNewtonInversion:
+    @pytest.mark.parametrize("delta,c0", [(1, 1), (3, -1)])
+    def test_eta_factors_match_exact_recurrence(self, delta, c0):
+        longest = max(_NEWTON_LENGTHS)
+        a = eta_factor(delta, longest - 1)
+        if c0 == -1:
+            a = -a
+        # the inverse of a truncation is the truncation of the inverse
+        exact = series_invert(a)
+        for length in _NEWTON_LENGTHS:
+            if c0 == -1 and length > 2 * _T + 1:
+                continue
+            prefix = a.truncate(length - 1)
+            for u in _NEWTON_MODULI:
+                got = series_invert(prefix, modulus=u)
+                assert got == reduce_mod(exact.truncate(length - 1), u), (length, u)
+
+    @pytest.mark.parametrize("c0", [1, -1])
+    def test_dense_matches_exact_recurrence(self, c0):
+        rng = random.Random(2048 + c0)
+        a = S(c0, *(rng.randint(-1, 1) for _ in range(_T)))
+        exact = series_invert(a)
+        # below the threshold this is the dense O(N**2) recurrence, so two
+        # moduli each there
+        for length, moduli in ((_T - 1, (2, 10**30)), (_T, (49, 125)), (_T + 1, _NEWTON_MODULI)):
+            for u in moduli:
+                got = series_invert(a.truncate(length - 1), modulus=u)
+                assert got == reduce_mod(exact.truncate(length - 1), u), (length, u)
+
+    @pytest.mark.parametrize("c0", [1, -1])
+    def test_dense_one_past_doubling_is_inverse(self, c0):
+        # the exact inverse is too dear here; the product must be one mod u
+        rng = random.Random(4096 + c0)
+        a = S(c0, *(rng.randint(-9, 9) for _ in range(2 * _T)))
+        for u in _NEWTON_MODULI:
+            inv = series_invert(a, modulus=u)
+            assert all(0 <= c < u for c in inv.coeffs)
+            assert series_mul(a, inv, modulus=u) == TruncatedSeries.one(2 * _T)
+
+    @pytest.mark.parametrize("length", [17, 31, 32, 33, 64, 65, 129, 200])
+    def test_low_threshold_matches_oracle(self, length, monkeypatch):
+        monkeypatch.setattr(series_module, "_NEWTON_MIN", 16)
+        rng = random.Random(length)
+        for c0 in (1, -1):
+            a = S(c0, *(rng.randint(-60, 60) for _ in range(length - 1)))
+            reference = naive_invert(a)
+            for u in _NEWTON_MODULI:
+                got = series_invert(a, modulus=u)
+                assert got == reduce_mod(reference, u), (c0, u)
+
+    def test_exact_path_keeps_recurrence(self, monkeypatch):
+        # the exact path never runs a Newton step, whatever the length
+        monkeypatch.setattr(series_module, "_NEWTON_MIN", 16)
+        calls = []
+        real = series_module._convolve
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(series_module, "_convolve", counting)
+        a = eta_factor(1, 300)
+        assert series_invert(a) == naive_invert(a)
+        assert calls == []
+        series_invert(a, modulus=7)
+        assert calls and set(calls) == {7}
