@@ -6,7 +6,7 @@ Exit codes are a stable contract:
   2   cusp-sum hypothesis violated (certificate cannot apply)
   3   a checked coefficient was nonzero (counterexample witness emitted)
   4   strict mode: admissibility of the instance tuple was not verifiable
-  64  usage or parse error
+  64  usage or parse error, or an output that cannot be written
   65  required expansion order exceeds the cap
 """
 
@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ORDER_CAP
     except (ParseError, ValueError) as exc:
         sys.stderr.write(f"etacert: {exc}\n")
+        return EXIT_USAGE
+    except OSError as exc:  # an unwritable output is a usage error, not a failed step
+        sys.stderr.write(f"etacert: cannot write {args.output or 'stdout'}: {exc.strerror or exc}\n")
         return EXIT_USAGE
 
 

@@ -205,6 +205,18 @@ def _progression_witness(reduced: TruncatedSeries, m: int, t: int) -> dict | Non
     return None if n is None else {"n": n, "exponent": m * n + t, "value": values[n]}
 
 
+def _check_scan_order(order: int, t_max: int) -> None:
+    """Refuse a negative scan order, or one that stops before exponent t_max.
+
+    A scan of no coefficients proves nothing, so the order is checked before
+    any series is expanded.
+    """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    if order < t_max:
+        raise ValueError(f"no coefficient at exponent {t_max} is known (order {order})")
+
+
 def _series_equal_step(
     name: str, lhs: TruncatedSeries, rhs: TruncatedSeries, u: int, order: int
 ) -> StepResult:
@@ -220,6 +232,7 @@ def _lift_steps(
     order: int,
 ) -> list[StepResult]:
     """`lift_congruence` for every t in `residues`, expanding the diamond series once."""
+    _check_scan_order(order, max(residues))
     ell = spec.ell
     if ell % ell_multiple != 0:
         raise PreconditionViolated(f"2k+1 = {ell} is not a multiple of {ell_multiple}")
@@ -265,6 +278,7 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     """
     if j < 1 or j % 2 == 0:
         raise ValueError(f"need odd positive j (2k+1 = 25j must be odd), got {j}")
+    _check_scan_order(order, 24)
     k = (25 * j - 1) // 2
     suffix = "" if j == 1 else f"_j{j}"
     steps = []
@@ -290,27 +304,23 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     steps.append(_series_equal_step("dissection" + suffix, class4, shifted, 5, order))
 
     # 3. cube supports: f1^3 lives on classes {0,1} mod 5, f2^3 on {0,2}
-    cube1_series = jacobi_cube(order)
-    cube1 = dissect(reduce_mod(cube1_series, 5), 5)
-    cube2_series = substitute_q_power(jacobi_cube(order // 2), 2, order)
-    cube2 = dissect(reduce_mod(cube2_series, 5), 5)
+    cube1 = jacobi_cube(order)
+    cube2 = substitute_q_power(jacobi_cube(order // 2), 2, order)
     support_witness = None
-    for label, split, allowed in (("f1^3", cube1, {0, 1}), ("f2^3", cube2, {0, 2})):
-        for i, cls in enumerate(split.classes):
-            if i not in allowed and not cls.is_zero():
-                support_witness = {"series": label, "class": i, "exponent": cls.support()[0]}
+    for label, cube, allowed in (("f1^3", cube1, {0, 1}), ("f2^3", cube2, {0, 2})):
+        reduced_cube = reduce_mod(cube, 5)
+        for i in range(5):
+            witness = None if i in allowed else _progression_witness(reduced_cube, 5, i)
+            if witness:
+                support_witness = {"series": label, "class": i, "exponent": witness["exponent"]}
                 break
         if support_witness:
             break
     steps.append(_verdict("jacobi_support" + suffix, order, support_witness))
 
     # 4. the product f1^3 f2^3 has no exponent 4 mod 5 once reduced
-    product = series_mul(cube1_series, cube2_series, modulus=5)
-    absence_class = dissect(product, 5).classes[4]
-    absence_witness = None
-    if not absence_class.is_zero():
-        e = absence_class.support()[0]
-        absence_witness = {"exponent": e, "value": absence_class.coeffs[e]}
+    absence = _progression_witness(series_mul(cube1, cube2, modulus=5), 5, 4)
+    absence_witness = absence and {"exponent": absence["exponent"], "value": absence["value"]}
     steps.append(_verdict("absence" + suffix, order, absence_witness))
 
     # 5. the family itself, scanned on the concrete witness k
@@ -325,9 +335,7 @@ def _family_report(family: _Family, order: int, order_cap: int) -> ProofReport:
     An `order` below the largest residue would leave a lift scan empty; it
     is refused before any series is expanded.
     """
-    t_max = max(family.residues)
-    if order < t_max:
-        raise ValueError(f"no coefficient at exponent {t_max} is known (order {order})")
+    _check_scan_order(order, max(family.residues))
     instances = family.instances
     m, u = instances[0].m, instances[0].u
     p = divisors(u)[1]  # the prime dividing u
@@ -394,6 +402,7 @@ def regression_suite(order: int | None = None) -> ProofReport:
         (2, 25, (14, 24), 5),
         (3, 343, (82, 229, 278, 327), 7),
     )
+    _check_scan_order(order, max(max(ts) for _, _, ts, _ in families))
     for k, m, ts, u in families:
         reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=u)
         for t in ts:

@@ -19,6 +19,7 @@ exact path packs signed coefficients and inverts by the sparse recurrence.
 
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from itertools import count
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -432,11 +433,10 @@ def substitute_q_power(a: TruncatedSeries, d: int, order: int | None = None) -> 
     out_order = a.order * d if order is None else min(order, known)
     if d == 1 and out_order == a.order:
         return a
+    if out_order < 0:
+        raise ValueError(f"order must be nonnegative, got {out_order}")
     out = [0] * (out_order + 1)
-    for n, c in enumerate(a.coeffs):
-        if n * d > out_order:
-            break
-        out[n * d] = c
+    out[::d] = a.coeffs[: out_order // d + 1]
     return TruncatedSeries(out_order, tuple(out))
 
 
@@ -450,19 +450,26 @@ def eta_factor(delta: int, order: int) -> TruncatedSeries:
         raise ValueError(f"delta must be positive, got {delta}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    # k(3k-1)/2 < k(3k+1)/2 < (k+1)(3k+2)/2, so the exponents come in increasing order
+    pentagonal = (
+        (delta * k * (3 * k + side) // 2, -1 if k & 1 else 1)
+        for k in count(1) for side in (-1, 1)
+    )
+    return _sparse_series(order, [(0, 1)], pentagonal)
+
+
+def _sparse_series(order: int, *walks: Iterable[tuple[int, int]]) -> TruncatedSeries:
+    """Sum of the (exponent, coefficient) terms of all `walks`, truncated at `order`.
+
+    Each walk yields its exponents in increasing order and may be infinite:
+    it is read up to its first exponent past the order, which ends it.
+    """
     out = [0] * (order + 1)
-    out[0] = 1
-    k = 1
-    while True:
-        e_pos = delta * k * (3 * k - 1) // 2
-        if e_pos > order:
-            break
-        sign = -1 if k & 1 else 1
-        out[e_pos] += sign
-        e_neg = delta * k * (3 * k + 1) // 2
-        if e_neg <= order:
-            out[e_neg] += sign
-        k += 1
+    for walk in walks:
+        for e, c in walk:
+            if e > order:
+                break
+            out[e] += c
     return TruncatedSeries(order, tuple(out))
 
 

@@ -6,8 +6,10 @@ cross-check the other.
 """
 
 from dataclasses import dataclass
+from itertools import count
+from operator import add
 
-from .series import TruncatedSeries, eta_factor, series_mul
+from .series import TruncatedSeries, _sparse_series, eta_factor, series_mul
 
 __all__ = [
     "ThetaSpec",
@@ -68,22 +70,11 @@ def theta_series(spec: ThetaSpec, order: int) -> TruncatedSeries:
     Each direction of n is walked until its exponent exceeds the order; the
     exponent is checked per term rather than bounded in closed form.
     """
-    out = [0] * (order + 1)
-    n = 0
-    while True:
-        e = (spec.alpha * n * (n + 1) + spec.beta * n * (n - 1)) // 2
-        if e > order:
-            break
-        out[e] += 1
-        n += 1
-    n = -1
-    while True:
-        e = (spec.alpha * n * (n + 1) + spec.beta * n * (n - 1)) // 2
-        if e > order:
-            break
-        out[e] += 1
-        n -= 1
-    return TruncatedSeries(order, tuple(out))
+
+    def term(n: int) -> tuple[int, int]:
+        return (spec.alpha * n * (n + 1) + spec.beta * n * (n - 1)) // 2, 1
+
+    return _sparse_series(order, map(term, count()), map(term, count(-1, -1)))
 
 
 def jtp_product(spec: ThetaSpec, order: int) -> TruncatedSeries:
@@ -92,13 +83,9 @@ def jtp_product(spec: ThetaSpec, order: int) -> TruncatedSeries:
     acc = [0] * (order + 1)
     acc[0] = 1
     for start in (spec.alpha, spec.beta):
-        e = start
-        while e <= order:
-            # multiply in place by (1 + q^e)
-            for i in range(order, e - 1, -1):
-                if acc[i - e]:
-                    acc[i] += acc[i - e]
-            e += period
+        for e in range(start, order + 1, period):
+            # multiply by (1 + q^e); both slices are copies of the old acc
+            acc[e:] = map(add, acc[e:], acc[: order + 1 - e])
     return series_mul(TruncatedSeries(order, tuple(acc)), eta_factor(period, order))
 
 
@@ -106,28 +93,12 @@ def psi_series(scale: int, order: int) -> TruncatedSeries:
     """psi(q^scale) = sum over n >= 0 of q^(scale*n(n+1)/2)."""
     if scale < 1:
         raise ValueError(f"scale must be positive, got {scale}")
-    out = [0] * (order + 1)
-    n = 0
-    while True:
-        e = scale * n * (n + 1) // 2
-        if e > order:
-            break
-        out[e] += 1
-        n += 1
-    return TruncatedSeries(order, tuple(out))
+    return _sparse_series(order, ((scale * n * (n + 1) // 2, 1) for n in count()))
 
 
 def jacobi_cube(order: int) -> TruncatedSeries:
     """Cube of (q;q)_inf as the weighted triangular series sum (-1)^n (2n+1) q^(n(n+1)/2)."""
-    out = [0] * (order + 1)
-    n = 0
-    while True:
-        e = n * (n + 1) // 2
-        if e > order:
-            break
-        out[e] += (2 * n + 1) if n % 2 == 0 else -(2 * n + 1)
-        n += 1
-    return TruncatedSeries(order, tuple(out))
+    return _sparse_series(order, ((n * (n + 1) // 2, (-1) ** n * (2 * n + 1)) for n in count()))
 
 
 def dissect(s: TruncatedSeries, m: int) -> ResidueClassSplit:
@@ -135,9 +106,8 @@ def dissect(s: TruncatedSeries, m: int) -> ResidueClassSplit:
     if m < 1:
         raise ValueError(f"dissection modulus must be >= 1, got {m}")
     buckets = [[0] * (s.order + 1) for _ in range(m)]
-    for n, c in enumerate(s.coeffs):
-        if c:
-            buckets[n % m][n] = c
+    for i, out in enumerate(buckets):
+        out[i::m] = s.coeffs[i::m]
     return ResidueClassSplit(
         m, tuple(TruncatedSeries(s.order, tuple(b)) for b in buckets)
     )
@@ -151,8 +121,7 @@ def extract_arithmetic_progression(s: TruncatedSeries, m: int, t: int) -> Trunca
         raise ValueError(f"residue {t} outside 0..{m - 1}")
     if t > s.order:
         raise ValueError(f"no coefficient at exponent {t} is known (order {s.order})")
-    out_order = (s.order - t) // m
-    return TruncatedSeries(out_order, tuple(s.coeffs[m * n + t] for n in range(out_order + 1)))
+    return TruncatedSeries((s.order - t) // m, s.coeffs[t::m])
 
 
 def build_dissection_blocks(order: int) -> DissectionBlocks:

@@ -310,6 +310,26 @@ class TestVerifyTheorem:
         assert "exceeds cap 1000000" in proc.stderr
 
 
+class TestUnwritableOutput:
+    """An --output that cannot be written exits 64 and leaves no temporary file."""
+
+    COMMANDS = {
+        "expand": ["expand", "--spec", "1:1", "--order", "5"],
+        "certify": TestCertify.MOD25,
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("target", ["missing_dir", "dir_path"])
+    def test_exits_64_without_traceback(self, command, target, tmp_path):
+        path = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+        proc = run_cli(*self.COMMANDS[command], "--output", str(path))
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"etacert: cannot write {path}")
+        assert list(tmp_path.rglob(".etacert-*")) == []
+
+
 def test_help_runs():
     proc = run_cli("--help")
     assert proc.returncode == 0

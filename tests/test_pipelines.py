@@ -9,6 +9,7 @@ from etacert import (
     EtaQuotientSpec,
     OrderCapExceeded,
     PreconditionViolated,
+    TruncatedSeries,
     b_series,
     broken_k_diamond_series,
     compute_p_set,
@@ -110,6 +111,36 @@ class TestElementaryProof:
         # 2k+1 = 25j forces j odd; j = 2 cannot occur
         with pytest.raises(ValueError):
             elementary_mod5_proof(500, j=2)
+
+    @pytest.mark.parametrize(
+        "sabotaged,exponent,support_witness,absence_witness",
+        [
+            # f1^3 + q^2 (and so f2^3 + q^4): a class-2 term in f1^3
+            ("jacobi_cube", 2, {"series": "f1^3", "class": 2, "exponent": 2},
+             {"exponent": 4, "value": 3}),
+            # f1^3 + q^4: the last class of f1^3
+            ("jacobi_cube", 4, {"series": "f1^3", "class": 4, "exponent": 4},
+             {"exponent": 4, "value": 1}),
+            # f2^3 + q: a term only f2^3's classes show, and none in class 4 of the product
+            ("substitute_q_power", 1, {"series": "f2^3", "class": 1, "exponent": 1}, None),
+        ],
+    )
+    def test_negative_control_sabotaged_cube(
+        self, sabotaged, exponent, support_witness, absence_witness, monkeypatch
+    ):
+        # the cube steps alone read jacobi_cube and substitute_q_power
+        original = getattr(pipelines, sabotaged)
+
+        def perturbed(*args):
+            # both take the truncation order as their last argument
+            return original(*args) + TruncatedSeries.monomial(exponent, args[-1])
+
+        monkeypatch.setattr(pipelines, sabotaged, perturbed)
+        report = elementary_mod5_proof(100)
+        assert report.step("jacobi_support").witness == support_witness
+        assert report.step("absence").witness == absence_witness
+        failed = [s.name for s in report.steps if not s.passed]
+        assert failed == ["jacobi_support"] + ["absence"] * (absence_witness is not None)
 
     def test_report_json_shape(self):
         data = elementary_mod5_proof(300).to_json_dict()
@@ -236,10 +267,16 @@ class TestRunTheoremRefusals:
         def refuse(*args, **kwargs):
             raise AssertionError("series work started before the order was checked")
 
-        for name in ("verify_instance", "expand_eta_quotient", "series_pow", "series_mul"):
+        for name in (
+            "verify_instance", "expand_eta_quotient", "series_pow", "series_mul",
+            "psi_series", "jacobi_cube",
+        ):
             monkeypatch.setattr(pipelines, name, refuse)
 
-    @pytest.mark.parametrize("theorem_id,order", [("T2_mod25", 98), ("T4_mod49", 5)])
+    @pytest.mark.parametrize(
+        "theorem_id,order",
+        [("T1_mod5", 10), ("T2_mod25", 98), ("T4_mod49", 5), ("regression", 100)],
+    )
     def test_order_below_residue_refused_up_front(self, theorem_id, order, no_series_work):
         with pytest.raises(ValueError, match="no coefficient"):
             run_theorem(theorem_id, order)
@@ -278,10 +315,16 @@ class TestRunTheoremRefusals:
         lambda: eta_factor(1, -1),
         lambda: expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), -1),
         lambda: run_theorem("T1_mod5", -1),
+        lambda: run_theorem("T2_mod25", -1),
+        lambda: run_theorem("T3_mod7", -1),
+        lambda: run_theorem("T4_mod49", -1),
         lambda: run_theorem("regression", -1),
         lambda: lift_congruence((25, 24, 5), 25, BrokenDiamondSpec(12), -1),
     ],
-    ids=["eta_factor", "expand_eta_quotient", "T1_mod5", "regression", "lift_congruence"],
+    ids=[
+        "eta_factor", "expand_eta_quotient", "T1_mod5", "T2_mod25", "T3_mod7", "T4_mod49",
+        "regression", "lift_congruence",
+    ],
 )
 def test_negative_order_is_value_error(call):
     with pytest.raises(ValueError, match="order must be nonnegative"):

@@ -179,6 +179,21 @@ class TestSubstitutionAndEta:
         assert eta_factor(5, 4) == TruncatedSeries(4, (1, 0, 0, 0, 0))
         assert eta_factor(2, 14) == substitute_q_power(eta_factor(1, 7), 2)
 
+    @pytest.mark.parametrize("delta", [1, 2, 7])
+    def test_eta_factor_every_order_against_finite_product(self, delta):
+        # every truncation point, so each pentagonal exponent is met exactly
+        # at the order, one past it and one before it
+        full = naive_eta(delta, 150)
+        for order in range(151):
+            assert eta_factor(delta, order) == full.truncate(order), order
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_substitute_every_order_against_definition(self, d):
+        a = S(3, -1, 4, 1, -5, 9, 2)
+        for order in range(a.order * d + d):
+            want = [a.coeffs[n // d] if n % d == 0 else 0 for n in range(order + 1)]
+            assert substitute_q_power(a, d, order).coeffs == tuple(want), order
+
 
 # --- eta quotient spec -------------------------------------------------------
 

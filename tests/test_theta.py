@@ -70,6 +70,11 @@ class TestJtpProduct:
     def test_order_zero(self):
         assert jtp_product(ThetaSpec(2, 3), 0) == TruncatedSeries.one(0)
 
+    @pytest.mark.parametrize("spec", [ThetaSpec(1, 3), ThetaSpec(2, 3), ThetaSpec(10, 15)])
+    def test_every_order_against_bilateral_sum(self, spec):
+        for order in range(61):
+            assert jtp_product(spec, order) == theta_series(spec, order), order
+
     def test_equivalence_paper_and_random_specs(self):
         rng = random.Random(1924)
         specs = [ThetaSpec(1, 3), ThetaSpec(10, 15), ThetaSpec(5, 20)]
@@ -96,6 +101,16 @@ class TestPsiSeries:
         with pytest.raises(ValueError):
             psi_series(0, 10)
 
+    @pytest.mark.parametrize("scale", [1, 2, 5])
+    def test_every_order_against_definition(self, scale):
+        for order in range(151):
+            want = [0] * (order + 1)
+            for n in range(order + 1):
+                e = scale * n * (n + 1) // 2
+                if e <= order:
+                    want[e] += 1
+            assert psi_series(scale, order).coeffs == tuple(want), order
+
 
 class TestJacobiCube:
     def test_first_terms(self):
@@ -110,6 +125,15 @@ class TestJacobiCube:
 
     def test_order_zero(self):
         assert jacobi_cube(0) == TruncatedSeries.one(0)
+
+    def test_every_order_against_definition(self):
+        for order in range(151):
+            want = [0] * (order + 1)
+            for n in range(order + 1):
+                e = n * (n + 1) // 2
+                if e <= order:
+                    want[e] += (-1) ** n * (2 * n + 1)
+            assert jacobi_cube(order).coeffs == tuple(want), order
 
 
 class TestDissect:
@@ -166,6 +190,16 @@ class TestExtract:
         got = extract_arithmetic_progression(s, 3, 2)
         assert got.order == (10 - 2) // 3
         assert got.coeffs == (2, 5, 8)
+
+    def test_random_progressions_against_definition(self):
+        rng = random.Random(2007)
+        for _ in range(300):
+            s = TruncatedSeries.from_coeffs([rng.randint(-9, 9) for _ in range(rng.randint(1, 60))])
+            m = rng.randint(1, 12)
+            t = rng.randint(0, min(m - 1, s.order))
+            want = [s.coeffs[m * n + t] for n in range(s.order + 1) if m * n + t <= s.order]
+            got = extract_arithmetic_progression(s, m, t)
+            assert got.coeffs == tuple(want) and got.order == len(want) - 1, (s, m, t)
 
     def test_residue_validation(self):
         s = TruncatedSeries.one(10)
