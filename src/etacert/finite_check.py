@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Mapping
 
-from .series import EtaQuotientSpec, expand_eta_quotient
+from .series import EtaQuotientSpec, TruncatedSeries, expand_eta_quotient
 from .theta import extract_arithmetic_progression
 
 __all__ = [
@@ -306,6 +306,17 @@ def v_bound(instance: RSInstance) -> tuple[Fraction, int]:
     return v, math.floor(v)
 
 
+def _progression_witness(reduced: TruncatedSeries, m: int, t: int) -> dict | None:
+    """The first nonzero reduced(m n + t) as a witness, or None if all vanish.
+
+    Raises ValueError when `reduced` stops before exponent t: a scan of no
+    coefficients proves nothing and must not pass.
+    """
+    values = extract_arithmetic_progression(reduced, m, t).coeffs
+    n = next((n for n, value in enumerate(values) if value), None)
+    return None if n is None else {"n": n, "exponent": m * n + t, "value": values[n]}
+
+
 def _series_hash(
     instance: RSInstance, p_set: tuple[int, ...], checked_upto: int, residues: dict[int, tuple]
 ) -> str:
@@ -340,8 +351,17 @@ def verify_instance(
 
     checked_upto may exceed floor(v) for empirical over-checking; it may not
     undercut it.  The expansion order is validated against order_cap before
-    any series work starts.
+    any series work starts; without check_upto, an order that is sure to
+    exceed the cap is refused before the orbit P and the cusp table are built.
     """
+    if check_upto is None:
+        # t is in P, so t_min <= t and max(P) >= t: this bound never exceeds
+        # the required order computed below
+        least_order = instance.m * math.floor(_v_exact(instance, instance.t)) + instance.t
+        if least_order > order_cap:
+            raise OrderCapExceeded(
+                f"required order at least {least_order} exceeds cap {order_cap}"
+            )
     kap = kappa(instance.m)
     p_set = compute_p_set(instance)
     t_min = min(p_set)
@@ -382,14 +402,9 @@ def verify_instance(
             vals = extract_arithmetic_progression(reduced, instance.m, t_prime).coeffs
             residues[t_prime] = vals
             residues_ok.append((t_prime, tuple(val == 0 for val in vals)))
-            n = next((n for n, val in enumerate(vals) if val), None)
-            if witness is None and n is not None:
-                witness = {
-                    "t_prime": t_prime,
-                    "n": n,
-                    "exponent": instance.m * n + t_prime,
-                    "value": vals[n],
-                }
+            if witness is None:
+                w = _progression_witness(reduced, instance.m, t_prime)
+                witness = w and dict(w, t_prime=t_prime)
         if witness is not None:
             status = STATUS_COUNTEREXAMPLE
         elif not assume_delta_star:

@@ -14,6 +14,7 @@ from .finite_check import (
     OrderCapExceeded,
     RSCertificate,
     RSInstance,
+    _progression_witness,
     divisors,
     verify_instance,
 )
@@ -26,7 +27,7 @@ from .series import (
     series_pow,
     substitute_q_power,
 )
-from .theta import dissect, extract_arithmetic_progression, jacobi_cube, psi_series
+from .theta import dissect, jacobi_cube, psi_series
 
 __all__ = [
     "BrokenDiamondSpec",
@@ -194,17 +195,6 @@ def _verdict(name: str, order: int, witness: dict | None) -> StepResult:
     return StepResult(name, "fail" if witness else "pass", order, witness)
 
 
-def _progression_witness(reduced: TruncatedSeries, m: int, t: int) -> dict | None:
-    """The first nonzero reduced(m n + t) as a witness, or None if all vanish.
-
-    Raises ValueError when `reduced` stops before exponent t: a scan of no
-    coefficients proves nothing and must not pass.
-    """
-    values = extract_arithmetic_progression(reduced, m, t).coeffs
-    n = next((n for n, value in enumerate(values) if value), None)
-    return None if n is None else {"n": n, "exponent": m * n + t, "value": values[n]}
-
-
 def _check_scan_order(order: int, t_max: int) -> None:
     """Refuse a negative scan order, or one that stops before exponent t_max.
 
@@ -306,16 +296,16 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     # 3. cube supports: f1^3 lives on classes {0,1} mod 5, f2^3 on {0,2}
     cube1 = jacobi_cube(order)
     cube2 = substitute_q_power(jacobi_cube(order // 2), 2, order)
-    support_witness = None
-    for label, cube, allowed in (("f1^3", cube1, {0, 1}), ("f2^3", cube2, {0, 2})):
-        reduced_cube = reduce_mod(cube, 5)
-        for i in range(5):
-            witness = None if i in allowed else _progression_witness(reduced_cube, 5, i)
-            if witness:
-                support_witness = {"series": label, "class": i, "exponent": witness["exponent"]}
-                break
-        if support_witness:
-            break
+    cubes = (("f1^3", reduce_mod(cube1, 5), {0, 1}), ("f2^3", reduce_mod(cube2, 5), {0, 2}))
+    support_witness = next(
+        (
+            {"series": label, "class": i, "exponent": witness["exponent"]}
+            for label, cube, allowed in cubes
+            for i in range(5)
+            if i not in allowed and (witness := _progression_witness(cube, 5, i))
+        ),
+        None,
+    )
     steps.append(_verdict("jacobi_support" + suffix, order, support_witness))
 
     # 4. the product f1^3 f2^3 has no exponent 4 mod 5 once reduced

@@ -2,9 +2,10 @@
 
 Every series is a finite prefix of a formal power series in q: exact
 arbitrary-precision integer coefficients for exponents 0..order, nothing
-rounded anywhere (the packed products use `decimal` only as an exact
-integer carrier, with rounding trapped).  Binary operations truncate to the
-smaller order; precision is never extended silently.
+rounded anywhere.  Every product, at any length, is one packed multiply
+(`_convolve_packed`), which uses `decimal` only as an exact integer
+carrier, with rounding trapped.  Binary operations truncate to the smaller
+order; precision is never extended silently.
 
 `series_mul`, `series_invert`, `series_pow` and `expand_eta_quotient` take an
 optional `modulus` u and then compute in (Z/u)[[q]]: every result holds the
@@ -197,11 +198,6 @@ class EtaQuotientSpec:
 # convolution kernel
 # ---------------------------------------------------------------------------
 
-# Below this product-size threshold the plain double loop wins; above it the
-# coefficients are packed into one big decimal number per operand so the
-# convolution runs inside the C decimal module's multiply.
-_SCHOOLBOOK_LIMIT = 4096
-
 # CPython refuses int <-> decimal-string conversions longer than
 # sys.get_int_max_str_digits(), a limit that is 0 (off) or at least 640.
 _INT_STR_SAFE_DIGITS = 640
@@ -213,22 +209,13 @@ _INT_STR_SAFE_DIGITS = 640
 _NEWTON_MIN = 2048
 
 
-def _convolve_schoolbook(a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
-    out = [0] * out_len
-    for i, ai in enumerate(a):
-        if i >= out_len:
-            break
-        if ai:
-            for j, bj in enumerate(b[: out_len - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _convolve_packed(
     a: Sequence[int], b: Sequence[int], out_len: int, modulus: int | None = None
 ) -> list[int]:
     """Exact signed convolution via fixed-width packing into big decimals.
+
+    This is the kernel's only product: `series_mul` and both products of a
+    Newton step in `series_invert` call it at every length.
 
     Each coefficient occupies a slot of w decimal digits, with w chosen so
     every coefficient c of the product has c < 10**w, or |c| below the
@@ -308,15 +295,6 @@ def _convolve_packed(
     return out
 
 
-def _convolve(
-    a: Sequence[int], b: Sequence[int], out_len: int, modulus: int | None = None
-) -> list[int]:
-    if out_len * min(len(a), len(b)) > _SCHOOLBOOK_LIMIT:
-        return _convolve_packed(a, b, out_len, modulus)
-    out = _convolve_schoolbook(a, b, out_len)
-    return out if modulus is None else [c % modulus for c in out]
-
-
 def _check_modulus(modulus: int | None) -> None:
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -342,7 +320,7 @@ def series_mul(
     _check_modulus(modulus)
     order = min(a.order, b.order)
     n = order + 1
-    out = _convolve(a.coeffs[:n], b.coeffs[:n], n, modulus)
+    out = _convolve_packed(a.coeffs[:n], b.coeffs[:n], n, modulus)
     return TruncatedSeries(order, tuple(out))
 
 
@@ -374,8 +352,8 @@ def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSe
         # a * g = 1 + q^n * h (mod q^m), so the next m - n terms of the
         # inverse are those of -g * h
         m = min(2 * n, length)
-        h = _convolve(a.coeffs[:m], known, m, modulus)[n:]
-        known.extend([-c % modulus for c in _convolve(known[: m - n], h, m - n, modulus)])
+        h = _convolve_packed(a.coeffs[:m], known, m, modulus)[n:]
+        known.extend([-c % modulus for c in _convolve_packed(known[: m - n], h, m - n, modulus)])
         n = m
     return TruncatedSeries(a.order, tuple(known))
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from etacert import finite_check
 from etacert import (
     CosetRep,
     EtaQuotientSpec,
@@ -325,6 +326,38 @@ class TestVerifyInstance:
     def test_order_cap_fails_fast(self):
         with pytest.raises(OrderCapExceeded):
             verify_instance(KNOWN_INSTANCES["mod25"], order_cap=100)
+
+    def test_order_cap_refused_before_orbit(self, monkeypatch):
+        # m = 10**6: the orbit and the cusp table alone take many seconds, and
+        # m * floor(v at t) + t already exceeds the cap
+        def no_orbit(instance):
+            raise AssertionError("P set computed for an instance over the cap")
+
+        monkeypatch.setattr(finite_check, "compute_p_set", no_orbit)
+        inst = RSInstance(
+            m=10**6, M=14, N=14, t=33,
+            r=EtaQuotientSpec(14, {1: 4, 2: 1, 7: -1}), r_prime=EtaQuotientSpec(14, {1: 3}), u=7,
+        )
+        with pytest.raises(OrderCapExceeded, match="exceeds cap 1000000$"):
+            verify_instance(inst)
+        with pytest.raises(OrderCapExceeded, match="exceeds cap 100$"):
+            verify_instance(KNOWN_INSTANCES["mod25"], order_cap=100)
+
+    @pytest.mark.parametrize("key", sorted(KNOWN_INSTANCES))
+    def test_order_cap_early_bound_below_required_order(self, key):
+        # the bound refuses only what the exact check would refuse: at a cap
+        # equal to the required order both pass, one below it both refuse
+        inst = KNOWN_INSTANCES[key]
+        _, v_floor = v_bound(inst)
+        required = inst.m * v_floor + max(compute_p_set(inst))
+        verify_instance(inst, order_cap=required)
+        with pytest.raises(OrderCapExceeded, match=f"exceeds cap {required - 1}$"):
+            verify_instance(inst, order_cap=required - 1)
+
+    def test_order_cap_with_check_upto_keeps_undercut_check(self):
+        # with check_upto given, an undercut is refused as such even over the cap
+        with pytest.raises(ValueError, match="undercuts"):
+            verify_instance(KNOWN_INSTANCES["mod25"], check_upto=0, order_cap=100)
 
     def test_instance_validation(self):
         r = EtaQuotientSpec(10, {1: 1})

@@ -24,7 +24,7 @@ from etacert import (
 )
 from etacert import series as series_module
 from etacert.oracle import naive_eta, naive_invert, naive_mul
-from etacert.series import _SCHOOLBOOK_LIMIT, _convolve_packed, _convolve_schoolbook
+from etacert.series import _convolve_packed
 
 
 def S(*coeffs):
@@ -321,6 +321,19 @@ def test_binomial_lemma(p, alpha):
 
 # --- convolution kernel equivalence ------------------------------------------
 
+def _convolve_schoolbook(a, b, out_len):
+    """The reference product: the plain double loop, skipping zero entries."""
+    out = [0] * out_len
+    for i, ai in enumerate(a):
+        if i >= out_len:
+            break
+        if ai:
+            for j, bj in enumerate(b[: out_len - i]):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
 def _sparse(rng, length, mag, density):
     return tuple(rng.randint(-mag, mag) if rng.random() < density else 0 for _ in range(length))
 
@@ -500,6 +513,58 @@ def test_residue_packing_slots_beyond_lowest_conversion_limit():
     assert got_series.coeffs == tuple(square[:40])
 
 
+# --- short products: series_mul at every low order against the oracle --------
+
+_SHORT_ORDERS = range(71)
+
+
+def _short_operands(kind, order, rng):
+    """Operands a of `order` and b a little beyond (series_mul truncates to the smaller).
+
+    b always has small mixed-sign coefficients; a is all zero, or has huge
+    ones of either sign, whose slots are wider than the 640 digits CPython
+    converts between int and str directly.
+    """
+    if kind == "zero":
+        a = TruncatedSeries.zero(order)
+    elif kind == "huge":
+        a = S(*(rng.choice((1, -1)) * rng.randint(10**700, 10**720) for _ in range(order + 1)))
+    else:
+        a = S(*(rng.randint(-50, 50) for _ in range(order + 1)))
+    b = S(*(rng.randint(-50, 50) for _ in range(order + rng.randint(1, 4))))
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["signed", "zero", "huge"])
+def test_short_products_match_oracle(kind):
+    rng = random.Random(kind)
+    for order in _SHORT_ORDERS:
+        a, b = _short_operands(kind, order, rng)
+        expected = naive_mul(a, b)
+        assert expected.order == order
+        assert series_mul(a, b) == expected, order
+        assert series_mul(b, a) == expected, order
+        if kind != "huge" or order % 10 == 0:
+            assert series_mul(a, a) == naive_mul(a, a), order
+
+
+@pytest.mark.parametrize("u", [2, 49, 10**30])
+def test_short_products_mod_u_match_reduced_oracle(u):
+    # u = 49 is table-packed from 2 * 25 coefficients on and packed per
+    # coefficient below; u = 2 is always table-packed, u = 10**30 never
+    rng = random.Random(u)
+    for order in _SHORT_ORDERS:
+        for kind in ("signed", "zero", "huge"):
+            a, b = _short_operands(kind, order, rng)
+            a = S(*(c + rng.choice((0, u, -u)) for c in a.coeffs))  # entries >= u and < 0
+            expected = reduce_mod(naive_mul(a, b), u)
+            assert series_mul(a, b, modulus=u) == expected, (order, kind)
+            assert series_mul(b, a, modulus=u) == expected, (order, kind)
+            if kind != "huge" or order % 10 == 0:
+                square = reduce_mod(naive_mul(a, a), u)
+                assert series_mul(a, a, modulus=u) == square, (order, kind)
+
+
 # --- ring axioms (property) --------------------------------------------------
 
 class TestRingAxioms:
@@ -537,10 +602,8 @@ class TestRingAxioms:
 
 # --- residue ring: modulus=u equals exact-then-reduce (property) -------------
 
-# products of out_len * len <= _SCHOOLBOOK_LIMIT take the schoolbook loop, so
-# lengths up to 64 stay there and longer ones take the packed path
+# short operands (up to 64 coefficients) and long ones are drawn about equally often
 _SPLIT = 64
-assert _SPLIT * _SPLIT <= _SCHOOLBOOK_LIMIT < (_SPLIT + 1) * (_SPLIT + 1)
 
 moduli = st.sampled_from((2, 3, 5, 7, 11, 13, 25, 49, 125, 343))
 lengths = st.one_of(st.integers(1, _SPLIT), st.integers(_SPLIT + 1, 200))
@@ -681,13 +744,13 @@ class TestNewtonInversion:
         # the exact path never runs a Newton step, whatever the length
         monkeypatch.setattr(series_module, "_NEWTON_MIN", 16)
         calls = []
-        real = series_module._convolve
+        real = series_module._convolve_packed
 
         def counting(*args):
             calls.append(args[-1])
             return real(*args)
 
-        monkeypatch.setattr(series_module, "_convolve", counting)
+        monkeypatch.setattr(series_module, "_convolve_packed", counting)
         a = eta_factor(1, 300)
         assert series_invert(a) == naive_invert(a)
         assert calls == []
