@@ -28,8 +28,8 @@ print("psi(q) support starts:", psi.support()[:8])
 blocks = build_dissection_blocks(ORDER)
 q1 = TruncatedSeries.monomial(1, ORDER)
 q3 = TruncatedSeries.monomial(3, ORDER)
-recombined = blocks.block_a + series_mul(q1, blocks.block_b) + series_mul(q3, blocks.block_c)
-print("psi = a + q b + q^3 c holds exactly:", recombined == psi)
+summed = blocks.block_a + series_mul(q1, blocks.block_b) + series_mul(q3, blocks.block_c)
+print("psi = a + q b + q^3 c holds exactly:", summed == psi)
 print("block a support:", blocks.block_a.support()[:5])
 print("block b support:", blocks.block_b.support()[:5])
 print("block c support:", blocks.block_c.support()[:4])
@@ -43,4 +43,4 @@ print("f2^3 mod 5 classes:", sorted({n % 5 for n in cube2.support()}))
 # and their product avoids the class 4 entirely: the key vanishing step
 product = reduce_mod(series_mul(jacobi_cube(ORDER), series_pow(eta_factor(2, ORDER), 3)), 5)
 classes = dissect(product, 5)
-print("f1^3 f2^3 mod 5, class-4 part is zero:", classes.classes[4].is_zero())
+print("f1^3 f2^3 mod 5, class-4 part is zero:", classes[4].is_zero())

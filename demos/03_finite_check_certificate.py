@@ -15,8 +15,8 @@ from etacert import (
 
 inst = KNOWN_INSTANCES["mod25"]
 print(f"instance: m={inst.m} M={inst.M} N={inst.N} t={inst.t} u={inst.u}")
-print("r       =", inst.r.as_dict())
-print("r'      =", inst.r_prime.as_dict())
+print("r       =", dict(inst.r.exponents))
+print("r'      =", dict(inst.r_prime.exponents))
 
 # the orbit of t and the exact check bound
 print("P-set   =", compute_p_set(inst))
@@ -24,9 +24,9 @@ v, floor = v_bound(inst)
 print(f"v       = {v} (floor {floor})")
 
 # nonnegativity of the cusp sums is the hypothesis that makes the check finite
-for gamma in coset_representatives(inst.N):
-    pm, ps = p_min(inst, gamma), p_star(inst, gamma)
-    print(f"  delta={gamma.c:>2}: p_min={str(pm):>8} p_star={str(ps):>6} sum={pm + ps}")
+for delta in coset_representatives(inst.N):
+    pm, ps = p_min(inst, delta), p_star(inst, delta)
+    print(f"  delta={delta:>2}: p_min={str(pm):>8} p_star={str(ps):>6} sum={pm + ps}")
 
 # scanning the 22 coefficients certifies the whole infinite family
 cert = verify_instance(inst)

@@ -21,7 +21,6 @@ from .theta import extract_arithmetic_progression
 
 __all__ = [
     "RSInstance",
-    "CosetRep",
     "CuspEntry",
     "RSCertificate",
     "InternalAssertionFailure",
@@ -128,20 +127,6 @@ def instance_from_dict(data: Mapping) -> RSInstance:
         r_prime=_spec_from_dict(data["N"], data["r_prime"]),
         u=int(data["u"]),
     )
-
-
-@dataclass(frozen=True, slots=True)
-class CosetRep:
-    """Integer matrix (a b; c d) with determinant one."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant of ({self.a} {self.b}; {self.c} {self.d}) is not 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,9 +243,9 @@ def index_gamma0(N: int) -> int:
     return idx
 
 
-def coset_representatives(N: int) -> tuple[CosetRep, ...]:
-    """The family (1 0; delta 1) over the positive divisors delta of N."""
-    return tuple(CosetRep(1, 0, d, 1) for d in divisors(N))
+def coset_representatives(N: int) -> tuple[int, ...]:
+    """The lower-left entries delta of the representatives (1 0; delta 1): the divisors of N."""
+    return divisors(N)
 
 
 def _cusp_sum(r: EtaQuotientSpec, xs: Iterable[int], y: int, m: int) -> Fraction:
@@ -274,19 +259,25 @@ def _cusp_sum(r: EtaQuotientSpec, xs: Iterable[int], y: int, m: int) -> Fraction
     return Fraction(num, 24 * m * lcm)
 
 
-def p_min(instance: RSInstance, gamma: CosetRep) -> Fraction:
-    """min over lambda in 0..m-1 of (1/24) sum_delta r_delta gcd^2(delta(a + kappa lambda c), mc) / (delta m)."""
-    if gamma.c == 0:
-        raise ValueError("representative must have a nonzero lower-left entry")
+def _check_lower_left(c: int) -> None:
+    if c < 1:
+        raise ValueError(f"representative (1 0; c 1) needs c >= 1, got {c}")
+
+
+def p_min(instance: RSInstance, c: int) -> Fraction:
+    """Cusp sum of r at (1 0; c 1), c >= 1: the min over lambda in 0..m-1 of
+    (1/24) sum_delta r_delta gcd^2(delta(1 + kappa lambda c), mc) / (delta m)."""
+    _check_lower_left(c)
     m = instance.m
     kap = kappa(m)
-    xs = (gamma.a + kap * lam * gamma.c for lam in range(m))
-    return _cusp_sum(instance.r, xs, m * gamma.c, m)
+    xs = (1 + kap * lam * c for lam in range(m))
+    return _cusp_sum(instance.r, xs, m * c, m)
 
 
-def p_star(instance: RSInstance, gamma: CosetRep) -> Fraction:
-    """(1/24) sum over delta | N of r'_delta gcd^2(delta, c) / delta."""
-    return _cusp_sum(instance.r_prime, (1,), gamma.c, 1)
+def p_star(instance: RSInstance, c: int) -> Fraction:
+    """Cusp sum of r' at (1 0; c 1), c >= 1: (1/24) sum over delta | N of r'_delta gcd^2(delta, c) / delta."""
+    _check_lower_left(c)
+    return _cusp_sum(instance.r_prime, (1,), c, 1)
 
 
 def _v_exact(instance: RSInstance, t_min: int) -> Fraction:
@@ -350,25 +341,26 @@ def verify_instance(
     the same checks run but the status stays "delta_star_unverified".
 
     checked_upto may exceed floor(v) for empirical over-checking; it may not
-    undercut it.  The expansion order is validated against order_cap before
-    any series work starts; without check_upto, an order that is sure to
-    exceed the cap is refused before the orbit P and the cusp table are built.
+    undercut it.  Before P and the cusp table are built, f = floor(v) at t
+    (at most floor(v), as t_min <= t) refuses a check_upto below f, and then
+    an order bound m * (check_upto or f) + t above order_cap.  The exact
+    checks follow once P is known, so a check_upto in f..floor(v) - 1 whose
+    order bound exceeds the cap is refused by the cap, not as an undercut.
     """
-    if check_upto is None:
-        # t is in P, so t_min <= t and max(P) >= t: this bound never exceeds
-        # the required order computed below
-        least_order = instance.m * math.floor(_v_exact(instance, instance.t)) + instance.t
-        if least_order > order_cap:
-            raise OrderCapExceeded(
-                f"required order at least {least_order} exceeds cap {order_cap}"
-            )
+    least_upto = math.floor(_v_exact(instance, instance.t))
+    if check_upto is not None and check_upto < least_upto:
+        raise ValueError(f"check_upto = {check_upto} undercuts the bound floor(v) >= {least_upto}")
+    # max(P) >= t and checked_upto >= c, so this never exceeds the required order
+    least_order = instance.m * (least_upto if check_upto is None else check_upto) + instance.t
+    if least_order > order_cap:
+        raise OrderCapExceeded(f"required order at least {least_order} exceeds cap {order_cap}")
     kap = kappa(instance.m)
     p_set = compute_p_set(instance)
     t_min = min(p_set)
     idx = index_gamma0(instance.N)
     cusp_table = tuple(
-        CuspEntry(g.c, p_min(instance, g), p_star(instance, g))
-        for g in coset_representatives(instance.N)
+        CuspEntry(c, p_min(instance, c), p_star(instance, c))
+        for c in coset_representatives(instance.N)
     )
     violation = next((e for e in cusp_table if e.p_min + e.p_star < 0), None)
     v = _v_exact(instance, t_min)
@@ -430,7 +422,7 @@ def verify_instance(
     )
 
 
-def revalidate_certificate(data: Mapping, *, order_cap: int = DEFAULT_ORDER_CAP) -> bool:
+def revalidate_certificate(data: Mapping) -> bool:
     """Replay a certificate dict against a fresh expansion; True iff it reproduces."""
     if not isinstance(data, Mapping) or data.get("schema_version") != CERTIFICATE_SCHEMA_VERSION:
         return False
@@ -440,7 +432,6 @@ def revalidate_certificate(data: Mapping, *, order_cap: int = DEFAULT_ORDER_CAP)
             instance,
             assume_delta_star=data.get("delta_star") == "assumed",
             check_upto=int(data["checked_upto"]),
-            order_cap=order_cap,
         )
     except (KeyError, TypeError, ValueError):
         # malformed or internally inconsistent input cannot reproduce anything

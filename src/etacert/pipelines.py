@@ -287,7 +287,7 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     )
 
     # 2. class-4 part of psi^3 collapses to q^4 psi(q^25) psi^2(q^5)
-    class4 = dissect(reduce_mod(psi_cubed, 5), 5).classes[4]
+    class4 = dissect(reduce_mod(psi_cubed, 5), 5)[4]
     psi5 = psi_series(5, order)
     collapsed = series_mul(series_mul(psi_series(25, order), psi5), psi5)
     shifted = series_mul(TruncatedSeries.monomial(4, order), collapsed)

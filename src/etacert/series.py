@@ -81,11 +81,11 @@ class TruncatedSeries:
         return cls(order, (1,) + (0,) * order)
 
     @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> "TruncatedSeries":
+    def monomial(cls, exponent: int, order: int) -> "TruncatedSeries":
         if not 0 <= exponent <= order:
             raise ValueError(f"exponent {exponent} outside 0..{order}")
         cs = [0] * (order + 1)
-        cs[exponent] = coeff
+        cs[exponent] = 1
         return cls(order, tuple(cs))
 
     def coefficient(self, n: int) -> int:
@@ -117,17 +117,8 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return series_add(self, other)
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_add(self, -other)
-
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.order, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
-    def __pow__(self, e: int) -> "TruncatedSeries":
-        return series_pow(self, e)
 
 
 @dataclass(frozen=True)
@@ -178,9 +169,6 @@ class EtaQuotientSpec:
         if level is None:
             level = lcm(*items) if items else 1
         return cls(level, items)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.exponents)
 
     def exponent_sum(self) -> int:
         """Sum of the exponents r_delta."""

@@ -14,7 +14,6 @@ from .series import TruncatedSeries, _sparse_series, eta_factor, series_mul
 __all__ = [
     "ThetaSpec",
     "DissectionBlocks",
-    "ResidueClassSplit",
     "theta_series",
     "jtp_product",
     "psi_series",
@@ -48,20 +47,6 @@ class DissectionBlocks:
     block_a: TruncatedSeries
     block_b: TruncatedSeries
     block_c: TruncatedSeries
-
-
-@dataclass(frozen=True, slots=True)
-class ResidueClassSplit:
-    """Full-length subseries per exponent residue class; classes sum to the input."""
-
-    modulus: int
-    classes: tuple[TruncatedSeries, ...]
-
-    def recombine(self) -> TruncatedSeries:
-        total = self.classes[0]
-        for cls in self.classes[1:]:
-            total = total + cls
-        return total
 
 
 def theta_series(spec: ThetaSpec, order: int) -> TruncatedSeries:
@@ -101,16 +86,14 @@ def jacobi_cube(order: int) -> TruncatedSeries:
     return _sparse_series(order, ((n * (n + 1) // 2, (-1) ** n * (2 * n + 1)) for n in count()))
 
 
-def dissect(s: TruncatedSeries, m: int) -> ResidueClassSplit:
-    """Split s into m subseries by exponent residue class mod m."""
+def dissect(s: TruncatedSeries, m: int) -> tuple[TruncatedSeries, ...]:
+    """Split s into m full-length subseries by exponent residue class mod m; they sum to s."""
     if m < 1:
         raise ValueError(f"dissection modulus must be >= 1, got {m}")
     buckets = [[0] * (s.order + 1) for _ in range(m)]
     for i, out in enumerate(buckets):
         out[i::m] = s.coeffs[i::m]
-    return ResidueClassSplit(
-        m, tuple(TruncatedSeries(s.order, tuple(b)) for b in buckets)
-    )
+    return tuple(TruncatedSeries(s.order, tuple(b)) for b in buckets)
 
 
 def extract_arithmetic_progression(s: TruncatedSeries, m: int, t: int) -> TruncatedSeries:

@@ -108,7 +108,7 @@ def _reference_dissect_classes(spec, m, order, mod):
     """Per-class summaries built from the full-length classes of the library `dissect`."""
     split = dissect(expand_eta_quotient(EtaQuotientSpec.from_string(spec), order), m)
     classes = []
-    for i, cls in enumerate(split.classes):
+    for i, cls in enumerate(split):
         support = cls.support()
         entry = {"residue": i, "nonzero_terms": len(support),
                  "first_exponent": support[0] if support else None}
@@ -256,6 +256,14 @@ class TestCertify:
     def test_order_cap_flag_exits_65(self):
         proc = run_cli(*self.MOD25, "--order-cap", "100")
         assert proc.returncode == 65
+
+    def test_check_upto_over_cap_exits_65(self):
+        # m * check_upto + t exceeds the cap: refused before the 24m-unit orbit
+        proc = run_cli("certify", "--m", "1000000", "--M", "14", "--N", "14", "--t", "33",
+                       "--r", "1:4,2:1,7:-1", "--rprime", "1:3", "--mod", "7",
+                       "--check-upto", "10")
+        assert proc.returncode == 65
+        assert proc.stdout == "" and "exceeds cap 1000000" in proc.stderr
 
 
 class TestVerifyTheorem:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from etacert import finite_check
 from etacert import (
-    CosetRep,
     EtaQuotientSpec,
     KNOWN_INSTANCES,
     OrderCapExceeded,
@@ -74,16 +73,10 @@ class TestIndex:
 
 class TestCosetRepresentatives:
     def test_n14(self):
-        reps = coset_representatives(14)
-        assert [g.c for g in reps] == [1, 2, 7, 14]
-        assert all((g.a, g.b, g.d) == (1, 0, 1) for g in reps)
+        assert coset_representatives(14) == (1, 2, 7, 14)
 
     def test_n1(self):
-        assert coset_representatives(1) == (CosetRep(1, 0, 1, 1),)
-
-    def test_determinant_enforced(self):
-        with pytest.raises(ValueError):
-            CosetRep(1, 1, 1, 1)
+        assert coset_representatives(1) == (1,)
 
     def test_divisors(self):
         assert divisors(14) == (1, 2, 7, 14)
@@ -98,67 +91,60 @@ class TestCuspSums:
             m=1, M=1, N=1, t=0,
             r=EtaQuotientSpec(1, {1: 1}), r_prime=EtaQuotientSpec(1, {}), u=2,
         )
-        assert p_min(inst, CosetRep(1, 0, 1, 1)) == Fraction(1, 24)
+        assert p_min(inst, 1) == Fraction(1, 24)
 
     def test_p_min_zero_quotient(self):
         inst = RSInstance(
             m=5, M=1, N=1, t=0,
             r=EtaQuotientSpec(1, {}), r_prime=EtaQuotientSpec(1, {}), u=2,
         )
-        assert p_min(inst, CosetRep(1, 0, 1, 1)) == 0
+        assert p_min(inst, 1) == 0
 
     def test_p_min_needs_nonzero_c(self):
         inst = KNOWN_INSTANCES["mod25"]
         with pytest.raises(ValueError):
-            p_min(inst, CosetRep(1, 0, 0, 1))
+            p_min(inst, 0)
 
     def test_p_star_direct_values(self):
         inst25 = KNOWN_INSTANCES["mod25"]
-        assert p_star(inst25, CosetRep(1, 0, 10, 1)) == Fraction(13, 24)
+        assert p_star(inst25, 10) == Fraction(13, 24)
         inst7 = KNOWN_INSTANCES["mod7_t33"]
-        assert p_star(inst7, CosetRep(1, 0, 14, 1)) == Fraction(1, 8)
+        assert p_star(inst7, 14) == Fraction(1, 8)
 
     def test_p_star_zero_quotient(self):
         inst = RSInstance(
             m=5, M=1, N=1, t=0,
             r=EtaQuotientSpec(1, {1: 1}), r_prime=EtaQuotientSpec(1, {}), u=2,
         )
-        assert p_star(inst, CosetRep(1, 0, 1, 1)) == 0
-
-    def test_negative_matrix_entries_use_magnitudes(self):
-        # gcd arguments can go negative for general representatives
-        inst = KNOWN_INSTANCES["mod7_t33"]
-        gamma = CosetRep(-1, 0, 7, -1)
-        assert p_min(inst, gamma) == p_min(inst, CosetRep(1, 0, 7, 1))
-        assert p_star(inst, gamma) == p_star(inst, CosetRep(1, 0, 7, 1))
+        assert p_star(inst, 1) == 0
 
     @pytest.mark.parametrize("key", sorted(KNOWN_INSTANCES))
     def test_nonnegative_at_every_representative(self, key):
         inst = KNOWN_INSTANCES[key]
-        for gamma in coset_representatives(inst.N):
-            assert p_min(inst, gamma) + p_star(inst, gamma) >= 0
+        for c in coset_representatives(inst.N):
+            assert p_min(inst, c) + p_star(inst, c) >= 0
 
 
-def _reference_p_min(instance: RSInstance, gamma: CosetRep) -> Fraction:
-    """min over lambda in 0..m-1 of (1/24) sum_delta r_delta gcd^2(delta(a + kappa lambda c), mc) / (delta m)."""
+def _reference_p_min(instance: RSInstance, c: int) -> Fraction:
+    """min over lambda in 0..m-1 of (1/24) sum_delta r_delta gcd^2(delta(1 + kappa lambda c), mc) / (delta m)."""
     m = instance.m
     kap = math.gcd(m * m - 1, 24)
     best = None
     for lam in range(m):
         total = Fraction(0)
         for delta, r in instance.r.exponents:
-            g = math.gcd(abs(delta * (gamma.a + kap * lam * gamma.c)), abs(m * gamma.c))
+            g = math.gcd(delta * (1 + kap * lam * c), m * c)
             total += Fraction(r * g * g, 24 * delta * m)
         if best is None or total < best:
             best = total
     return best
 
 
-def _reference_p_star(instance: RSInstance, gamma: CosetRep) -> Fraction:
+def _reference_p_star(instance: RSInstance, c: int) -> Fraction:
     """(1/24) sum over delta | N of r'_delta gcd^2(delta, c) / delta."""
     total = Fraction(0)
     for delta, r in instance.r_prime.exponents:
-        g = math.gcd(delta, abs(gamma.c))
+        g = math.gcd(delta, c)
         total += Fraction(r * g * g, 24 * delta)
     return total
 
@@ -183,18 +169,6 @@ def _eta_spec(draw, levels):
     return EtaQuotientSpec(level, {d: draw(st.integers(-30, 30)) for d in deltas})
 
 
-@st.composite
-def _representative(draw, c_values):
-    """(a b; c d) of determinant one, with either sign on a and c."""
-    c = draw(c_values)
-    if c == 0:
-        a = draw(st.sampled_from((1, -1)))
-        return CosetRep(a, 0, 0, a)
-    a = draw(st.integers(-40, 40).filter(lambda a: math.gcd(a, c) == 1))
-    d = pow(a, -1, abs(c))
-    return CosetRep(a, (a * d - 1) // c, c, d)
-
-
 class TestCuspSumsAgainstReference:
     """p_min and p_star against the term-by-term Fraction sums they replaced."""
 
@@ -203,26 +177,25 @@ class TestCuspSumsAgainstReference:
         m=st.integers(1, 60),
         r=_eta_spec(list(range(1, 61))),
         r_prime=_eta_spec(_COMPLETE_LEVELS),
-        gamma=_representative(st.integers(-40, 40).filter(bool)),
+        c=st.integers(1, 60),
     )
     @example(m=24, r=EtaQuotientSpec(6, {1: 5, 2: -3, 3: 1, 6: -7}),
-             r_prime=EtaQuotientSpec(6, {1: -2, 6: 3}), gamma=CosetRep(-5, 2, -3, 1))
-    @example(m=49, r=EtaQuotientSpec(14, {}), r_prime=EtaQuotientSpec(14, {}),
-             gamma=CosetRep(1, 0, 7, 1))
-    def test_p_min_and_p_star(self, m, r, r_prime, gamma):
+             r_prime=EtaQuotientSpec(6, {1: -2, 6: 3}), c=3)
+    @example(m=49, r=EtaQuotientSpec(14, {}), r_prime=EtaQuotientSpec(14, {}), c=7)
+    def test_p_min_and_p_star(self, m, r, r_prime, c):
         inst = RSInstance(m=m, M=r.level, N=r_prime.level, t=0, r=r, r_prime=r_prime, u=2)
-        assert p_min(inst, gamma) == _reference_p_min(inst, gamma)
-        assert p_star(inst, gamma) == _reference_p_star(inst, gamma)
-        assert type(p_min(inst, gamma)) is type(p_star(inst, gamma)) is Fraction
+        assert p_min(inst, c) == _reference_p_min(inst, c)
+        assert p_star(inst, c) == _reference_p_star(inst, c)
+        assert type(p_min(inst, c)) is type(p_star(inst, c)) is Fraction
 
     @settings(max_examples=40, deadline=None)
-    @given(r_prime=_eta_spec(_COMPLETE_LEVELS), gamma=_representative(st.just(0)))
-    def test_zero_c(self, r_prime, gamma):
+    @given(r_prime=_eta_spec(_COMPLETE_LEVELS), c=st.integers(-40, 0))
+    def test_c_below_one_refused(self, r_prime, c):
         inst = RSInstance(m=1, M=1, N=r_prime.level, t=0, r=EtaQuotientSpec(1, {1: 1}),
                           r_prime=r_prime, u=2)
-        assert p_star(inst, gamma) == _reference_p_star(inst, gamma)
-        with pytest.raises(ValueError):
-            p_min(inst, gamma)
+        for cusp_sum in (p_min, p_star):
+            with pytest.raises(ValueError, match="c >= 1"):
+                cusp_sum(inst, c)
 
 
 class TestVBound:
@@ -346,18 +319,53 @@ class TestVerifyInstance:
     @pytest.mark.parametrize("key", sorted(KNOWN_INSTANCES))
     def test_order_cap_early_bound_below_required_order(self, key):
         # the bound refuses only what the exact check would refuse: at a cap
-        # equal to the required order both pass, one below it both refuse
+        # equal to the required order both pass, one below it both refuse,
+        # without check_upto and with check_upto = floor(v) + extra
         inst = KNOWN_INSTANCES[key]
         _, v_floor = v_bound(inst)
-        required = inst.m * v_floor + max(compute_p_set(inst))
-        verify_instance(inst, order_cap=required)
-        with pytest.raises(OrderCapExceeded, match=f"exceeds cap {required - 1}$"):
-            verify_instance(inst, order_cap=required - 1)
+        for extra in (None, 0, 1):
+            check_upto = None if extra is None else v_floor + extra
+            required = inst.m * (v_floor + (extra or 0)) + max(compute_p_set(inst))
+            verify_instance(inst, check_upto=check_upto, order_cap=required)
+            with pytest.raises(OrderCapExceeded, match=f"exceeds cap {required - 1}$"):
+                verify_instance(inst, check_upto=check_upto, order_cap=required - 1)
 
     def test_order_cap_with_check_upto_keeps_undercut_check(self):
         # with check_upto given, an undercut is refused as such even over the cap
         with pytest.raises(ValueError, match="undercuts"):
             verify_instance(KNOWN_INSTANCES["mod25"], check_upto=0, order_cap=100)
+
+    def test_order_cap_with_check_upto_refused_before_orbit(self, monkeypatch):
+        # m = 10**6: m * check_upto + t exceeds the cap, so neither the orbit
+        # nor the cusp table is built, in verify_instance or in the replay
+        def no_orbit(instance):
+            raise AssertionError("P set computed for an instance over the cap")
+
+        monkeypatch.setattr(finite_check, "compute_p_set", no_orbit)
+        inst = RSInstance(
+            m=10**6, M=14, N=14, t=33,
+            r=EtaQuotientSpec(14, {1: 4, 2: 1, 7: -1}), r_prime=EtaQuotientSpec(14, {1: 3}), u=7,
+        )
+        with pytest.raises(OrderCapExceeded, match="at least 10000033 exceeds cap 1000000$"):
+            verify_instance(inst, check_upto=10)
+        data = {"schema_version": 1, "instance": inst.to_json_dict(),
+                "checked_upto": 10, "delta_star": "assumed"}
+        with pytest.raises(OrderCapExceeded, match="exceeds cap 1000000$"):
+            revalidate_certificate(data)
+
+    def test_check_upto_between_bounds_is_refused_by_the_cap(self):
+        # t = 43 has t_min = 1: floor(v) is 5 at t but 6 at t_min, so
+        # check_upto = 5 undercuts only once P is known; over the cap the early
+        # order bound 49 * 5 + 43 refuses it first
+        base = KNOWN_INSTANCES["mod7_t33"]
+        inst = RSInstance(m=49, M=14, N=14, t=43, r=base.r, r_prime=base.r_prime, u=7)
+        assert min(compute_p_set(inst)) == 1 and v_bound(inst)[1] == 6
+        with pytest.raises(OrderCapExceeded, match="at least 288 exceeds cap 100$"):
+            verify_instance(inst, check_upto=5, order_cap=100)
+        with pytest.raises(ValueError, match="undercuts the bound floor.v. = 6$"):
+            verify_instance(inst, check_upto=5)
+        with pytest.raises(ValueError, match="undercuts the bound floor.v. >= 5$"):
+            verify_instance(inst, check_upto=4, order_cap=100)
 
     def test_instance_validation(self):
         r = EtaQuotientSpec(10, {1: 1})

@@ -1,10 +1,14 @@
 """Theorem pipelines: structure, witnesses, lifts, and negative controls."""
 
+import dataclasses
+from itertools import count
+
 import pytest
 
 from etacert import (
     DEFAULT_ORDER_CAP,
     THEOREM_IDS,
+    KNOWN_INSTANCES,
     BrokenDiamondSpec,
     EtaQuotientSpec,
     OrderCapExceeded,
@@ -13,11 +17,14 @@ from etacert import (
     b_series,
     broken_k_diamond_series,
     compute_p_set,
+    coset_representatives,
     divisors,
     elementary_mod5_proof,
     eta_factor,
     expand_eta_quotient,
     lift_congruence,
+    p_min,
+    p_star,
     pipelines,
     reduce_mod,
     run_theorem,
@@ -90,6 +97,27 @@ class TestLiftCongruence:
         # order 50 reaches no exponent 125n + 99: an empty scan must not pass
         with pytest.raises(ValueError, match="no coefficient"):
             lift_congruence((125, 99, 25), 125, BrokenDiamondSpec(62), 50)
+
+    def test_negative_control_support_off_ell(self, monkeypatch):
+        # a term at ell + 1 in f_ell / f_2ell breaks the factor's support on
+        # ell Z, which alone carries the b-family congruence over to Delta_k
+        spec = BrokenDiamondSpec(24)
+        support_spec = EtaQuotientSpec(2 * spec.ell, {spec.ell: 1, 2 * spec.ell: -1})
+        expand = pipelines.expand_eta_quotient
+
+        def perturbed(eta_spec, order, *args, **kwargs):
+            out = expand(eta_spec, order, *args, **kwargs)
+            if eta_spec == support_spec:
+                out = out + TruncatedSeries.monomial(spec.ell + 1, order)
+            return out
+
+        monkeypatch.setattr(pipelines, "expand_eta_quotient", perturbed)
+        residues = (19, 33, 40, 47)
+        steps = pipelines._lift_steps(49, residues, 7, 49, spec, 200)
+        assert [s.name for s in steps] == [f"lift_k24_m49_t{t}_mod7" for t in residues]
+        assert all(s.status == "fail" for s in steps)
+        assert all(s.witness == {"support_violation": spec.ell + 1} for s in steps)
+        assert lift_congruence((49, 19, 7), 49, spec, 200) == steps[0]
 
 
 class TestElementaryProof:
@@ -257,6 +285,27 @@ class TestFamilyTable:
 
     def test_rows_cover_the_certified_theorems(self):
         assert set(pipelines._FAMILIES) == set(THEOREM_IDS) - {"T1_mod5", "regression"}
+
+
+class TestKnownInstancesRule:
+    """Every pinned instance follows one rule in its m, t and u."""
+
+    @pytest.mark.parametrize("key", sorted(KNOWN_INSTANCES))
+    def test_instance_follows_the_rule(self, key):
+        inst = KNOWN_INSTANCES[key]
+        u = inst.u
+        p = divisors(u)[1]  # the prime dividing u
+        assert inst.M == inst.N == 2 * p
+        assert inst.r == EtaQuotientSpec(2 * p, {1: u - 3, 2: 1, p: -(u // p)})
+
+        def cusp_sums_nonnegative(x):
+            candidate = dataclasses.replace(inst, r_prime=EtaQuotientSpec(inst.N, {1: x}))
+            return all(p_min(candidate, c) + p_star(candidate, c) >= 0
+                       for c in coset_representatives(inst.N))
+
+        # r' = {1: x} for the least x >= 0 that makes every cusp sum nonnegative
+        x = next(x for x in count() if cusp_sums_nonnegative(x))
+        assert inst.r_prime == EtaQuotientSpec(inst.N, {1: x})
 
 
 class TestRunTheoremRefusals:

@@ -217,7 +217,7 @@ class TestEtaQuotientSpec:
     def test_from_string(self):
         spec = EtaQuotientSpec.from_string("1:-3,2:1")
         assert spec.level == 2
-        assert spec.as_dict() == {1: -3, 2: 1}
+        assert dict(spec.exponents) == {1: -3, 2: 1}
         assert EtaQuotientSpec.from_string("1:22,2:1,5:-5").level == 10
 
     def test_from_string_errors(self):

@@ -1,5 +1,6 @@
 """Theta constructions, dissection identities, and residue-class splits."""
 
+import functools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from etacert import (
     jtp_product,
     psi_series,
     reduce_mod,
+    series_add,
     series_mul,
     series_pow,
     substitute_q_power,
@@ -139,22 +141,22 @@ class TestJacobiCube:
 class TestDissect:
     def test_cube_classes_mod5(self):
         split = dissect(reduce_mod(jacobi_cube(100), 5), 5)
-        assert split.classes[2].is_zero()
-        assert split.classes[4].is_zero()
-        assert split.classes[3].is_zero()  # class 3 only vanishes after reduction
-        assert not dissect(jacobi_cube(100), 5).classes[3].is_zero()
+        assert split[2].is_zero()
+        assert split[4].is_zero()
+        assert split[3].is_zero()  # class 3 only vanishes after reduction
+        assert not dissect(jacobi_cube(100), 5)[3].is_zero()
 
     def test_doubled_cube_classes_mod5(self):
         cube2 = substitute_q_power(jacobi_cube(50), 2, 100)
         support_classes = {n % 5 for n in cube2.support()}
         assert support_classes == {0, 1, 2}
         split = dissect(reduce_mod(cube2, 5), 5)
-        assert split.classes[1].is_zero()
+        assert split[1].is_zero()
 
     def test_constant(self):
         split = dissect(TruncatedSeries.one(6), 3)
-        assert split.classes[0] == TruncatedSeries.one(6)
-        assert split.classes[1].is_zero() and split.classes[2].is_zero()
+        assert split[0] == TruncatedSeries.one(6)
+        assert split[1].is_zero() and split[2].is_zero()
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
@@ -168,8 +170,9 @@ class TestDissect:
     def test_partition_property(self, coeffs, m):
         s = TruncatedSeries.from_coeffs(coeffs)
         split = dissect(s, m)
-        assert split.recombine() == s
-        for i, cls in enumerate(split.classes):
+        assert len(split) == m
+        assert functools.reduce(series_add, split) == s
+        for i, cls in enumerate(split):
             assert all(n % m == i for n in cls.support())
 
 
