@@ -26,7 +26,13 @@ from .finite_check import (
     RSInstance,
     verify_instance,
 )
-from .series import EtaQuotientSpec, ParseError, expand_eta_quotient, reduce_mod
+from .series import (
+    EtaQuotientSpec,
+    ParseError,
+    _check_modulus,
+    expand_eta_quotient,
+    reduce_mod,
+)
 from .theta import extract_arithmetic_progression
 from .pipelines import run_theorem
 
@@ -164,6 +170,7 @@ def _cmd_dissect(args) -> int:
     # one summary line per class: m is bounded by the cap, as the order is
     if not 1 <= args.m <= cap:
         raise ParseError(f"dissection modulus must be in 1..{cap}, got {args.m}", 0)
+    _check_modulus(args.mod)  # reduce_mod would refuse it only after the expansion
     spec = EtaQuotientSpec.from_string(args.spec)
     series = expand_eta_quotient(spec, args.order)
     # each class is read off its own progression, never held at full length;

@@ -340,14 +340,18 @@ def verify_instance(
     external source and are not checked here).  With assume_delta_star=False
     the same checks run but the status stays "delta_star_unverified".
 
-    checked_upto may exceed floor(v) for empirical over-checking; it may not
-    undercut it.  Before P and the cusp table are built, f = floor(v) at t
-    (at most floor(v), as t_min <= t) refuses a check_upto below f, and then
-    an order bound m * (check_upto or f) + t above order_cap.  The exact
-    checks follow once P is known, so a check_upto in f..floor(v) - 1 whose
-    order bound exceeds the cap is refused by the cap, not as an undercut.
+    checked_upto defaults to floor(v), raised to 0 when floor(v) < 0 so that
+    n = 0 is always scanned (v itself stays exact).  It may exceed floor(v)
+    for empirical over-checking; it may neither undercut it nor be negative.
+    Before P and the cusp table are built, f = max(floor(v) at t, 0) (at most
+    the default, as t_min <= t) refuses a check_upto below f, and then an
+    order bound m * (check_upto or f) + t above order_cap.  The exact checks
+    follow once P is known, so a check_upto in f..floor(v) - 1 whose order
+    bound exceeds the cap is refused by the cap, not as an undercut.
     """
-    least_upto = math.floor(_v_exact(instance, instance.t))
+    if check_upto is not None and check_upto < 0:
+        raise ValueError(f"check_upto must be nonnegative, got {check_upto}")
+    least_upto = max(math.floor(_v_exact(instance, instance.t)), 0)
     if check_upto is not None and check_upto < least_upto:
         raise ValueError(f"check_upto = {check_upto} undercuts the bound floor(v) >= {least_upto}")
     # max(P) >= t and checked_upto >= c, so this never exceeds the required order
@@ -365,7 +369,7 @@ def verify_instance(
     violation = next((e for e in cusp_table if e.p_min + e.p_star < 0), None)
     v = _v_exact(instance, t_min)
     v_floor = math.floor(v)
-    checked_upto = v_floor if check_upto is None else check_upto
+    checked_upto = max(v_floor, 0) if check_upto is None else check_upto
     if checked_upto < v_floor:
         raise ValueError(f"check_upto = {check_upto} undercuts the bound floor(v) = {v_floor}")
 
@@ -423,7 +427,12 @@ def verify_instance(
 
 
 def revalidate_certificate(data: Mapping) -> bool:
-    """Replay a certificate dict against a fresh expansion; True iff it reproduces."""
+    """Replay a certificate dict against a fresh expansion; True iff it reproduces.
+
+    A malformed or inconsistent dict gives False.  A certificate whose order
+    bound m * checked_upto + t exceeds DEFAULT_ORDER_CAP is not replayed: it
+    raises OrderCapExceeded instead of returning a verdict.
+    """
     if not isinstance(data, Mapping) or data.get("schema_version") != CERTIFICATE_SCHEMA_VERSION:
         return False
     try:

@@ -111,8 +111,10 @@ class ProofReport:
         }
 
 
-THEOREM_IDS = ("T1_mod5", "T2_mod25", "T3_mod7", "T4_mod49", "regression")
-_DEFAULT_ORDERS = {"T1_mod5": 1024, "regression": 3071}  # the families carry their own
+_DEFAULT_ORDERS = {
+    "T1_mod5": 1024, "T2_mod25": 1349, "T3_mod7": 1517, "T4_mod49": 3771, "regression": 3071,
+}
+THEOREM_IDS = tuple(_DEFAULT_ORDERS)
 
 KNOWN_INSTANCES: dict[str, RSInstance] = {
     "mod25": RSInstance(
@@ -147,35 +149,26 @@ class _Family:
     """A certified b-family b(m n + t) == 0 (mod u), lifted to Delta_k.
 
     m and u are those of the family's certificate instances, which share
-    them.  The residues are literal data rather than the certificates'
-    P-sets, so a fault in the orbit computation changes a step name or a
-    digest.
+    them; the lift takes k = (m - 1) / 2, the least k with m | 2k + 1.  The
+    residues are literal data rather than the certificates' P-sets, so a
+    fault in the orbit computation changes a step name or a digest.
     """
 
-    theorem_id: str
     residues: tuple[int, ...]
-    instance_keys: tuple[str, ...]
-    k: int
+    instances: tuple[RSInstance, ...]
     b_scan_depth: int  # empirical depth n of the b(m n + t) scan
-    default_order: int
-
-    @property
-    def instances(self) -> tuple[RSInstance, ...]:
-        return tuple(KNOWN_INSTANCES[key] for key in self.instance_keys)
 
     @property
     def b_order(self) -> int:
         return self.instances[0].m * self.b_scan_depth + max(self.residues)
 
 
-_FAMILIES = {
-    family.theorem_id: family
-    for family in (
-        #       theorem     residues          instance keys             k    depth order
-        _Family("T2_mod25", (99,),            ("mod25",),               62,  50, 1349),
-        _Family("T3_mod7",  (19, 33, 40, 47), ("mod7_t33", "mod7_t47"), 24,  30, 1517),
-        _Family("T4_mod49", (96, 292, 341),   ("mod49",),               171, 56, 3771),
-    )
+_FAMILIES = {  # theorem id: residues, certificate instances, b-scan depth
+    "T2_mod25": _Family((99,), (KNOWN_INSTANCES["mod25"],), 50),
+    "T3_mod7": _Family(
+        (19, 33, 40, 47), (KNOWN_INSTANCES["mod7_t33"], KNOWN_INSTANCES["mod7_t47"]), 30
+    ),
+    "T4_mod49": _Family((96, 292, 341), (KNOWN_INSTANCES["mod49"],), 56),
 }
 
 
@@ -217,12 +210,20 @@ def _series_equal_step(
     return _verdict(name, order, witness)
 
 
+def _diamond_steps(
+    spec: BrokenDiamondSpec, m: int, residues: tuple[int, ...], u: int, names: list[str], order: int
+) -> list[StepResult]:
+    """Expand Delta_k mod u once, then one verdict on Delta_k(m n + t) per residue t."""
+    reduced = broken_k_diamond_series(spec, order, modulus=u)
+    witnesses = (_progression_witness(reduced, m, t) for t in residues)
+    return [_verdict(name, order, witness) for name, witness in zip(names, witnesses)]
+
+
 def _lift_steps(
     m: int, residues: tuple[int, ...], u: int, ell_multiple: int, spec: BrokenDiamondSpec,
     order: int,
 ) -> list[StepResult]:
-    """`lift_congruence` for every t in `residues`, expanding the diamond series once."""
-    _check_scan_order(order, max(residues))
+    """`lift_congruence` for every t in `residues`, once the caller has checked `order`."""
     ell = spec.ell
     if ell % ell_multiple != 0:
         raise PreconditionViolated(f"2k+1 = {ell} is not a multiple of {ell_multiple}")
@@ -234,12 +235,7 @@ def _lift_steps(
     for n in support.support():
         if n % ell != 0:
             return [StepResult(name, "fail", order, {"support_violation": n}) for name in names]
-
-    reduced = broken_k_diamond_series(spec, order, modulus=u)
-    return [
-        _verdict(name, order, _progression_witness(reduced, m, t))
-        for name, t in zip(names, residues)
-    ]
+    return _diamond_steps(spec, m, residues, u, names, order)
 
 
 def lift_congruence(
@@ -257,6 +253,7 @@ def lift_congruence(
     the support claim literally, the congruence by scanning to `order`.
     """
     m, t, u = b_family
+    _check_scan_order(order, t)
     return _lift_steps(m, (t,), u, ell_multiple, spec, order)[0]
 
 
@@ -319,12 +316,13 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     return ProofReport("T1_mod5", tuple(steps))
 
 
-def _family_report(family: _Family, order: int, order_cap: int) -> ProofReport:
+def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
     """Binomial lemma, congruent form, certificates, b-family scan, then one lift per residue.
 
     An `order` below the largest residue would leave a lift scan empty; it
     is refused before any series is expanded.
     """
+    family = _FAMILIES[theorem_id]
     _check_scan_order(order, max(family.residues))
     instances = family.instances
     m, u = instances[0].m, instances[0].u
@@ -356,8 +354,8 @@ def _family_report(family: _Family, order: int, order_cap: int) -> ProofReport:
     b_witness = next((dict(w, t=t) for t, w in zip(family.residues, witnesses) if w), None)
     steps.append(_verdict(f"b_family_scan_mod{u}", family.b_order, b_witness))
 
-    steps += _lift_steps(m, family.residues, u, m, BrokenDiamondSpec(family.k), order)
-    return ProofReport(family.theorem_id, tuple(steps), certs)
+    steps += _lift_steps(m, family.residues, u, m, BrokenDiamondSpec((m - 1) // 2), order)
+    return ProofReport(theorem_id, tuple(steps), certs)
 
 
 def run_theorem(
@@ -369,11 +367,10 @@ def run_theorem(
     DEFAULT_ORDER_CAP) raise OrderCapExceeded before any series work starts.
     """
     cap = min(order_cap, DEFAULT_ORDER_CAP)
-    family = _FAMILIES.get(theorem_id)
-    if family is None and theorem_id not in _DEFAULT_ORDERS:
+    if theorem_id not in _DEFAULT_ORDERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
-    if order is None:
-        order = family.default_order if family else _DEFAULT_ORDERS[theorem_id]
+    order = _DEFAULT_ORDERS[theorem_id] if order is None else order
+    family = _FAMILIES.get(theorem_id)
     needed = order if family is None else max(order, family.b_order)
     if needed > cap:
         raise OrderCapExceeded(f"order {needed} exceeds cap {cap}")
@@ -381,7 +378,7 @@ def run_theorem(
         return regression_suite(order)
     if theorem_id == "T1_mod5":
         return elementary_mod5_proof(order)
-    return _family_report(family, order, cap)
+    return _family_report(theorem_id, order, cap)
 
 
 def regression_suite(order: int | None = None) -> ProofReport:
@@ -394,8 +391,6 @@ def regression_suite(order: int | None = None) -> ProofReport:
     )
     _check_scan_order(order, max(max(ts) for _, _, ts, _ in families))
     for k, m, ts, u in families:
-        reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=u)
-        for t in ts:
-            witness = _progression_witness(reduced, m, t)
-            steps.append(_verdict(f"delta{k}_m{m}_t{t}_mod{u}", order, witness))
+        names = [f"delta{k}_m{m}_t{t}_mod{u}" for t in ts]
+        steps += _diamond_steps(BrokenDiamondSpec(k), m, ts, u, names, order)
     return ProofReport("regression", tuple(steps))

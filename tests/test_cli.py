@@ -150,7 +150,11 @@ class TestDissectSummary:
         assert _main_output(*argv, "--format", "json") == (0, text, "")
 
     @pytest.mark.parametrize("mod", ["1", "0", "-5"])
-    def test_mod_below_two_exits_64(self, mod):
+    def test_mod_below_two_exits_64(self, mod, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("expanded before the --mod check")
+
+        monkeypatch.setattr(cli, "expand_eta_quotient", refuse)
         code, out, err = _main_output("dissect", "--spec", "1:3", "--m", "5",
                                       "--order", "20", "--mod", mod)
         assert (code, out) == (64, "")
@@ -233,6 +237,19 @@ class TestCertify:
         proc = run_cli("certify", "--m", "1", "--M", "1", "--N", "1", "--t", "0",
                        "--r", "1:-1", "--rprime", "1:0", "--mod", "2")
         assert proc.returncode == 2
+
+    def test_negative_v_floor_exit_3_and_negative_check_upto_exit_64(self):
+        # v = -1/24: n = 0 is scanned and f_r = 1/f1^2 has coefficient 1 there
+        argv = ["certify", "--m", "2", "--M", "1", "--N", "1", "--t", "0",
+                "--r", "1:-2", "--rprime", "1:4", "--mod", "5"]
+        proc = run_cli(*argv)
+        assert proc.returncode == 3
+        data = json.loads(proc.stdout)
+        assert (data["v"]["floor"], data["checked_upto"]) == (-1, 0)
+        assert data["witness"] == {"n": 0, "exponent": 0, "value": 1, "t_prime": 0}
+        proc = run_cli(*argv, "--check-upto", "-1")
+        assert proc.returncode == 64
+        assert proc.stdout == "" and "check_upto must be nonnegative" in proc.stderr
 
     def test_strict_mode_exit_4(self):
         proc = run_cli("certify", "--m", "49", "--M", "14", "--N", "14", "--t", "47",

@@ -266,6 +266,21 @@ class TestVerifyInstance:
         with pytest.raises(ValueError):
             verify_instance(KNOWN_INSTANCES["mod7_t33"], check_upto=2)
 
+    def test_negative_v_floor_scans_n_zero(self):
+        # cusp sum -1/6 + 1/6 = 0 at delta = 1 and v = -1/24: n = 0 is still
+        # scanned, where floor(v) = -1 alone would ask the kernel for order -2
+        inst = RSInstance(
+            m=2, M=1, N=1, t=0,
+            r=EtaQuotientSpec(1, {1: -2}), r_prime=EtaQuotientSpec(1, {1: 4}), u=5,
+        )
+        cert = verify_instance(inst)
+        assert (cert.v_exact, cert.v_floor, cert.checked_upto) == (Fraction(-1, 24), -1, 0)
+        assert cert.status == "counterexample"
+        assert cert.witness == {"n": 0, "exponent": 0, "value": 1, "t_prime": 0}
+        assert revalidate_certificate(json.loads(cert.to_json()))
+        with pytest.raises(ValueError, match="check_upto must be nonnegative, got -1$"):
+            verify_instance(inst, check_upto=-1)
+
     def test_perturbed_t_is_not_certified(self):
         # moving the residue off the certified family must not produce a pass
         base = KNOWN_INSTANCES["mod25"]

@@ -255,6 +255,19 @@ class TestFamilyLifts:
         assert run_theorem(theorem_id).overall
         assert expanded.count(BrokenDiamondSpec(k).eta_spec()) == 1
 
+    @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
+    def test_scan_order_checked_once(self, theorem_id, monkeypatch):
+        checks = []
+        check = pipelines._check_scan_order
+
+        def counting_check(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(pipelines, "_check_scan_order", counting_check)
+        assert run_theorem(theorem_id).overall
+        assert len(checks) == 1
+
     @pytest.mark.parametrize(
         "theorem_id,order", [("T1_mod5", 10), ("T3_mod7", 10), ("regression", 100)]
     )
@@ -284,6 +297,7 @@ class TestFamilyTable:
         assert m % p == 0
 
     def test_rows_cover_the_certified_theorems(self):
+        assert THEOREM_IDS == ("T1_mod5", "T2_mod25", "T3_mod7", "T4_mod49", "regression")
         assert set(pipelines._FAMILIES) == set(THEOREM_IDS) - {"T1_mod5", "regression"}
 
 
