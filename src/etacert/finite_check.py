@@ -13,8 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .series import EtaQuotientSpec, TruncatedSeries, expand_eta_quotient
 from .theta import extract_arithmetic_progression
@@ -349,6 +350,26 @@ def verify_instance(
     follow once P is known, so a check_upto in f..floor(v) - 1 whose order
     bound exceeds the cap is refused by the cap, not as an undercut.
     """
+    return _verify_instance(
+        instance, partial(expand_eta_quotient, instance.r, modulus=instance.u),
+        assume_delta_star=assume_delta_star, check_upto=check_upto, order_cap=order_cap,
+    )
+
+
+def _verify_instance(
+    instance: RSInstance,
+    expand: Callable[[int], TruncatedSeries],
+    *,
+    assume_delta_star: bool = True,
+    check_upto: int | None = None,
+    order_cap: int = DEFAULT_ORDER_CAP,
+) -> RSCertificate:
+    """`verify_instance`, reading f_r mod u to a given order from `expand(order)`.
+
+    `expand` must return the least nonnegative residues mod u of f_r to
+    exactly that order; a family pipeline passes the truncation of a series
+    it already holds.  It is called at most once, after every refusal.
+    """
     if check_upto is not None and check_upto < 0:
         raise ValueError(f"check_upto must be nonnegative, got {check_upto}")
     least_upto = max(math.floor(_v_exact(instance, instance.t)), 0)
@@ -392,7 +413,7 @@ def verify_instance(
             "p_star": f"{violation.p_star}",
         }
     else:
-        reduced = expand_eta_quotient(instance.r, required_order, modulus=instance.u)
+        reduced = expand(required_order)
         for t_prime in p_set:
             # n = 0..checked_upto: required_order covers exactly these for every t' in P
             vals = extract_arithmetic_progression(reduced, instance.m, t_prime).coeffs

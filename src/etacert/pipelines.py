@@ -15,12 +15,14 @@ from .finite_check import (
     RSCertificate,
     RSInstance,
     _progression_witness,
+    _verify_instance,
     divisors,
     verify_instance,
 )
 from .series import (
     EtaQuotientSpec,
     TruncatedSeries,
+    _reduce_exponents,
     expand_eta_quotient,
     reduce_mod,
     series_mul,
@@ -179,9 +181,12 @@ def broken_k_diamond_series(
     return expand_eta_quotient(spec.eta_spec(), order, modulus)
 
 
+_B_SPEC = EtaQuotientSpec(2, {1: -3, 2: 1})
+
+
 def b_series(order: int, modulus: int | None = None) -> TruncatedSeries:
     """The auxiliary series with coefficients b(n): quotient {1: -3, 2: 1}."""
-    return expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), order, modulus)
+    return expand_eta_quotient(_B_SPEC, order, modulus)
 
 
 def _verdict(name: str, order: int, witness: dict | None) -> StepResult:
@@ -257,12 +262,14 @@ def lift_congruence(
     return _lift_steps(m, (t,), u, ell_multiple, spec, order)[0]
 
 
-def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
+def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofReport:
     """The five-step dissection proof of the mod-5 family, checked to `order`.
 
-    j parametrizes the witness 2k+1 = 25j (j odd); steps 2-4 do not involve
-    j at all, so a single witness exercises the whole argument.
+    `order` defaults to that of run_theorem("T1_mod5").  j parametrizes the
+    witness 2k+1 = 25j (j odd); steps 2-4 do not involve j at all, so a
+    single witness exercises the whole argument.
     """
+    order = _DEFAULT_ORDERS["T1_mod5"] if order is None else order
     if j < 1 or j % 2 == 0:
         raise ValueError(f"need odd positive j (2k+1 = 25j must be odd), got {j}")
     _check_scan_order(order, 24)
@@ -316,6 +323,19 @@ def elementary_mod5_proof(order: int = 500, *, j: int = 1) -> ProofReport:
     return ProofReport("T1_mod5", tuple(steps))
 
 
+def _certificate(
+    instance: RSInstance, b_reduced: TruncatedSeries, order_cap: int
+) -> RSCertificate:
+    """`verify_instance`, reading f_r mod u off b mod u when r reduces to b mod u.
+
+    The family's b scan order covers every certificate's required order, so
+    the shared series is truncated, never extended.
+    """
+    if _reduce_exponents(instance.r, instance.u).exponents == _B_SPEC.exponents:
+        return _verify_instance(instance, b_reduced.truncate, order_cap=order_cap)
+    return verify_instance(instance, order_cap=order_cap)
+
+
 def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
     """Binomial lemma, congruent form, certificates, b-family scan, then one lift per residue.
 
@@ -343,13 +363,14 @@ def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
         ),
     ]
 
-    certs = tuple(verify_instance(instance, order_cap=order_cap) for instance in instances)
+    # b mod u is expanded once, for the certificates and the b-family scan
+    b_reduced = b_series(family.b_order, modulus=u)
+    certs = tuple(_certificate(instance, b_reduced, order_cap) for instance in instances)
     for instance, cert in zip(instances, certs):
         witness = None if cert.verified else dict(cert.witness or {}, status=cert.status)
         cert_order = instance.m * cert.checked_upto + max(cert.p_set)
         steps.append(_verdict(f"certificate_m{instance.m}_t{instance.t}", cert_order, witness))
 
-    b_reduced = b_series(family.b_order, modulus=u)
     witnesses = (_progression_witness(b_reduced, m, t) for t in family.residues)
     b_witness = next((dict(w, t=t) for t, w in zip(family.residues, witnesses) if w), None)
     steps.append(_verdict(f"b_family_scan_mod{u}", family.b_order, b_witness))

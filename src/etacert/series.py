@@ -16,13 +16,22 @@ about len * u**2.  The modular products pack residues 0..u-1 through a
 table of fixed-width digit strings and reduce each slot as they unpack it,
 and long modular inverses run Newton iteration on those products; the
 exact path packs signed coefficients and inverts by the sparse recurrence.
+
+When u is a prime power p**a, the modulus path first reduces the quotient's
+exponents by the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u),
+so that, for instance, the mod-49 quotient {1:46, 2:1, 7:-7} is expanded as
+{1:-3, 2:1}.  Composite moduli and the exact path expand the quotient as
+given.  Every power of (q;q)_inf is built from two sparse bases: its cube
+from Jacobi's identity, sum (-1)^n (2n+1) q^(n(n+1)/2), and the factor
+itself from the pentagonal number theorem; a negative power inverts those
+sparse bases, never a dense product.
 """
 
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import count
-from math import lcm
-from typing import Iterable, Mapping, Sequence
+from math import isqrt, lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "TruncatedSeries",
@@ -439,23 +448,84 @@ def _sparse_series(order: int, *walks: Iterable[tuple[int, int]]) -> TruncatedSe
     return TruncatedSeries(order, tuple(out))
 
 
+def _jacobi_walk() -> Iterator[tuple[int, int]]:
+    """The terms of (q;q)_inf**3 by Jacobi's identity, sum over n >= 0 of
+    (-1)^n (2n+1) q^(n(n+1)/2), as (exponent, coefficient) in increasing order."""
+    return ((n * (n + 1) // 2, -2 * n - 1 if n & 1 else 2 * n + 1) for n in count())
+
+
+def _eta_power(r: int, order: int, modulus: int | None) -> TruncatedSeries:
+    """(q;q)_inf ** r to `order`, r != 0, from the sparse cube and the sparse factor.
+
+    With |r| = 3c + s, the cube's c-th power is multiplied by the factor's
+    s-th.  For r < 0 each sparse base is inverted on its own: the sparse
+    recurrence is cheap, while inverting a dense product would run the
+    O(N**2) recurrence (on the exact path, and below _NEWTON_MIN).
+    """
+    cubes, ones = divmod(abs(r), 3)
+    sign = 1 if r > 0 else -1
+    result = None
+    if cubes:
+        result = series_pow(_sparse_series(order, _jacobi_walk()), sign * cubes, modulus)
+    if ones:
+        power = series_pow(eta_factor(1, order), sign * ones, modulus)
+        result = power if result is None else series_mul(result, power, modulus)
+    return result
+
+
+def _reduce_exponents(spec: EtaQuotientSpec, u: int) -> EtaQuotientSpec:
+    """A quotient congruent to `spec` mod u = p**a, every exponent at most u/2 in size.
+
+    By the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u).  Each
+    exponent r = c u + s, with s the balanced residue -u/2 < s <= u/2,
+    keeps f_delta**s and adds c u/p to the exponent of f_(p delta), until
+    nothing moves.  An exponent moves only when |s| < |r|: for u = 2 the
+    balanced residue of -1 is 1, and moving it would pass -1 on to f_2,
+    f_4, f_8, ... without end.  Other moduli give `spec` back unchanged.
+    """
+    exps = dict(spec.exponents)
+    if all(2 * abs(r) <= u for r in exps.values()):
+        return spec  # nothing can move, so u need not be factored
+    p = next((d for d in range(2, isqrt(u) + 1) if u % d == 0), u)
+    rest = u
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
+        return spec
+    moved = True
+    while moved:
+        moved = False
+        for delta in sorted(exps):
+            r = exps[delta]
+            s = r % u
+            if 2 * s > u:
+                s -= u
+            if abs(s) < abs(r):
+                exps[delta] = s
+                exps[p * delta] = exps.get(p * delta, 0) + (r - s) // u * (u // p)
+                moved = True
+    return EtaQuotientSpec(lcm(spec.level, *exps), exps)
+
+
 def expand_eta_quotient(
     spec: EtaQuotientSpec, order: int, modulus: int | None = None
 ) -> TruncatedSeries:
     """Expand prod_delta (q^delta; q^delta)_inf ** r_delta to the given order.
 
-    Each factor is obtained from the delta = 1 series at the reduced order
-    order//delta (inverted once there if r_delta < 0, then powered) and lifted
-    by q -> q^delta; factors with positive exponents are multiplied first.
-    The result does not depend on that evaluation order.  With a modulus
-    every step runs in (Z/modulus)[[q]].
+    Each factor is the power (q;q)_inf ** r_delta at the reduced order
+    order//delta, built by `_eta_power`, and lifted by q -> q^delta; factors
+    with positive exponents are multiplied first.  The result does not
+    depend on that evaluation order.  With a modulus every step runs in
+    (Z/modulus)[[q]], on the quotient `_reduce_exponents` gives, which is
+    congruent to `spec` mod the modulus.
     """
     _check_modulus(modulus)
+    if modulus is not None:
+        spec = _reduce_exponents(spec, modulus)
     result = None
     factors = sorted(spec.exponents, key=lambda item: (item[1] < 0, item[0]))
     for delta, r in factors:
-        powered = series_pow(eta_factor(1, order // delta), r, modulus)
-        factor = substitute_q_power(powered, delta, order)
+        factor = substitute_q_power(_eta_power(r, order // delta, modulus), delta, order)
         result = factor if result is None else series_mul(result, factor, modulus)
     return TruncatedSeries.one(order) if result is None else result
 

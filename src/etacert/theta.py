@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import count
 from operator import add
 
-from .series import TruncatedSeries, _sparse_series, eta_factor, series_mul
+from .series import TruncatedSeries, _jacobi_walk, _sparse_series, eta_factor, series_mul
 
 __all__ = [
     "ThetaSpec",
@@ -83,7 +83,7 @@ def psi_series(scale: int, order: int) -> TruncatedSeries:
 
 def jacobi_cube(order: int) -> TruncatedSeries:
     """Cube of (q;q)_inf as the weighted triangular series sum (-1)^n (2n+1) q^(n(n+1)/2)."""
-    return _sparse_series(order, ((n * (n + 1) // 2, (-1) ** n * (2 * n + 1)) for n in count()))
+    return _sparse_series(order, _jacobi_walk())
 
 
 def dissect(s: TruncatedSeries, m: int) -> tuple[TruncatedSeries, ...]:

@@ -22,12 +22,15 @@ from etacert import (
     elementary_mod5_proof,
     eta_factor,
     expand_eta_quotient,
+    finite_check,
     lift_congruence,
     p_min,
     p_star,
     pipelines,
     reduce_mod,
     run_theorem,
+    v_bound,
+    verify_instance,
 )
 
 
@@ -128,6 +131,10 @@ class TestElementaryProof:
             "reduction", "dissection", "jacobi_support", "absence", "conclusion",
         ]
         assert report.overall
+
+    def test_default_order_is_run_theorems(self, t1_report):
+        report, _ = t1_report
+        assert elementary_mod5_proof().to_json_dict() == report.to_json_dict()
 
     def test_witness_j3_variant(self):
         # 2k+1 = 75 exercises the spectator factor with a second witness
@@ -301,6 +308,74 @@ class TestFamilyTable:
         assert set(pipelines._FAMILIES) == set(THEOREM_IDS) - {"T1_mod5", "regression"}
 
 
+class TestSharedBSeries:
+    """Each family expands b mod u once, for its certificates and its b scan."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        calls = []
+        expand = pipelines.expand_eta_quotient
+
+        def recording(spec, order, modulus=None):
+            calls.append((spec, order, modulus))
+            return expand(spec, order, modulus)
+
+        for module in (pipelines, finite_check):
+            monkeypatch.setattr(module, "expand_eta_quotient", recording)
+        return calls
+
+    def test_t4_expands_full_length_once(self, expansions):
+        assert run_theorem("T4_mod49").overall
+        full = [call for call in expansions if call[2] is not None and call[1] >= 19549]
+        assert full == [(pipelines._B_SPEC, 19549, 49)]
+
+    def test_t3_certificates_share_one_b_expansion(self, expansions):
+        assert run_theorem("T3_mod7").overall
+        modular = [(spec, modulus) for spec, _, modulus in expansions if modulus is not None]
+        assert modular.count((pipelines._B_SPEC, 7)) == 1
+        assert (KNOWN_INSTANCES["mod7_t33"].r, 7) not in modular
+
+    @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
+    def test_basis_steps_stay_exact(self, theorem_id, expansions):
+        # the binomial lemma and the congruent form check, with no modulus,
+        # the identity the reduced kernel relies on
+        instance = pipelines._FAMILIES[theorem_id].instances[0]
+        u = instance.u
+        p = divisors(u)[1]
+        assert run_theorem(theorem_id).overall
+        for spec in (
+            EtaQuotientSpec(p, {1: u}), EtaQuotientSpec(p, {p: u // p}),
+            pipelines._B_SPEC, instance.r,
+        ):
+            assert (spec, 300, None) in expansions
+
+    @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
+    def test_b_order_covers_every_certificate(self, theorem_id):
+        family = pipelines._FAMILIES[theorem_id]
+        for instance in family.instances:
+            _, v_floor = v_bound(instance)
+            required = instance.m * max(v_floor, 0) + max(compute_p_set(instance))
+            assert required <= family.b_order
+
+    @pytest.mark.parametrize("key", ["mod25", "mod7_t47", "mod49"])
+    def test_shared_certificate_is_verify_instance(self, key):
+        instance = KNOWN_INSTANCES[key]
+        family = next(f for f in pipelines._FAMILIES.values() if instance in f.instances)
+        b_reduced = b_series(family.b_order, modulus=instance.u)
+        shared = pipelines._certificate(instance, b_reduced, DEFAULT_ORDER_CAP)
+        assert shared.to_json() == verify_instance(instance).to_json()
+
+    def test_unreduced_instance_expands_its_own_r(self):
+        # r = {1: 4, 2: 1} is not b mod 7, so b's residues must not be read
+        instance = dataclasses.replace(
+            KNOWN_INSTANCES["mod7_t33"], r=EtaQuotientSpec(14, {1: 4, 2: 1})
+        )
+        b_reduced = b_series(1517, modulus=7)
+        cert = pipelines._certificate(instance, b_reduced, DEFAULT_ORDER_CAP)
+        assert cert.status == "counterexample"
+        assert cert == verify_instance(instance)
+
+
 class TestKnownInstancesRule:
     """Every pinned instance follows one rule in its m, t and u."""
 
@@ -360,14 +435,15 @@ class TestRunTheoremRefusals:
             run_theorem("T1_mod5", DEFAULT_ORDER_CAP + 1, order_cap=3 * DEFAULT_ORDER_CAP)
 
     def test_cap_reaches_certificates(self, monkeypatch):
+        # T3's certificates read the shared b series through _verify_instance
         caps = []
-        verify = pipelines.verify_instance
+        verify = pipelines._verify_instance
 
-        def recording_verify(instance, **kwargs):
+        def recording_verify(instance, expand, **kwargs):
             caps.append(kwargs.get("order_cap"))
-            return verify(instance, **kwargs)
+            return verify(instance, expand, **kwargs)
 
-        monkeypatch.setattr(pipelines, "verify_instance", recording_verify)
+        monkeypatch.setattr(pipelines, "_verify_instance", recording_verify)
         assert run_theorem("T3_mod7", order_cap=5000).overall
         assert caps == [5000, 5000]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etacert import (
+    KNOWN_INSTANCES,
     EtaQuotientSpec,
     NonUnitConstantTerm,
     ParseError,
@@ -24,7 +25,7 @@ from etacert import (
 )
 from etacert import series as series_module
 from etacert.oracle import naive_eta, naive_invert, naive_mul
-from etacert.series import _convolve_packed
+from etacert.series import _convolve_packed, _reduce_exponents
 
 
 def S(*coeffs):
@@ -249,6 +250,22 @@ def _naive_expand(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
     return result
 
 
+def _expand_per_factor(
+    spec: EtaQuotientSpec, order: int, modulus: int | None = None
+) -> TruncatedSeries:
+    """The reference route: each factor's exponent as given, by `series_pow`.
+
+    Per factor, (q;q)_inf is inverted once if r_delta < 0 and powered by
+    squaring at order//delta, then lifted by q -> q^delta; no exponent is
+    reduced mod the modulus and no cube comes from Jacobi's identity.
+    """
+    result = TruncatedSeries.one(order)
+    for delta, r in spec.exponents:
+        powered = series_pow(eta_factor(1, order // delta), r, modulus)
+        result = series_mul(result, substitute_q_power(powered, delta, order), modulus)
+    return result
+
+
 class TestExpandEtaQuotient:
     def test_b_sequence(self):
         got = expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), 6)
@@ -280,6 +297,12 @@ class TestExpandEtaQuotient:
     def test_matches_oracle_to_300(self, level, exps):
         spec = EtaQuotientSpec(level, exps)
         assert expand_eta_quotient(spec, 300) == _naive_expand(spec, 300)
+
+    @pytest.mark.parametrize("r", [r for r in range(-10, 11) if r])
+    def test_jacobi_route_matches_per_factor_route(self, r):
+        # every split |r| = 3c + s, both signs, on the exact path
+        spec = EtaQuotientSpec(6, {1: r, 6: 1})
+        assert expand_eta_quotient(spec, 600) == _expand_per_factor(spec, 600)
 
 
 # --- modular reduction -------------------------------------------------------
@@ -679,6 +702,45 @@ class TestResidueRing:
         ):
             with pytest.raises(ValueError, match="modulus must be >= 2"):
                 call()
+
+
+# --- exponent reduction mod a prime power ---------------------------------------
+
+reduction_moduli = st.sampled_from((2, 4, 8, 9, 25, 49, 125, 10))
+wide_specs = st.dictionaries(
+    st.sampled_from((1, 2, 3, 4, 6, 12)), st.integers(-150, 150), min_size=1, max_size=4
+).map(lambda exps: EtaQuotientSpec(12, exps))
+
+
+class TestExponentReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=wide_specs,
+        order=st.one_of(st.integers(0, _SPLIT), st.integers(_SPLIT + 1, 3000)),
+        u=reduction_moduli,
+    )
+    def test_reduced_route_matches_per_factor_route(self, spec, order, u):
+        assert expand_eta_quotient(spec, order, modulus=u) == _expand_per_factor(spec, order, u)
+
+    @pytest.mark.parametrize("key", sorted(KNOWN_INSTANCES))
+    def test_known_instances_reduce_to_b(self, key):
+        instance = KNOWN_INSTANCES[key]
+        reduced = _reduce_exponents(instance.r, instance.u)
+        assert reduced.exponents == ((1, -3), (2, 1))
+        assert reduced.level % instance.r.level == 0
+
+    def test_mod2_stops_at_exponent_minus_one(self):
+        # the balanced residue of -1 mod 2 is 1: moving it would never end
+        assert _reduce_exponents(EtaQuotientSpec(1, {1: -1}), 2) == EtaQuotientSpec(1, {1: -1})
+        # f1^-3 = f1 f1^-4 == f1 f2^-2 == f1 f4^-1 (mod 2)
+        assert _reduce_exponents(EtaQuotientSpec(1, {1: -3}), 2) == EtaQuotientSpec(
+            4, {1: 1, 4: -1}
+        )
+
+    @pytest.mark.parametrize("u", [10, 12, 63])
+    def test_composite_modulus_unchanged(self, u):
+        spec = EtaQuotientSpec(14, {1: 46, 2: 1, 7: -7})
+        assert _reduce_exponents(spec, u) is spec
 
 
 # --- Newton inversion on the modular path ---------------------------------------
