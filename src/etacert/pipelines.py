@@ -17,7 +17,6 @@ from .finite_check import (
     _progression_witness,
     _verify_instance,
     divisors,
-    verify_instance,
 )
 from .series import (
     EtaQuotientSpec,
@@ -146,6 +145,9 @@ KNOWN_INSTANCES: dict[str, RSInstance] = {
 }
 
 
+_B_SPEC = EtaQuotientSpec(2, {1: -3, 2: 1})
+
+
 @dataclass(frozen=True, slots=True)
 class _Family:
     """A certified b-family b(m n + t) == 0 (mod u), lifted to Delta_k.
@@ -153,12 +155,20 @@ class _Family:
     m and u are those of the family's certificate instances, which share
     them; the lift takes k = (m - 1) / 2, the least k with m | 2k + 1.  The
     residues are literal data rather than the certificates' P-sets, so a
-    fault in the orbit computation changes a step name or a digest.
+    fault in the orbit computation changes a step name or a digest.  Every
+    certificate reads f_r mod u off a truncation of b mod u, so a row with an
+    instance whose r does not reduce to b mod u is refused here.
     """
 
     residues: tuple[int, ...]
     instances: tuple[RSInstance, ...]
     b_scan_depth: int  # empirical depth n of the b(m n + t) scan
+
+    def __post_init__(self):
+        for instance in self.instances:
+            reduced = _reduce_exponents(instance.r, instance.u, self.b_order)
+            if reduced.exponents != _B_SPEC.exponents:
+                raise ValueError(f"r = {instance.r.to_spec_string()} is not b mod {instance.u}")
 
     @property
     def b_order(self) -> int:
@@ -179,9 +189,6 @@ def broken_k_diamond_series(
 ) -> TruncatedSeries:
     """Counting series of broken k-diamond partitions to `order`, exact or mod `modulus`."""
     return expand_eta_quotient(spec.eta_spec(), order, modulus)
-
-
-_B_SPEC = EtaQuotientSpec(2, {1: -3, 2: 1})
 
 
 def b_series(order: int, modulus: int | None = None) -> TruncatedSeries:
@@ -323,19 +330,6 @@ def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofRepor
     return ProofReport("T1_mod5", tuple(steps))
 
 
-def _certificate(
-    instance: RSInstance, b_reduced: TruncatedSeries, order_cap: int
-) -> RSCertificate:
-    """`verify_instance`, reading f_r mod u off b mod u when r reduces to b mod u.
-
-    The family's b scan order covers every certificate's required order, so
-    the shared series is truncated, never extended.
-    """
-    if _reduce_exponents(instance.r, instance.u).exponents == _B_SPEC.exponents:
-        return _verify_instance(instance, b_reduced.truncate, order_cap=order_cap)
-    return verify_instance(instance, order_cap=order_cap)
-
-
 def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
     """Binomial lemma, congruent form, certificates, b-family scan, then one lift per residue.
 
@@ -365,7 +359,10 @@ def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
 
     # b mod u is expanded once, for the certificates and the b-family scan
     b_reduced = b_series(family.b_order, modulus=u)
-    certs = tuple(_certificate(instance, b_reduced, order_cap) for instance in instances)
+    certs = tuple(
+        _verify_instance(instance, b_reduced.truncate, order_cap=order_cap)
+        for instance in instances
+    )
     for instance, cert in zip(instances, certs):
         witness = None if cert.verified else dict(cert.witness or {}, status=cert.status)
         cert_order = instance.m * cert.checked_upto + max(cert.p_set)

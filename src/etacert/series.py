@@ -18,13 +18,14 @@ and long modular inverses run Newton iteration on those products; the
 exact path packs signed coefficients and inverts by the sparse recurrence.
 
 When u is a prime power p**a, the modulus path first reduces the quotient's
-exponents by the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u),
-so that, for instance, the mod-49 quotient {1:46, 2:1, 7:-7} is expanded as
-{1:-3, 2:1}.  Composite moduli and the exact path expand the quotient as
-given.  Every power of (q;q)_inf is built from two sparse bases: its cube
-from Jacobi's identity, sum (-1)^n (2n+1) q^(n(n+1)/2), and the factor
-itself from the pentagonal number theorem; a negative power inverts those
-sparse bases, never a dense product.
+exponents by the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u), so
+that, for instance, the mod-49 quotient {1:46, 2:1, 7:-7} is expanded as
+{1:-3, 2:1}.  Other moduli (see `_reduce_exponents`) and the exact path
+expand the quotient as given.  Every power of (q;q)_inf is built from two
+sparse bases: its cube from Jacobi's identity,
+sum (-1)^n (2n+1) q^(n(n+1)/2), and the factor itself from the pentagonal
+number theorem; a negative power inverts those sparse bases, never a dense
+product.
 """
 
 from dataclasses import dataclass
@@ -82,10 +83,6 @@ class TruncatedSeries:
         return cls(len(cs) - 1, cs)
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (0,) * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls(order, (1,) + (0,) * order)
 
@@ -96,11 +93,6 @@ class TruncatedSeries:
         cs = [0] * (order + 1)
         cs[exponent] = 1
         return cls(order, tuple(cs))
-
-    def coefficient(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} unknown beyond order {self.order}")
-        return self.coeffs[n]
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -118,10 +110,6 @@ class TruncatedSeries:
     def to_json_dict(self) -> dict:
         # decimal strings: coefficients routinely exceed 64 bits
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "TruncatedSeries":
-        return cls(int(data["order"]), tuple(int(c) for c in data["coeffs"]))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return series_add(self, other)
@@ -473,7 +461,7 @@ def _eta_power(r: int, order: int, modulus: int | None) -> TruncatedSeries:
     return result
 
 
-def _reduce_exponents(spec: EtaQuotientSpec, u: int) -> EtaQuotientSpec:
+def _reduce_exponents(spec: EtaQuotientSpec, u: int, order: int) -> EtaQuotientSpec:
     """A quotient congruent to `spec` mod u = p**a, every exponent at most u/2 in size.
 
     By the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u).  Each
@@ -481,12 +469,17 @@ def _reduce_exponents(spec: EtaQuotientSpec, u: int) -> EtaQuotientSpec:
     keeps f_delta**s and adds c u/p to the exponent of f_(p delta), until
     nothing moves.  An exponent moves only when |s| < |r|: for u = 2 the
     balanced residue of -1 is 1, and moving it would pass -1 on to f_2,
-    f_4, f_8, ... without end.  Other moduli give `spec` back unchanged.
+    f_4, f_8, ... without end.  Other moduli give `spec` back unchanged, as
+    does a u that trial division up to order + 1 leaves unfactored: skipping
+    the reduction changes the cost of expanding to `order`, never the residues.
     """
     exps = dict(spec.exponents)
     if all(2 * abs(r) <= u for r in exps.values()):
         return spec  # nothing can move, so u need not be factored
-    p = next((d for d in range(2, isqrt(u) + 1) if u % d == 0), u)
+    bound = min(isqrt(u), order + 1)
+    p = next((d for d in range(2, bound + 1) if u % d == 0), u)
+    if p == u and bound < isqrt(u):
+        return spec  # u is not factored within the bound
     rest = u
     while rest % p == 0:
         rest //= p
@@ -513,18 +506,15 @@ def expand_eta_quotient(
     """Expand prod_delta (q^delta; q^delta)_inf ** r_delta to the given order.
 
     Each factor is the power (q;q)_inf ** r_delta at the reduced order
-    order//delta, built by `_eta_power`, and lifted by q -> q^delta; factors
-    with positive exponents are multiplied first.  The result does not
-    depend on that evaluation order.  With a modulus every step runs in
-    (Z/modulus)[[q]], on the quotient `_reduce_exponents` gives, which is
-    congruent to `spec` mod the modulus.
+    order//delta, built by `_eta_power`, and lifted by q -> q^delta.  With a
+    modulus every step runs in (Z/modulus)[[q]], on the quotient
+    `_reduce_exponents` gives, which is congruent to `spec` mod the modulus.
     """
     _check_modulus(modulus)
     if modulus is not None:
-        spec = _reduce_exponents(spec, modulus)
+        spec = _reduce_exponents(spec, modulus, order)
     result = None
-    factors = sorted(spec.exponents, key=lambda item: (item[1] < 0, item[0]))
-    for delta, r in factors:
+    for delta, r in spec.exponents:
         factor = substitute_q_power(_eta_power(r, order // delta, modulus), delta, order)
         result = factor if result is None else series_mul(result, factor, modulus)
     return TruncatedSeries.one(order) if result is None else result

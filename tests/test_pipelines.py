@@ -359,21 +359,22 @@ class TestSharedBSeries:
 
     @pytest.mark.parametrize("key", ["mod25", "mod7_t47", "mod49"])
     def test_shared_certificate_is_verify_instance(self, key):
+        # the certificate embedded in the family's report, read off b mod u,
+        # has the bytes of the one that expands the instance's own r
         instance = KNOWN_INSTANCES[key]
-        family = next(f for f in pipelines._FAMILIES.values() if instance in f.instances)
-        b_reduced = b_series(family.b_order, modulus=instance.u)
-        shared = pipelines._certificate(instance, b_reduced, DEFAULT_ORDER_CAP)
+        theorem_id = next(
+            tid for tid, family in pipelines._FAMILIES.items() if instance in family.instances
+        )
+        shared = next(c for c in run_theorem(theorem_id).certificates if c.instance == instance)
         assert shared.to_json() == verify_instance(instance).to_json()
 
-    def test_unreduced_instance_expands_its_own_r(self):
-        # r = {1: 4, 2: 1} is not b mod 7, so b's residues must not be read
+    def test_row_whose_r_is_not_b_is_refused(self):
+        # r = {1: 4, 2: 1} is not b mod 7, so b's residues cannot stand in for it
         instance = dataclasses.replace(
             KNOWN_INSTANCES["mod7_t33"], r=EtaQuotientSpec(14, {1: 4, 2: 1})
         )
-        b_reduced = b_series(1517, modulus=7)
-        cert = pipelines._certificate(instance, b_reduced, DEFAULT_ORDER_CAP)
-        assert cert.status == "counterexample"
-        assert cert == verify_instance(instance)
+        with pytest.raises(ValueError, match="is not b mod 7"):
+            pipelines._Family((19, 33, 40, 47), (instance,), 30)
 
 
 class TestKnownInstancesRule:
@@ -406,7 +407,7 @@ class TestRunTheoremRefusals:
             raise AssertionError("series work started before the order was checked")
 
         for name in (
-            "verify_instance", "expand_eta_quotient", "series_pow", "series_mul",
+            "_verify_instance", "expand_eta_quotient", "series_pow", "series_mul",
             "psi_series", "jacobi_cube",
         ):
             monkeypatch.setattr(pipelines, name, refuse)
