@@ -201,13 +201,17 @@ def _verdict(name: str, order: int, witness: dict | None) -> StepResult:
 
 
 def _check_scan_order(order: int, t_max: int) -> None:
-    """Refuse a negative scan order, or one that stops before exponent t_max.
+    """Refuse a negative scan order, one above DEFAULT_ORDER_CAP, or one that
+    stops before exponent t_max.
 
-    A scan of no coefficients proves nothing, so the order is checked before
-    any series is expanded.
+    A scan of no coefficients proves nothing, and one past the cap would
+    expand for as long as the series work takes, so the order is checked
+    before any series is expanded.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    if order > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     if order < t_max:
         raise ValueError(f"no coefficient at exponent {t_max} is known (order {order})")
 

@@ -16,6 +16,8 @@ about len * u**2.  The modular products pack residues 0..u-1 through a
 table of fixed-width digit strings and reduce each slot as they unpack it,
 and long modular inverses run Newton iteration on those products; the
 exact path packs signed coefficients and inverts by the sparse recurrence.
+That recurrence (`_divide_recurrence`) solves a * out = num for any
+numerator, so an inverse is the quotient of 1.
 
 When u is a prime power p**a, the modulus path first reduces the quotient's
 exponents by the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u), so
@@ -25,7 +27,10 @@ expand the quotient as given.  Every power of (q;q)_inf is built from two
 sparse bases: its cube from Jacobi's identity,
 sum (-1)^n (2n+1) q^(n(n+1)/2), and the factor itself from the pentagonal
 number theorem; a negative power inverts those sparse bases, never a dense
-product.
+product.  The f_1**-1 or f_1**-3 of a quotient, when its inverse would take
+the recurrence, is not inverted at all: the product of the other factors is
+divided by the sparse base in one recurrence pass (see
+`expand_eta_quotient`), which saves the full-length product with the inverse.
 """
 
 from dataclasses import dataclass
@@ -312,16 +317,17 @@ def series_mul(
 def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSeries:
     """Multiplicative inverse of a series with constant term +-1.
 
-    Forward recurrence b(n) = -a(0) * sum_{k>=1} a(k) b(n-k); zero terms of
-    `a` are skipped, so sparse inputs (eta factors) invert in O(N sqrt N)
-    and dense ones in O(N**2).  With a modulus every term b(n) is reduced as
-    soon as it is known.  Above _NEWTON_MIN coefficients the modular
-    recurrence only seeds a prefix of ceil(N / 2**k) <= _NEWTON_MIN terms;
-    Newton iteration g <- g - g * (a * g - 1) then doubles the known prefix
-    k times on the packed modular multiply, computing only the new half each
-    time, in O(M(N)) for M(N) the cost of one length-N product.  The exact
-    path keeps the recurrence at every length, since its coefficients grow
-    and make the products of a Newton step dearer.
+    Forward recurrence b(n) = -a(0) * sum_{k>=1} a(k) b(n-k), which is
+    `_divide_recurrence` with numerator 1; zero terms of `a` are skipped, so
+    sparse inputs (eta factors) invert in O(N sqrt N) and dense ones in
+    O(N**2).  With a modulus every term b(n) is reduced as soon as it is
+    known.  Above _NEWTON_MIN coefficients the modular recurrence only seeds
+    a prefix of ceil(N / 2**k) <= _NEWTON_MIN terms; Newton iteration
+    g <- g - g * (a * g - 1) then doubles the known prefix k times on the
+    packed modular multiply, computing only the new half each time, in
+    O(M(N)) for M(N) the cost of one length-N product.  The exact path keeps
+    the recurrence at every length, since its coefficients grow and make
+    the products of a Newton step dearer.
     """
     _check_modulus(modulus)
     c0 = a.coeffs[0]
@@ -331,8 +337,8 @@ def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSe
     while modulus is not None and n > _NEWTON_MIN:
         n = (n + 1) // 2
     if n == length:
-        return _invert_recurrence(a, modulus)
-    known = list(_invert_recurrence(a.truncate(n - 1), modulus).coeffs)
+        return _divide_recurrence(TruncatedSeries.one(a.order), a, modulus)
+    known = list(_divide_recurrence(TruncatedSeries.one(n - 1), a, modulus).coeffs)
     while n < length:
         # a * g = 1 + q^n * h (mod q^m), so the next m - n terms of the
         # inverse are those of -g * h
@@ -343,12 +349,21 @@ def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSe
     return TruncatedSeries(a.order, tuple(known))
 
 
-def _invert_recurrence(a: TruncatedSeries, modulus: int | None) -> TruncatedSeries:
+def _divide_recurrence(
+    num: TruncatedSeries, a: TruncatedSeries, modulus: int | None
+) -> TruncatedSeries:
+    """The quotient num / a to num.order, for a(0) = +-1 and a.order >= num.order.
+
+    Solves a * out = num term by term: out(n) = a(0) * (num(n) - sum_{k>=1}
+    a(k) out(n-k)), over the nonzero a(k) only, so dividing by a sparse
+    series costs the same pass as inverting it.  With a modulus every
+    out(n) is reduced as soon as it is known.
+    """
     c0 = a.coeffs[0]
-    nz = [(k, ak) for k, ak in enumerate(a.coeffs) if ak and k]
-    out = [0] * (a.order + 1)
-    out[0] = c0 if modulus is None else c0 % modulus
-    for n in range(1, a.order + 1):
+    nz = [(k, ak) for k, ak in enumerate(a.coeffs[: num.order + 1]) if ak and k]
+    out = list(num.coeffs)
+    out[0] = c0 * out[0] if modulus is None else c0 * out[0] % modulus
+    for n in range(1, num.order + 1):
         acc = 0
         for k, ak in nz:
             if k > n:
@@ -359,8 +374,8 @@ def _invert_recurrence(a: TruncatedSeries, modulus: int | None) -> TruncatedSeri
                 acc -= out[n - k]
             else:
                 acc += ak * out[n - k]
-        out[n] = -c0 * acc if modulus is None else -c0 * acc % modulus
-    return TruncatedSeries(a.order, tuple(out))
+        out[n] = c0 * (out[n] - acc) if modulus is None else c0 * (out[n] - acc) % modulus
+    return TruncatedSeries(num.order, tuple(out))
 
 
 def series_pow(a: TruncatedSeries, e: int, modulus: int | None = None) -> TruncatedSeries:
@@ -448,7 +463,9 @@ def _eta_power(r: int, order: int, modulus: int | None) -> TruncatedSeries:
     With |r| = 3c + s, the cube's c-th power is multiplied by the factor's
     s-th.  For r < 0 each sparse base is inverted on its own: the sparse
     recurrence is cheap, while inverting a dense product would run the
-    O(N**2) recurrence (on the exact path, and below _NEWTON_MIN).
+    O(N**2) recurrence (on the exact path, and below _NEWTON_MIN).  A
+    delta = 1 factor with r = -1 or -3 does not come here when
+    `expand_eta_quotient` divides by its base instead.
     """
     cubes, ones = divmod(abs(r), 3)
     sign = 1 if r > 0 else -1
@@ -509,15 +526,34 @@ def expand_eta_quotient(
     order//delta, built by `_eta_power`, and lifted by q -> q^delta.  With a
     modulus every step runs in (Z/modulus)[[q]], on the quotient
     `_reduce_exponents` gives, which is congruent to `spec` mod the modulus.
+
+    One factor is divided by instead: when r_1 is -1 or -3 and its inverse
+    would take the recurrence (always on the exact path, and with a modulus
+    at up to _NEWTON_MIN coefficients), the product of the other factors is
+    divided by the pentagonal series or the Jacobi cube in one
+    `_divide_recurrence` pass.  That pass costs what the inverse would, and
+    the full-length product with the inverse is saved.  Any other r_1 would
+    need one pass per sparse base, a delta > 1 a pass at full length where
+    its inverse runs at order//delta, and a Newton-sized modular inverse is
+    cheaper than the recurrence; each keeps the product.
     """
     _check_modulus(modulus)
     if modulus is not None:
         spec = _reduce_exponents(spec, modulus, order)
+    exponents = spec.exponents
+    divisor = None
+    recurrence = modulus is None or order + 1 <= _NEWTON_MIN
+    if recurrence and exponents and exponents[0] in ((1, -1), (1, -3)):
+        cube = exponents[0][1] == -3
+        divisor = _sparse_series(order, _jacobi_walk()) if cube else eta_factor(1, order)
+        exponents = exponents[1:]
     result = None
-    for delta, r in spec.exponents:
+    for delta, r in exponents:
         factor = substitute_q_power(_eta_power(r, order // delta, modulus), delta, order)
         result = factor if result is None else series_mul(result, factor, modulus)
-    return TruncatedSeries.one(order) if result is None else result
+    if result is None:
+        result = TruncatedSeries.one(order)
+    return result if divisor is None else _divide_recurrence(result, divisor, modulus)
 
 
 def reduce_mod(a: TruncatedSeries, u: int) -> TruncatedSeries:

@@ -28,6 +28,7 @@ from etacert import (
     p_star,
     pipelines,
     reduce_mod,
+    regression_suite,
     run_theorem,
     v_bound,
     verify_instance,
@@ -430,6 +431,22 @@ class TestRunTheoremRefusals:
         # every default scan or b-scan order is above 1000
         with pytest.raises(OrderCapExceeded, match="exceeds cap 1000$"):
             run_theorem(theorem_id, order_cap=1000)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda order: lift_congruence((25, 24, 5), 25, BrokenDiamondSpec(12), order),
+            elementary_mod5_proof,
+            regression_suite,
+        ],
+        ids=["lift_congruence", "elementary_mod5_proof", "regression_suite"],
+    )
+    def test_public_entry_points_refuse_order_above_cap(self, entry, no_series_work):
+        with pytest.raises(OrderCapExceeded, match=f"exceeds cap {DEFAULT_ORDER_CAP}$"):
+            entry(DEFAULT_ORDER_CAP + 1)
+        # the cap itself is allowed: the check passes and series work starts
+        with pytest.raises(AssertionError, match="series work started"):
+            entry(DEFAULT_ORDER_CAP)
 
     def test_cap_above_default_is_clamped(self, no_series_work):
         with pytest.raises(OrderCapExceeded, match=f"exceeds cap {DEFAULT_ORDER_CAP}"):

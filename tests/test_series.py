@@ -26,7 +26,7 @@ from etacert import (
 )
 from etacert import series as series_module
 from etacert.oracle import naive_eta, naive_invert, naive_mul
-from etacert.series import _convolve_packed, _reduce_exponents
+from etacert.series import _convolve_packed, _divide_recurrence, _reduce_exponents
 
 
 def S(*coeffs):
@@ -827,3 +827,63 @@ class TestNewtonInversion:
         assert calls == []
         series_invert(a, modulus=7)
         assert calls and set(calls) == {7}
+
+
+# --- division by the sparse f1 or f1^3 base --------------------------------------
+
+_ROUTE_ORDERS = (_T - 2, _T - 1, _T)  # order + 1 straddles the Newton threshold
+
+
+class TestDivision:
+    @pytest.mark.parametrize("r", [-1, -3])
+    @pytest.mark.parametrize("delta,e", [(4, 2), (5, -1)])
+    def test_divided_route_matches_per_factor_route(self, r, delta, e):
+        spec = EtaQuotientSpec(delta, {1: r, delta: e})
+        # exact truncation commutes with the product, so one exact reference serves
+        exact = _expand_per_factor(spec, max(_ROUTE_ORDERS))
+        for order in _ROUTE_ORDERS:
+            assert expand_eta_quotient(spec, order) == exact.truncate(order), order
+            for u in (2, 7, 49, 10**30):
+                got = expand_eta_quotient(spec, order, modulus=u)
+                assert got == _expand_per_factor(spec, order, u), (order, u)
+
+    def test_division_drops_the_full_length_product(self, monkeypatch):
+        lengths = []
+        real = series_module._convolve_packed
+
+        def counting(a, b, out_len, modulus=None):
+            lengths.append(out_len)
+            return real(a, b, out_len, modulus)
+
+        monkeypatch.setattr(series_module, "_convolve_packed", counting)
+        spec = EtaQuotientSpec(4, {1: -3, 4: 2})
+        expand_eta_quotient(spec, 600)
+        assert lengths and 601 not in lengths
+        lengths.clear()
+        expand_eta_quotient(spec, _T - 1, modulus=49)
+        assert lengths and _T not in lengths
+        # one past the threshold the cube takes a Newton inverse and a product
+        lengths.clear()
+        expand_eta_quotient(spec, _T, modulus=49)
+        assert _T + 1 in lengths
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), u=st.one_of(moduli, st.just(10**30)))
+    def test_quotient_times_base_is_numerator(self, data, u):
+        length = data.draw(st.integers(1, 80), label="length")
+        num = S(*data.draw(st.lists(wide_coeffs, min_size=length, max_size=length), label="num"))
+        # the base may be longer than the numerator
+        tail_len = length - 1 + data.draw(st.integers(0, 3), label="extra")
+        dense = st.lists(small_coeffs, min_size=tail_len, max_size=tail_len)
+        sparse = st.dictionaries(st.integers(0, max(tail_len - 1, 0)), small_coeffs, max_size=4).map(
+            lambda terms: [terms.get(k, 0) for k in range(tail_len)]
+        )
+        c0 = data.draw(st.sampled_from((1, -1)), label="c0")
+        base = S(c0, *data.draw(st.one_of(dense, sparse), label="tail"))
+        quotient = _divide_recurrence(num, base, None)
+        assert quotient.order == num.order
+        assert naive_mul(base, quotient) == num
+        residues = _divide_recurrence(num, base, u)
+        assert all(0 <= c < u for c in residues.coeffs)
+        assert residues == reduce_mod(quotient, u)
+        assert reduce_mod(naive_mul(base, residues), u) == reduce_mod(num, u)
