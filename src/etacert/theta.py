@@ -1,15 +1,17 @@
 """Ramanujan theta series, the triple product, and residue-class dissection.
 
-Only the positive specializations f(q^alpha, q^beta) are needed here; the
+Only the positive specializations f(q^alpha, q^beta) are needed here. The
 bilateral sum and the triple product are built independently so either can
-cross-check the other.
+cross-check the other: the product's two (-q^s; q^P)_inf factors come from
+Euler's identity, never from the sum or from a series product.
 """
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, count
+from math import gcd
 from operator import add
 
-from .series import TruncatedSeries, _jacobi_walk, _sparse_series, eta_factor, series_mul
+from .series import TruncatedSeries, _jacobi_walk, _sparse_series, eta_factor
 
 __all__ = [
     "ThetaSpec",
@@ -63,15 +65,47 @@ def theta_series(spec: ThetaSpec, order: int) -> TruncatedSeries:
 
 
 def jtp_product(spec: ThetaSpec, order: int) -> TruncatedSeries:
-    """Triple-product form (-q^a; q^(a+b)) (-q^b; q^(a+b)) (q^(a+b); q^(a+b))."""
+    """Triple-product form (-q^a; q^P) (-q^b; q^P) (q^P; q^P), P = a + b.
+
+    Starts from the sparse (q^P; q^P)_inf and multiplies it by each
+    (-q^s; q^P)_inf through Euler's identity,
+    (-z; q^P)_inf = sum over n >= 0 of q^(P*n(n-1)/2) z^n / (q^P; q^P)_n
+    with z = q^s: term n is term n-1 times q^(P(n-1)+s) / (1 - q^(Pn)), so
+    about sqrt(2*order/P) terms are summed and no series product is formed.
+    In term n the accumulator's (q^P; q^P)_inf has lost its first n factors,
+    leaving (q^(P(n+1)); q^P)_inf, so the coefficients stay small.
+
+    The accumulator lives on multiples of P before the first factor and of
+    gcd(a, b) before the second, so each term is kept at that stride only.
+    """
     period = spec.alpha + spec.beta
-    acc = [0] * (order + 1)
-    acc[0] = 1
-    for start in (spec.alpha, spec.beta):
-        for e in range(start, order + 1, period):
-            # multiply by (1 + q^e); both slices are copies of the old acc
-            acc[e:] = map(add, acc[e:], acc[: order + 1 - e])
-    return series_mul(TruncatedSeries(order, tuple(acc)), eta_factor(period, order))
+    total = list(eta_factor(period, order).coeffs)
+    for start, stride in ((spec.alpha, period), (spec.beta, gcd(spec.alpha, spec.beta))):
+        # term[i] is the coefficient of q^(low + stride*i) in the current term
+        term, low = total[::stride], 0
+        for n in count(1):
+            low += period * (n - 1) + start
+            if low > order:
+                break
+            del term[(order - low) // stride + 1 :]
+            _divide_one_minus(term, period * n // stride)
+            total[low::stride] = map(add, total[low::stride], term)
+    return TruncatedSeries(order, tuple(total))
+
+
+def _divide_one_minus(x: list[int], d: int) -> None:
+    """Divide the series sum x[i] y^i by (1 - y^d) in place: x[i] += x[i - d], i increasing.
+
+    Either way takes at most about sqrt(len(x)) slice operations: one running
+    sum per residue class mod d when d is small, else one chunk of d at a time.
+    """
+    n = len(x)
+    if d * d <= n:
+        for r in range(d):
+            x[r::d] = accumulate(x[r::d])
+    else:
+        for i in range(d, n, d):
+            x[i : i + d] = map(add, x[i : i + d], x[i - d : i])
 
 
 def psi_series(scale: int, order: int) -> TruncatedSeries:

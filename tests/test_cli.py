@@ -63,6 +63,20 @@ class TestExpand:
                        env={"ETA_CERT_ORDER_CAP": "10", "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 65
 
+    def test_parser_reused_across_calls(self):
+        # main builds the parser once and reuses it, also after a usage error
+        cli._build_parser.cache_clear()
+        argv = ["expand", "--spec", "1:-3,4:2", "--order", "200"]
+        first = _main_output(*argv)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli.main(["expand", "--spec", "1:1"])
+        assert exc.value.code == 64
+        assert "the following arguments are required: --order" in err.getvalue()
+        assert _main_output(*argv) == first
+        assert first[0] == 0 and first[1].startswith("1,")
+        assert cli._build_parser.cache_info().misses == 1
+
 
 class TestDissect:
     def test_cube_classes(self):

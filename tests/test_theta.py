@@ -2,6 +2,7 @@
 
 import functools
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,20 @@ from etacert import (
     substitute_q_power,
     theta_series,
 )
+from etacert import series as series_module
+from etacert import theta as theta_module
+from etacert.theta import _divide_one_minus
+
+
+def _jtp_by_factors(spec, order):
+    """The triple product one (1 + q^e) at a time, then times (q^P; q^P)_inf."""
+    period = spec.alpha + spec.beta
+    acc = [0] * (order + 1)
+    acc[0] = 1
+    for start in (spec.alpha, spec.beta):
+        for e in range(start, order + 1, period):
+            acc[e:] = map(add, acc[e:], acc[: order + 1 - e])
+    return series_mul(TruncatedSeries(order, tuple(acc)), eta_factor(period, order))
 
 
 class TestThetaSeries:
@@ -86,6 +101,69 @@ class TestJtpProduct:
             specs.append(ThetaSpec(alpha, beta))
         for spec in specs:
             assert theta_series(spec, 500) == jtp_product(spec, 500), spec
+
+
+class TestJtpAgainstReferences:
+    # alpha = beta, gcd(alpha, beta) > 1 and alpha > order all occur
+    SPECS = [ThetaSpec(a, b) for a in range(1, 13) for b in range(1, 13)]
+
+    def test_every_small_order_and_999(self):
+        for spec in self.SPECS:
+            # one reference per route; every lower order is its truncation
+            by_sum = theta_series(spec, 999)
+            assert _jtp_by_factors(spec, 80) == by_sum.truncate(80), spec
+            for order in [*range(81), 999]:
+                assert jtp_product(spec, order) == by_sum.truncate(order), (spec, order)
+
+    def test_order_2550_against_bilateral_sum(self):
+        for spec in self.SPECS:
+            assert jtp_product(spec, 2550) == theta_series(spec, 2550), spec
+
+    @pytest.mark.parametrize("spec", [ThetaSpec(1, 1), ThetaSpec(2, 4), ThetaSpec(12, 5)], ids=str)
+    def test_against_factors_at_999_and_2550(self, spec):
+        by_factors = _jtp_by_factors(spec, 2550)
+        assert jtp_product(spec, 999) == by_factors.truncate(999)
+        assert jtp_product(spec, 2550) == by_factors
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_division_both_branches(self, d):
+        # d*d <= len takes the running sums per class, longer d the chunks
+        rng = random.Random(d)
+        for length in range(60):
+            x = [rng.randint(-9, 9) for _ in range(length)]
+            want = x[:]
+            for i in range(d, length):
+                want[i] += want[i - d]
+            _divide_one_minus(x, d)
+            assert x == want, length
+
+    def test_independent_of_sum_and_product(self, monkeypatch):
+        spec = ThetaSpec(2, 4)
+        want = theta_series(spec, 300)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("jtp_product used another route")
+
+        monkeypatch.setattr(theta_module, "theta_series", refuse)
+        monkeypatch.setattr(series_module, "series_mul", refuse)
+        monkeypatch.setattr(series_module, "_convolve_packed", refuse)
+        assert jtp_product(spec, 300) == want
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda order: theta_series(ThetaSpec(2, 4), order),
+        lambda order: jtp_product(ThetaSpec(2, 4), order),
+        lambda order: psi_series(1, order),
+        jacobi_cube,
+        build_dissection_blocks,
+    ],
+    ids=["theta_series", "jtp_product", "psi_series", "jacobi_cube", "build_dissection_blocks"],
+)
+def test_negative_order_refused(build):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        build(-1)
 
 
 class TestPsiSeries:
