@@ -231,27 +231,35 @@ def _diamond_steps(
 ) -> list[StepResult]:
     """Expand Delta_k mod u once, then one verdict on Delta_k(m n + t) per residue t."""
     reduced = broken_k_diamond_series(spec, order, modulus=u)
-    witnesses = (_progression_witness(reduced, m, t) for t in residues)
+    return _progression_steps(reduced, m, residues, names, order)
+
+
+def _progression_steps(
+    series: TruncatedSeries, m: int, residues: tuple[int, ...], names: list[str], order: int
+) -> list[StepResult]:
+    witnesses = (_progression_witness(series, m, t) for t in residues)
     return [_verdict(name, order, witness) for name, witness in zip(names, witnesses)]
 
 
 def _lift_steps(
-    m: int, residues: tuple[int, ...], u: int, ell_multiple: int, spec: BrokenDiamondSpec,
-    order: int,
+    m: int, residues: tuple[int, ...], u: int, spec: BrokenDiamondSpec, order: int,
+    b_reduced: TruncatedSeries,
 ) -> list[StepResult]:
-    """`lift_congruence` for every t in `residues`, once the caller has checked `order`."""
-    ell = spec.ell
-    if ell % ell_multiple != 0:
-        raise PreconditionViolated(f"2k+1 = {ell} is not a multiple of {ell_multiple}")
-    if ell_multiple % m != 0:
-        raise PreconditionViolated(f"{ell_multiple} is not a multiple of the progression modulus {m}")
+    """`lift_congruence` for every t in `residues`, read off b mod u to at least `order`.
 
+    The caller has checked `order` and the lift's hypotheses.  The support
+    factor f_ell / f_2ell is expanded exactly and checked literally; Delta_k
+    mod u is then the product of b mod u with it, so no second dense
+    expansion of Delta_k is made.
+    """
+    ell = spec.ell
     names = [f"lift_k{spec.k}_m{m}_t{t}_mod{u}" for t in residues]
     support = expand_eta_quotient(EtaQuotientSpec(2 * ell, {ell: 1, 2 * ell: -1}), order)
     for n in support.support():
         if n % ell != 0:
             return [StepResult(name, "fail", order, {"support_violation": n}) for name in names]
-    return _diamond_steps(spec, m, residues, u, names, order)
+    diamond = series_mul(b_reduced.truncate(order), support, modulus=u)
+    return _progression_steps(diamond, m, residues, names, order)
 
 
 def lift_congruence(
@@ -266,11 +274,16 @@ def lift_congruence(
     second factor is supported on exponents divisible by ell, so once ell is
     a multiple of ell_multiple and ell_multiple of m, every coefficient at
     m n + t inherits the b-family congruence.  Both facts are checked here:
-    the support claim literally, the congruence by scanning to `order`.
+    the support claim literally, the congruence by scanning Delta_k mod u
+    to `order`, formed as b mod u times the support factor.
     """
     m, t, u = b_family
     _check_scan_order(order, t)
-    return _lift_steps(m, (t,), u, ell_multiple, spec, order)[0]
+    if spec.ell % ell_multiple != 0:
+        raise PreconditionViolated(f"2k+1 = {spec.ell} is not a multiple of {ell_multiple}")
+    if ell_multiple % m != 0:
+        raise PreconditionViolated(f"{ell_multiple} is not a multiple of the progression modulus {m}")
+    return _lift_steps(m, (t,), u, spec, order, b_series(order, modulus=u))[0]
 
 
 def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofReport:
@@ -361,8 +374,8 @@ def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
         ),
     ]
 
-    # b mod u is expanded once, for the certificates and the b-family scan
-    b_reduced = b_series(family.b_order, modulus=u)
+    # b mod u is expanded once, for the certificates, the b-family scan and the lifts
+    b_reduced = b_series(max(order, family.b_order), modulus=u)
     certs = tuple(
         _verify_instance(instance, b_reduced.truncate, order_cap=order_cap)
         for instance in instances
@@ -372,11 +385,13 @@ def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
         cert_order = instance.m * cert.checked_upto + max(cert.p_set)
         steps.append(_verdict(f"certificate_m{instance.m}_t{instance.t}", cert_order, witness))
 
-    witnesses = (_progression_witness(b_reduced, m, t) for t in family.residues)
+    b_scanned = b_reduced.truncate(family.b_order)
+    witnesses = (_progression_witness(b_scanned, m, t) for t in family.residues)
     b_witness = next((dict(w, t=t) for t, w in zip(family.residues, witnesses) if w), None)
     steps.append(_verdict(f"b_family_scan_mod{u}", family.b_order, b_witness))
 
-    steps += _lift_steps(m, family.residues, u, m, BrokenDiamondSpec((m - 1) // 2), order)
+    spec = BrokenDiamondSpec((m - 1) // 2)  # ell = m, so the lift's hypotheses hold
+    steps += _lift_steps(m, family.residues, u, spec, order, b_reduced)
     return ProofReport(theorem_id, tuple(steps), certs)
 
 

@@ -13,30 +13,34 @@ least nonnegative residues.  Reduction mod u is a ring homomorphism
 Z[[q]] -> (Z/u)[[q]], so these residues equal the exact result passed
 through `reduce_mod`, while no intermediate coefficient grows beyond
 about len * u**2.  The modular products pack residues 0..u-1 through a
-table of fixed-width digit strings and reduce each slot as they unpack it,
-and long modular inverses run Newton iteration on those products; the
-exact path packs signed coefficients and inverts by the sparse recurrence.
-That recurrence (`_divide_recurrence`) solves a * out = num for any
-numerator, so an inverse is the quotient of 1.
+table of fixed-width digit strings and reduce each slot as they unpack it.
+
+Every inverse and every quotient goes through one division routine,
+`_divide`.  On the exact path, and at up to _NEWTON_MIN coefficients, it
+runs the sparse recurrence `_divide_recurrence`, which solves a * out = num
+for any numerator.  A longer modular quotient takes Newton steps on the
+inverse of the divisor to half its length and folds the numerator into the
+last step (Karp-Markstein), so no product of two full-length operands is
+formed.
 
 When u is a prime power p**a, the modulus path first reduces the quotient's
 exponents by the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u), so
 that, for instance, the mod-49 quotient {1:46, 2:1, 7:-7} is expanded as
 {1:-3, 2:1}.  Other moduli (see `_reduce_exponents`) and the exact path
-expand the quotient as given.  Every power of (q;q)_inf is built from two
-sparse bases: its cube from Jacobi's identity,
+expand the quotient as given.  A quotient whose divisors share a factor g
+is expanded in q^g, at order//g, and lifted once.  Every power of (q;q)_inf
+is built from two sparse bases: its cube from Jacobi's identity,
 sum (-1)^n (2n+1) q^(n(n+1)/2), and the factor itself from the pentagonal
 number theorem; a negative power inverts those sparse bases, never a dense
-product.  The f_1**-1 or f_1**-3 of a quotient, when its inverse would take
-the recurrence, is not inverted at all: the product of the other factors is
-divided by the sparse base in one recurrence pass (see
+product.  The f_1**-1 or f_1**-3 of a quotient is not inverted at all: the
+product of the other factors is divided by the sparse base (see
 `expand_eta_quotient`), which saves the full-length product with the inverse.
 """
 
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import count
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -192,9 +196,9 @@ class EtaQuotientSpec:
 # sys.get_int_max_str_digits(), a limit that is 0 (off) or at least 640.
 _INT_STR_SAFE_DIGITS = 640
 
-# A modular inverse longer than this is seeded by the recurrence on a prefix
-# of at most this many coefficients and then doubled by Newton steps on the
-# packed multiply.  Timed on eta factors mod 7 up to 10**6, Newton wins from
+# A modular quotient longer than this is computed by Newton steps on the
+# packed multiply, seeded by the recurrence on a prefix of at most this many
+# coefficients.  Timed on eta factors mod 7 up to 10**6, Newton wins from
 # about 2000 coefficients on, and the sparse recurrence is as fast below that.
 _NEWTON_MIN = 2048
 
@@ -204,8 +208,8 @@ def _convolve_packed(
 ) -> list[int]:
     """Exact signed convolution via fixed-width packing into big decimals.
 
-    This is the kernel's only product: `series_mul` and both products of a
-    Newton step in `series_invert` call it at every length.
+    This is the kernel's only product: `series_mul` and every product of a
+    Newton step in `_divide` call it at every length.
 
     Each coefficient occupies a slot of w decimal digits, with w chosen so
     every coefficient c of the product has c < 10**w, or |c| below the
@@ -317,36 +321,58 @@ def series_mul(
 def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSeries:
     """Multiplicative inverse of a series with constant term +-1.
 
-    Forward recurrence b(n) = -a(0) * sum_{k>=1} a(k) b(n-k), which is
-    `_divide_recurrence` with numerator 1; zero terms of `a` are skipped, so
-    sparse inputs (eta factors) invert in O(N sqrt N) and dense ones in
-    O(N**2).  With a modulus every term b(n) is reduced as soon as it is
-    known.  Above _NEWTON_MIN coefficients the modular recurrence only seeds
-    a prefix of ceil(N / 2**k) <= _NEWTON_MIN terms; Newton iteration
-    g <- g - g * (a * g - 1) then doubles the known prefix k times on the
-    packed modular multiply, computing only the new half each time, in
-    O(M(N)) for M(N) the cost of one length-N product.  The exact path keeps
-    the recurrence at every length, since its coefficients grow and make
-    the products of a Newton step dearer.
+    The quotient 1 / a by `_divide`: the forward recurrence b(n) = -a(0) *
+    sum_{k>=1} a(k) b(n-k) on the exact path and at up to _NEWTON_MIN
+    coefficients, skipping zero terms of `a`, so sparse inputs (eta factors)
+    invert in O(N sqrt N) and dense ones in O(N**2).  A longer modular
+    inverse is seeded by the recurrence and doubled by Newton steps on the
+    packed modular multiply, in O(M(N)) for M(N) the cost of one length-N
+    product.
     """
     _check_modulus(modulus)
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(f"constant term {c0} is not a unit in Z[[q]]")
-    length = n = a.order + 1
-    while modulus is not None and n > _NEWTON_MIN:
+    return _divide(TruncatedSeries.one(a.order), a, modulus)
+
+
+def _divide(num: TruncatedSeries, a: TruncatedSeries, modulus: int | None) -> TruncatedSeries:
+    """The quotient num / a to num.order, for a(0) = +-1 and a.order >= num.order.
+
+    The exact path, and a quotient of at most _NEWTON_MIN coefficients, take
+    `_divide_recurrence`: the exact coefficients grow and would make the
+    products of a Newton step dearer.  A longer modular quotient of L terms
+    needs 1/a to only n = ceil(L / 2) terms.  That inverse is seeded by the
+    recurrence on a prefix of at most _NEWTON_MIN terms and doubled by
+    Newton steps g <- g - g * (a * g - 1), each computing only the new half.
+    The numerator is folded into the last step (Karp-Markstein): y = num * g
+    to n terms is the quotient to n terms, and since num - a * y = q^n * a *
+    (num/a - y) / q^n, the remaining L - n terms are g * (num - a * y)[n:L].
+    No product of two length-L operands is formed.  A constant numerator,
+    as for an inverse, scales g instead of multiplying by it.
+    """
+    length = num.order + 1
+    if modulus is None or length <= _NEWTON_MIN:
+        return _divide_recurrence(num, a, modulus)
+    n = half = (length + 1) // 2
+    while n > _NEWTON_MIN:
         n = (n + 1) // 2
-    if n == length:
-        return _divide_recurrence(TruncatedSeries.one(a.order), a, modulus)
-    known = list(_divide_recurrence(TruncatedSeries.one(n - 1), a, modulus).coeffs)
-    while n < length:
+    g = list(_divide_recurrence(TruncatedSeries.one(n - 1), a, modulus).coeffs)
+    while n < half:
         # a * g = 1 + q^n * h (mod q^m), so the next m - n terms of the
         # inverse are those of -g * h
-        m = min(2 * n, length)
-        h = _convolve_packed(a.coeffs[:m], known, m, modulus)[n:]
-        known.extend([-c % modulus for c in _convolve_packed(known[: m - n], h, m - n, modulus)])
+        m = min(2 * n, half)
+        h = _convolve_packed(a.coeffs[:m], g, m, modulus)[n:]
+        g.extend([-c % modulus for c in _convolve_packed(g[: m - n], h, m - n, modulus)])
         n = m
-    return TruncatedSeries(a.order, tuple(known))
+    if any(num.coeffs[1:half]):
+        out = _convolve_packed(num.coeffs[:half], g, half, modulus)
+    else:
+        out = [num.coeffs[0] * c % modulus for c in g]
+    residual = _convolve_packed(a.coeffs[:length], out, length, modulus)[half:]
+    excess = [x - y for x, y in zip(num.coeffs[half:], residual)]
+    out.extend(_convolve_packed(g[: length - half], excess, length - half, modulus))
+    return TruncatedSeries(num.order, tuple(out))
 
 
 def _divide_recurrence(
@@ -464,7 +490,7 @@ def _eta_power(r: int, order: int, modulus: int | None) -> TruncatedSeries:
     s-th.  For r < 0 each sparse base is inverted on its own: the sparse
     recurrence is cheap, while inverting a dense product would run the
     O(N**2) recurrence (on the exact path, and below _NEWTON_MIN).  A
-    delta = 1 factor with r = -1 or -3 does not come here when
+    delta = 1 factor with r = -1 or -3 never comes here:
     `expand_eta_quotient` divides by its base instead.
     """
     cubes, ones = divmod(abs(r), 3)
@@ -527,33 +553,39 @@ def expand_eta_quotient(
     modulus every step runs in (Z/modulus)[[q]], on the quotient
     `_reduce_exponents` gives, which is congruent to `spec` mod the modulus.
 
-    One factor is divided by instead: when r_1 is -1 or -3 and its inverse
-    would take the recurrence (always on the exact path, and with a modulus
-    at up to _NEWTON_MIN coefficients), the product of the other factors is
-    divided by the pentagonal series or the Jacobi cube in one
-    `_divide_recurrence` pass.  That pass costs what the inverse would, and
-    the full-length product with the inverse is saved.  Any other r_1 would
-    need one pass per sparse base, a delta > 1 a pass at full length where
-    its inverse runs at order//delta, and a Newton-sized modular inverse is
-    cheaper than the recurrence; each keeps the product.
+    A quotient whose divisors share a factor g > 1, such as f_ell / f_2ell,
+    is a series in q^g: it is expanded on the divisors delta/g at order//g
+    and lifted by q -> q^g once at the end.
+
+    When r_1 is -1 or -3, that factor is divided by instead of inverted:
+    the product of the other factors is divided by the pentagonal series or
+    the Jacobi cube in one `_divide` call, by the sparse recurrence or, for
+    a long modular quotient, by Newton steps with the numerator folded into
+    the last one.  Either way the full-length product with the inverse is
+    saved.  Any other r_1 would need one division per sparse base, and a
+    delta > 1 a division at full length where its inverse runs at
+    order//delta; each keeps the product.
     """
     _check_modulus(modulus)
     if modulus is not None:
         spec = _reduce_exponents(spec, modulus, order)
-    exponents = spec.exponents
+    g = gcd(*(delta for delta, _ in spec.exponents)) or 1
+    inner = order // g
+    exponents = [(delta // g, r) for delta, r in spec.exponents]
     divisor = None
-    recurrence = modulus is None or order + 1 <= _NEWTON_MIN
-    if recurrence and exponents and exponents[0] in ((1, -1), (1, -3)):
+    if exponents and exponents[0] in ((1, -1), (1, -3)):
         cube = exponents[0][1] == -3
-        divisor = _sparse_series(order, _jacobi_walk()) if cube else eta_factor(1, order)
+        divisor = _sparse_series(inner, _jacobi_walk()) if cube else eta_factor(1, inner)
         exponents = exponents[1:]
     result = None
     for delta, r in exponents:
-        factor = substitute_q_power(_eta_power(r, order // delta, modulus), delta, order)
+        factor = substitute_q_power(_eta_power(r, inner // delta, modulus), delta, inner)
         result = factor if result is None else series_mul(result, factor, modulus)
     if result is None:
-        result = TruncatedSeries.one(order)
-    return result if divisor is None else _divide_recurrence(result, divisor, modulus)
+        result = TruncatedSeries.one(inner)
+    if divisor is not None:
+        result = _divide(result, divisor, modulus)
+    return substitute_q_power(result, g, order)
 
 
 def reduce_mod(a: TruncatedSeries, u: int) -> TruncatedSeries:

@@ -4,6 +4,8 @@ import dataclasses
 from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etacert import (
     DEFAULT_ORDER_CAP,
@@ -30,6 +32,8 @@ from etacert import (
     reduce_mod,
     regression_suite,
     run_theorem,
+    series,
+    series_mul,
     v_bound,
     verify_instance,
 )
@@ -93,9 +97,14 @@ class TestLiftCongruence:
             lift_congruence((125, 99, 25), 25, BrokenDiamondSpec(12), 300)
 
     def test_wrong_residue_fails_with_witness(self):
-        step = lift_congruence((125, 98, 25), 125, BrokenDiamondSpec(62), 1349)
+        spec = BrokenDiamondSpec(62)
+        step = lift_congruence((125, 98, 25), 125, spec, 1349)
         assert not step.passed
         assert step.witness["value"] % 25 != 0
+        # the witness read off b mod u times the support is the one the
+        # diamond series expanded on its own gives
+        reduced = broken_k_diamond_series(spec, 1349, modulus=25)
+        assert step.witness == finite_check._progression_witness(reduced, 125, 98)
 
     def test_order_below_residue_refused(self):
         # order 50 reaches no exponent 125n + 99: an empty scan must not pass
@@ -117,11 +126,53 @@ class TestLiftCongruence:
 
         monkeypatch.setattr(pipelines, "expand_eta_quotient", perturbed)
         residues = (19, 33, 40, 47)
-        steps = pipelines._lift_steps(49, residues, 7, 49, spec, 200)
+        steps = pipelines._lift_steps(49, residues, 7, spec, 200, b_series(200, modulus=7))
         assert [s.name for s in steps] == [f"lift_k24_m49_t{t}_mod7" for t in residues]
         assert all(s.status == "fail" for s in steps)
         assert all(s.witness == {"support_violation": spec.ell + 1} for s in steps)
         assert lift_congruence((49, 19, 7), 49, spec, 200) == steps[0]
+
+
+def _support(spec: BrokenDiamondSpec, order: int) -> TruncatedSeries:
+    ell = spec.ell
+    return expand_eta_quotient(EtaQuotientSpec(2 * ell, {ell: 1, 2 * ell: -1}), order)
+
+
+class TestLiftedDiamondSecondRoute:
+    """Delta_k mod u read off b mod u times f_ell / f_2ell, against its own expansion."""
+
+    @pytest.mark.parametrize("k,u,order", [(62, 25, 1349), (24, 7, 1517), (171, 49, 3771)])
+    def test_family_orders(self, k, u, order):
+        spec = BrokenDiamondSpec(k)
+        lifted = series_mul(b_series(order, modulus=u), _support(spec, order), modulus=u)
+        assert lifted == broken_k_diamond_series(spec, order, modulus=u)
+
+    def test_lift_scans_the_diamond_series(self, monkeypatch):
+        # with the support on ell Z the first witness of Delta_k and of b
+        # coincide, so only the scanned series shows that the product is formed
+        scanned = []
+        witness = pipelines._progression_witness
+
+        def recording(series, m, t):
+            scanned.append(series)
+            return witness(series, m, t)
+
+        monkeypatch.setattr(pipelines, "_progression_witness", recording)
+        spec = BrokenDiamondSpec(24)
+        assert lift_congruence((49, 19, 7), 49, spec, 1517).passed
+        assert scanned == [broken_k_diamond_series(spec, 1517, modulus=7)]
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        k=st.integers(1, 400),
+        u=st.sampled_from((5, 7, 25, 49, 125)),
+        # order + 1 on both sides of the Newton threshold
+        order=st.integers(series._NEWTON_MIN - 2, series._NEWTON_MIN + 1),
+    )
+    def test_sweep_across_newton_threshold(self, k, u, order):
+        spec = BrokenDiamondSpec(k)
+        lifted = series_mul(b_series(order, modulus=u), _support(spec, order), modulus=u)
+        assert lifted == broken_k_diamond_series(spec, order, modulus=u)
 
 
 class TestElementaryProof:
@@ -249,19 +300,27 @@ class TestFamilyLifts:
         ]
 
     @pytest.mark.parametrize(
-        "theorem_id,k", [("T1_mod5", 12), ("T3_mod7", 24), ("T4_mod49", 171)]
+        "theorem_id,k", [("T1_mod5", 12), ("T2_mod25", 62), ("T3_mod7", 24), ("T4_mod49", 171)]
     )
-    def test_diamond_series_expanded_once(self, theorem_id, k, monkeypatch):
+    def test_diamond_series_expansions(self, theorem_id, k, monkeypatch):
+        # T1 scans Delta_12 mod 5 itself; a family reads Delta_k off b mod u
+        # times the sparse support, so it expands Delta_k never and b mod u once
         expanded = []
         expand = pipelines.expand_eta_quotient
 
-        def counting_expand(spec, *args, **kwargs):
-            expanded.append(spec)
-            return expand(spec, *args, **kwargs)
+        def counting_expand(spec, order, modulus=None):
+            expanded.append((spec, modulus))
+            return expand(spec, order, modulus)
 
         monkeypatch.setattr(pipelines, "expand_eta_quotient", counting_expand)
         assert run_theorem(theorem_id).overall
-        assert expanded.count(BrokenDiamondSpec(k).eta_spec()) == 1
+        diamond = BrokenDiamondSpec(k).eta_spec()
+        if theorem_id == "T1_mod5":
+            assert [call for call in expanded if call[0] == diamond] == [(diamond, 5)]
+        else:
+            u = pipelines._FAMILIES[theorem_id].instances[0].u
+            assert not [call for call in expanded if call[0] == diamond]
+            assert expanded.count((pipelines._B_SPEC, u)) == 1
 
     @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
     def test_scan_order_checked_once(self, theorem_id, monkeypatch):
@@ -283,6 +342,61 @@ class TestFamilyLifts:
         # some scanned progression m n + t starts beyond `order`
         with pytest.raises(ValueError, match="no coefficient"):
             run_theorem(theorem_id, order)
+
+
+class TestOrderAboveBOrder:
+    """A scan order above the family's b_order: one b expansion serves every step."""
+
+    CASES = [("T3_mod7", 2000), ("T2_mod25", 7000)]
+
+    @pytest.mark.parametrize("theorem_id,order", CASES)
+    def test_one_b_expansion_serves_scan_and_lifts(self, theorem_id, order, monkeypatch):
+        family = pipelines._FAMILIES[theorem_id]
+        m, u = family.instances[0].m, family.instances[0].u
+        assert order > family.b_order
+        calls = []
+        expand = pipelines.expand_eta_quotient
+
+        def recording(spec, order, modulus=None):
+            calls.append((spec, order, modulus))
+            return expand(spec, order, modulus)
+
+        for module in (pipelines, finite_check):
+            monkeypatch.setattr(module, "expand_eta_quotient", recording)
+        report = run_theorem(theorem_id, order)
+        monkeypatch.undo()
+        assert report.overall
+        b_calls = [call for call in calls if call[0] == pipelines._B_SPEC and call[2] is not None]
+        assert b_calls == [(pipelines._B_SPEC, order, u)]
+        assert report.step(f"b_family_scan_mod{u}").order == family.b_order
+        lifts = [s for s in report.steps if s.name.startswith("lift_")]
+        spec = BrokenDiamondSpec((m - 1) // 2)
+        assert lifts == [lift_congruence((m, t, u), m, spec, order) for t in family.residues]
+
+    @pytest.mark.parametrize("theorem_id,order", CASES)
+    def test_negative_control_b_perturbed_beyond_b_order(self, theorem_id, order, monkeypatch):
+        # a nonzero b(m n + t) past b_order is seen by the lift scan, which
+        # reads b to `order`, and by nothing that reads b only to b_order
+        family = pipelines._FAMILIES[theorem_id]
+        m, u = family.instances[0].m, family.instances[0].u
+        t = family.residues[0]
+        exponent = m * (family.b_order // m + 1) + t
+        assert family.b_order < exponent <= order
+        real = pipelines.b_series
+
+        def perturbed(order, modulus=None):
+            out = real(order, modulus)
+            if modulus is not None and order >= exponent:
+                out = out + TruncatedSeries.monomial(exponent, order)
+            return out
+
+        monkeypatch.setattr(pipelines, "b_series", perturbed)
+        report = run_theorem(theorem_id, order)
+        failed = [s for s in report.steps if not s.passed]
+        assert failed and all(s.name.startswith("lift_") for s in failed)
+        assert report.step(f"b_family_scan_mod{u}").passed
+        lift = report.step(f"lift_k{(m - 1) // 2}_m{m}_t{t}_mod{u}")
+        assert lift.witness == {"n": exponent // m, "exponent": exponent, "value": 1}
 
 
 class TestFamilyTable:

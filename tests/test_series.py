@@ -15,6 +15,7 @@ from etacert import (
     NonUnitConstantTerm,
     ParseError,
     TruncatedSeries,
+    b_series,
     eta_factor,
     expand_eta_quotient,
     reduce_mod,
@@ -887,3 +888,108 @@ class TestDivision:
         assert all(0 <= c < u for c in residues.coeffs)
         assert residues == reduce_mod(quotient, u)
         assert reduce_mod(naive_mul(base, residues), u) == reduce_mod(num, u)
+
+
+# --- Karp-Markstein division: Newton on 1/a, numerator folded into the last step --
+
+_KM_LENGTHS = tuple(sorted({_T - 1, _T, _T + 1, 2 * _T - 1, 2 * _T + 1, 4097}))
+# a common multiple of the moduli, so one reference quotient serves them all
+_KM_REFERENCE_MODULUS = 49 * 10**30
+
+
+def _km_series(rng, kind, length, c0=None):
+    """A random series of `length` terms: every term set, or a few terms only."""
+    if kind == "dense":
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(length)]
+    else:
+        coeffs = [0] * length
+        for k in rng.sample(range(1, length), 40):
+            coeffs[k] = rng.randint(-50, 50)
+    if c0 is not None:
+        coeffs[0] = c0
+    return S(*coeffs)
+
+
+class TestKarpMarkstein:
+    @pytest.mark.parametrize(
+        "base_kind,c0,num_kind",
+        [("sparse", 1, "dense"), ("sparse", -1, "sparse"),
+         ("dense", 1, "sparse"), ("dense", -1, "dense")],
+    )
+    def test_divide_matches_recurrence(self, base_kind, c0, num_kind, monkeypatch):
+        lengths = _KM_LENGTHS
+        if base_kind == "dense":
+            # the dense reference recurrence is O(N**2): the same steps at a
+            # threshold of 64 instead of _NEWTON_MIN
+            monkeypatch.setattr(series_module, "_NEWTON_MIN", 64)
+            lengths = (63, 64, 65, 127, 129, 1025)
+        rng = random.Random(f"{base_kind}{c0}{num_kind}")
+        longest = max(lengths)
+        a = _km_series(rng, base_kind, longest, c0)
+        num = _km_series(rng, num_kind, longest)
+        reference = _divide_recurrence(num, a, _KM_REFERENCE_MODULUS)
+        for length in lengths:
+            for u in _NEWTON_MODULI:
+                got = series_module._divide(num.truncate(length - 1), a, u)
+                assert got == reduce_mod(reference.truncate(length - 1), u), (length, u)
+
+    @pytest.mark.parametrize("exponent", [1500, 2048, 2049, 3000])
+    def test_numerator_with_one_late_term(self, exponent):
+        # 1 + q^e: below half = 2049 terms the numerator is not constant and
+        # is multiplied by g; from there on y is g itself and the fold adds q^e
+        length = 4097
+        num = TruncatedSeries.one(length - 1) + TruncatedSeries.monomial(exponent, length - 1)
+        a = -eta_factor(1, length - 1)
+        reference = _divide_recurrence(num, a, _KM_REFERENCE_MODULUS)
+        for u in _NEWTON_MODULI:
+            assert series_module._divide(num, a, u) == reduce_mod(reference, u), u
+
+    def test_b_series_forms_no_full_length_product(self, monkeypatch):
+        pairs = []
+        real = series_module._convolve_packed
+
+        def recording(a, b, out_len, modulus=None):
+            pairs.append((len(a), len(b)))
+            return real(a, b, out_len, modulus)
+
+        monkeypatch.setattr(series_module, "_convolve_packed", recording)
+        b_series(19549, 49)
+        assert pairs and (19550, 19550) not in pairs
+
+    @pytest.mark.parametrize("order", [_T - 1, _T, _T + 1])
+    def test_b_quotient_across_threshold(self, order):
+        spec = EtaQuotientSpec(2, {1: -3, 2: 1})
+        assert expand_eta_quotient(spec, order, 49) == _expand_per_factor(spec, order, 49)
+
+
+# --- quotients in q^g --------------------------------------------------------------
+
+
+class TestQuotientsInQPower:
+    @pytest.mark.parametrize(
+        "exps,order,u",
+        [
+            ({343: 1, 686: -1}, 3771, None),
+            ({7: 7}, 300, None),
+            ({2: -3, 4: 1}, 5000, 49),
+            ({5: -5, 10: 2}, 1349, 25),
+            ({10: 1, 20: -3}, 7, None),  # an order below g
+            ({10: 1, 20: -3}, 9, 7),
+        ],
+    )
+    def test_matches_per_factor_route(self, exps, order, u):
+        spec = EtaQuotientSpec(max(exps), exps)
+        assert expand_eta_quotient(spec, order, u) == _expand_per_factor(spec, order, u)
+
+    def test_expanded_at_order_over_g(self, monkeypatch):
+        # f_343 / f_686 to 3771 is f_1 / f_2 to 10, lifted once
+        lengths = []
+        real = series_module._convolve_packed
+
+        def recording(a, b, out_len, modulus=None):
+            lengths.append(out_len)
+            return real(a, b, out_len, modulus)
+
+        monkeypatch.setattr(series_module, "_convolve_packed", recording)
+        expand_eta_quotient(EtaQuotientSpec(686, {343: 1, 686: -1}), 3771)
+        assert lengths == [3771 // 343 + 1]
