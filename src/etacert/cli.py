@@ -25,6 +25,7 @@ from .finite_check import (
     STATUS_VERIFIED,
     OrderCapExceeded,
     RSInstance,
+    _check_order,
     verify_instance,
 )
 from .series import (
@@ -142,13 +143,6 @@ def _build_parser() -> _Parser:
     p_thm.add_argument("--output", default=None)
 
     return parser
-
-
-def _check_order(order: int, cap: int) -> None:
-    if order < 0:
-        raise ParseError(f"order must be nonnegative, got {order}", 0)
-    if order > cap:
-        raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
 
 
 def _cmd_expand(args) -> int:

@@ -58,6 +58,21 @@ class OrderCapExceeded(RuntimeError):
     """The required expansion order would exceed the configured cap."""
 
 
+def _check_order(order: int, cap: int = DEFAULT_ORDER_CAP, least: int = 0) -> None:
+    """Refuse a negative scan order, one above `cap`, or one short of exponent `least`.
+
+    A scan of no coefficients proves nothing, and one past the cap would
+    expand for as long as the series work takes, so every entry point checks
+    its order here before any series is expanded.
+    """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    if order > cap:
+        raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
+    if order < least:
+        raise ValueError(f"no coefficient at exponent {least} is known (order {order})")
+
+
 def divisors(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
@@ -298,15 +313,19 @@ def v_bound(instance: RSInstance) -> tuple[Fraction, int]:
     return v, math.floor(v)
 
 
+def _first_nonzero(values: tuple[int, ...], m: int, t: int) -> dict | None:
+    """The first nonzero values[n], read as the coefficient at m n + t, as a witness."""
+    n = next((n for n, value in enumerate(values) if value), None)
+    return None if n is None else {"n": n, "exponent": m * n + t, "value": values[n]}
+
+
 def _progression_witness(reduced: TruncatedSeries, m: int, t: int) -> dict | None:
     """The first nonzero reduced(m n + t) as a witness, or None if all vanish.
 
     Raises ValueError when `reduced` stops before exponent t: a scan of no
     coefficients proves nothing and must not pass.
     """
-    values = extract_arithmetic_progression(reduced, m, t).coeffs
-    n = next((n for n, value in enumerate(values) if value), None)
-    return None if n is None else {"n": n, "exponent": m * n + t, "value": values[n]}
+    return _first_nonzero(extract_arithmetic_progression(reduced, m, t).coeffs, m, t)
 
 
 def _series_hash(
@@ -368,7 +387,11 @@ def _verify_instance(
 
     `expand` must return the least nonnegative residues mod u of f_r to
     exactly that order; a family pipeline passes the truncation of a series
-    it already holds.  It is called at most once, after every refusal.
+    it already holds.  It is called at most once, after every refusal: the
+    early lower bound and the two undercut checks keep their own messages,
+    and the exact order m * checked_upto + max(P) goes through `_check_order`.
+    Each progression t' in P is read off the expansion once; its values give
+    the series hash, the residues_ok flags and the first witness.
     """
     if check_upto is not None and check_upto < 0:
         raise ValueError(f"check_upto must be nonnegative, got {check_upto}")
@@ -395,15 +418,10 @@ def _verify_instance(
         raise ValueError(f"check_upto = {check_upto} undercuts the bound floor(v) = {v_floor}")
 
     required_order = instance.m * checked_upto + max(p_set)
-    if required_order > order_cap:
-        raise OrderCapExceeded(
-            f"required order {required_order} exceeds cap {order_cap}"
-        )
+    _check_order(required_order, order_cap)
 
     delta_star = "assumed" if assume_delta_star else "unverified"
-    witness = None
     residues: dict[int, tuple[int, ...]] = {}
-    residues_ok: list[tuple[int, tuple[bool, ...]]] = []
 
     if violation is not None:
         status = STATUS_HYPOTHESIS_VIOLATION
@@ -414,14 +432,10 @@ def _verify_instance(
         }
     else:
         reduced = expand(required_order)
-        for t_prime in p_set:
-            # n = 0..checked_upto: required_order covers exactly these for every t' in P
-            vals = extract_arithmetic_progression(reduced, instance.m, t_prime).coeffs
-            residues[t_prime] = vals
-            residues_ok.append((t_prime, tuple(val == 0 for val in vals)))
-            if witness is None:
-                w = _progression_witness(reduced, instance.m, t_prime)
-                witness = w and dict(w, t_prime=t_prime)
+        # n = 0..checked_upto: required_order covers exactly these for every t' in P
+        residues = {t: extract_arithmetic_progression(reduced, instance.m, t).coeffs for t in p_set}
+        found = ((t, _first_nonzero(vals, instance.m, t)) for t, vals in residues.items())
+        witness = next((dict(w, t_prime=t) for t, w in found if w), None)
         if witness is not None:
             status = STATUS_COUNTEREXAMPLE
         elif not assume_delta_star:
@@ -439,7 +453,7 @@ def _verify_instance(
         v_exact=v,
         v_floor=v_floor,
         checked_upto=checked_upto,
-        residues_ok=tuple(residues_ok),
+        residues_ok=tuple((t, tuple(val == 0 for val in vals)) for t, vals in residues.items()),
         status=status,
         witness=witness,
         delta_star=delta_star,

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 from .finite_check import (
     DEFAULT_ORDER_CAP,
-    OrderCapExceeded,
     RSCertificate,
     RSInstance,
+    _check_order,
     _progression_witness,
     _verify_instance,
     divisors,
@@ -200,22 +200,6 @@ def _verdict(name: str, order: int, witness: dict | None) -> StepResult:
     return StepResult(name, "fail" if witness else "pass", order, witness)
 
 
-def _check_scan_order(order: int, t_max: int) -> None:
-    """Refuse a negative scan order, one above DEFAULT_ORDER_CAP, or one that
-    stops before exponent t_max.
-
-    A scan of no coefficients proves nothing, and one past the cap would
-    expand for as long as the series work takes, so the order is checked
-    before any series is expanded.
-    """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    if order > DEFAULT_ORDER_CAP:
-        raise OrderCapExceeded(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
-    if order < t_max:
-        raise ValueError(f"no coefficient at exponent {t_max} is known (order {order})")
-
-
 def _series_equal_step(
     name: str, lhs: TruncatedSeries, rhs: TruncatedSeries, u: int, order: int
 ) -> StepResult:
@@ -224,14 +208,6 @@ def _series_equal_step(
     pairs = enumerate(zip(left.coeffs, right.coeffs))
     witness = next(({"exponent": n, "lhs": x, "rhs": y} for n, (x, y) in pairs if x != y), None)
     return _verdict(name, order, witness)
-
-
-def _diamond_steps(
-    spec: BrokenDiamondSpec, m: int, residues: tuple[int, ...], u: int, names: list[str], order: int
-) -> list[StepResult]:
-    """Expand Delta_k mod u once, then one verdict on Delta_k(m n + t) per residue t."""
-    reduced = broken_k_diamond_series(spec, order, modulus=u)
-    return _progression_steps(reduced, m, residues, names, order)
 
 
 def _progression_steps(
@@ -276,9 +252,19 @@ def lift_congruence(
     m n + t inherits the b-family congruence.  Both facts are checked here:
     the support claim literally, the congruence by scanning Delta_k mod u
     to `order`, formed as b mod u times the support factor.
+
+    A progression modulus m < 1, a residue t outside 0..m-1 or an
+    ell_multiple < 1 is refused, and then the order through `_check_order`
+    (it must reach exponent t), all before any series is expanded.
     """
     m, t, u = b_family
-    _check_scan_order(order, t)
+    if m < 1:
+        raise ValueError(f"progression modulus must be positive, got {m}")
+    if not 0 <= t < m:
+        raise ValueError(f"residue {t} outside 0..{m - 1}")
+    if ell_multiple < 1:
+        raise PreconditionViolated(f"ell_multiple must be positive, got {ell_multiple}")
+    _check_order(order, least=t)
     if spec.ell % ell_multiple != 0:
         raise PreconditionViolated(f"2k+1 = {spec.ell} is not a multiple of {ell_multiple}")
     if ell_multiple % m != 0:
@@ -296,7 +282,7 @@ def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofRepor
     order = _DEFAULT_ORDERS["T1_mod5"] if order is None else order
     if j < 1 or j % 2 == 0:
         raise ValueError(f"need odd positive j (2k+1 = 25j must be odd), got {j}")
-    _check_scan_order(order, 24)
+    _check_order(order, least=24)
     k = (25 * j - 1) // 2
     suffix = "" if j == 1 else f"_j{j}"
     steps = []
@@ -354,7 +340,7 @@ def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
     is refused before any series is expanded.
     """
     family = _FAMILIES[theorem_id]
-    _check_scan_order(order, max(family.residues))
+    _check_order(order, least=max(family.residues))
     instances = family.instances
     m, u = instances[0].m, instances[0].u
     p = divisors(u)[1]  # the prime dividing u
@@ -400,17 +386,17 @@ def run_theorem(
 ) -> ProofReport:
     """Run one theorem pipeline; `order` controls the empirical lift scans.
 
-    The scan order, and a family's b-scan order, above min(order_cap,
-    DEFAULT_ORDER_CAP) raise OrderCapExceeded before any series work starts.
+    Before any series work, `_check_order` refuses max(order, b_order) for a
+    family, or the order itself, above min(order_cap, DEFAULT_ORDER_CAP), so
+    a family's b-scan order is capped too.  The pipeline's own gate then
+    refuses a negative order and one short of its largest scanned residue.
     """
     cap = min(order_cap, DEFAULT_ORDER_CAP)
     if theorem_id not in _DEFAULT_ORDERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
     order = _DEFAULT_ORDERS[theorem_id] if order is None else order
     family = _FAMILIES.get(theorem_id)
-    needed = order if family is None else max(order, family.b_order)
-    if needed > cap:
-        raise OrderCapExceeded(f"order {needed} exceeds cap {cap}")
+    _check_order(order if family is None else max(order, family.b_order), cap)
     if theorem_id == "regression":
         return regression_suite(order)
     if theorem_id == "T1_mod5":
@@ -426,8 +412,10 @@ def regression_suite(order: int | None = None) -> ProofReport:
         (2, 25, (14, 24), 5),
         (3, 343, (82, 229, 278, 327), 7),
     )
-    _check_scan_order(order, max(max(ts) for _, _, ts, _ in families))
+    _check_order(order, least=max(max(ts) for _, _, ts, _ in families))
     for k, m, ts, u in families:
+        # Delta_k mod u is expanded once, then one verdict per residue t
+        reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=u)
         names = [f"delta{k}_m{m}_t{t}_mod{u}" for t in ts]
-        steps += _diamond_steps(BrokenDiamondSpec(k), m, ts, u, names, order)
+        steps += _progression_steps(reduced, m, ts, names, order)
     return ProofReport("regression", tuple(steps))

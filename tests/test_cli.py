@@ -10,7 +10,9 @@ import tracemalloc
 
 import pytest
 
-from etacert import EtaQuotientSpec, cli, dissect, expand_eta_quotient, reduce_mod
+from etacert import (
+    DEFAULT_ORDER_CAP, EtaQuotientSpec, cli, dissect, expand_eta_quotient, finite_check, reduce_mod,
+)
 
 CLI = [sys.executable, "-m", "etacert.cli"]
 
@@ -347,6 +349,39 @@ class TestVerifyTheorem:
                        env={"ETA_CERT_ORDER_CAP": "3000000"})
         assert proc.returncode == 65
         assert "exceeds cap 1000000" in proc.stderr
+
+
+class TestOrderRefusals:
+    """Every order a command refuses exits 64 (negative) or 65 (over the cap) before expanding."""
+
+    @pytest.fixture
+    def no_series_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("series work started before the order was checked")
+
+        monkeypatch.delenv("ETA_CERT_ORDER_CAP", raising=False)
+        for module in (cli, finite_check):
+            monkeypatch.setattr(module, "expand_eta_quotient", refuse)
+
+    @pytest.mark.parametrize("command", [["expand"], ["dissect", "--m", "5"]],
+                             ids=["expand", "dissect"])
+    @pytest.mark.parametrize(
+        "order,code,message",
+        [
+            (-1, 64, "order must be nonnegative, got -1"),
+            (DEFAULT_ORDER_CAP + 1, 65, f"order {DEFAULT_ORDER_CAP + 1} exceeds cap "
+                                        f"{DEFAULT_ORDER_CAP}"),
+        ],
+        ids=["negative", "above_cap"],
+    )
+    def test_expand_and_dissect(self, command, order, code, message, no_series_work):
+        argv = [*command, "--spec", "1:-3,2:1", "--order", str(order)]
+        assert _main_output(*argv) == (code, "", f"etacert: {message}\n")
+
+    def test_certify_order_cap_exits_65(self, no_series_work):
+        code, out, err = _main_output(*TestCertify.MOD25, "--order-cap", "100")
+        assert (code, out) == (65, "")
+        assert err.endswith("exceeds cap 100\n")
 
 
 class TestUnwritableOutput:

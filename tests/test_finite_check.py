@@ -1,5 +1,6 @@
 """Constants, cusp sums, bounds, and full certificate runs."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -17,6 +18,8 @@ from etacert import (
     compute_p_set,
     coset_representatives,
     divisors,
+    expand_eta_quotient,
+    extract_arithmetic_progression,
     index_gamma0,
     instance_from_dict,
     kappa,
@@ -292,6 +295,36 @@ class TestVerifyInstance:
         assert cert.status == "counterexample"
         assert cert.witness is not None
         assert cert.witness["value"] % 25 != 0
+
+    def test_each_residue_class_read_once(self, monkeypatch):
+        reads = []
+        extract = finite_check.extract_arithmetic_progression
+
+        def recording(series, m, t):
+            reads.append(t)
+            return extract(series, m, t)
+
+        monkeypatch.setattr(finite_check, "extract_arithmetic_progression", recording)
+        cert = verify_instance(KNOWN_INSTANCES["mod7_t33"])
+        assert cert.verified
+        assert sorted(reads) == list(cert.p_set)
+
+    def test_residue_flags_match_an_independent_scan(self):
+        # the perturbed mod-25 instance fails: its flags, read off a fresh
+        # expansion here, place the witness at the first nonzero coefficient
+        inst = dataclasses.replace(KNOWN_INSTANCES["mod25"], t=98)
+        cert = verify_instance(inst)
+        assert cert.status == "counterexample"
+        order = inst.m * cert.checked_upto + max(cert.p_set)
+        reduced = expand_eta_quotient(inst.r, order, inst.u)
+        flags = tuple(
+            (t, tuple(v == 0 for v in extract_arithmetic_progression(reduced, inst.m, t).coeffs))
+            for t in cert.p_set
+        )
+        assert cert.residues_ok == flags
+        first_failing = next(t for t, ok in flags if not all(ok))
+        assert cert.witness["t_prime"] == first_failing
+        assert dict(flags)[first_failing].index(False) == cert.witness["n"]
 
     def test_strict_mode_flags_membership(self):
         cert = verify_instance(KNOWN_INSTANCES["mod7_t47"], assume_delta_star=False)

@@ -1,6 +1,7 @@
 """Theorem pipelines: structure, witnesses, lifts, and negative controls."""
 
 import dataclasses
+import inspect
 from itertools import count
 
 import pytest
@@ -324,16 +325,26 @@ class TestFamilyLifts:
 
     @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
     def test_scan_order_checked_once(self, theorem_id, monkeypatch):
+        # run_theorem gates max(order, b_order) on the cap, the family report
+        # its scan order on the largest residue, and nothing gates it again
         checks = []
-        check = pipelines._check_scan_order
+        gate = pipelines._check_order
+        signature = inspect.signature(gate)
 
-        def counting_check(*args):
-            checks.append(args)
-            return check(*args)
+        def recording_gate(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            checks.append(tuple(bound.arguments.values()))
+            return gate(*args, **kwargs)
 
-        monkeypatch.setattr(pipelines, "_check_scan_order", counting_check)
+        monkeypatch.setattr(pipelines, "_check_order", recording_gate)
         assert run_theorem(theorem_id).overall
-        assert len(checks) == 1
+        family = pipelines._FAMILIES[theorem_id]
+        order = pipelines._DEFAULT_ORDERS[theorem_id]
+        assert checks == [
+            (max(order, family.b_order), DEFAULT_ORDER_CAP, 0),
+            (order, DEFAULT_ORDER_CAP, max(family.residues)),
+        ]
 
     @pytest.mark.parametrize(
         "theorem_id,order", [("T1_mod5", 10), ("T3_mod7", 10), ("regression", 100)]
@@ -561,6 +572,47 @@ class TestRunTheoremRefusals:
         # the cap itself is allowed: the check passes and series work starts
         with pytest.raises(AssertionError, match="series work started"):
             entry(DEFAULT_ORDER_CAP)
+
+    # id: entry point, largest scanned residue
+    GATED = {
+        **{f"run_theorem_{tid}": (lambda order, tid=tid: run_theorem(tid, order), least)
+           for tid, least in (("T1_mod5", 24), ("T2_mod25", 99), ("T3_mod7", 47),
+                              ("T4_mod49", 341), ("regression", 327))},
+        "lift_congruence": (
+            lambda order: lift_congruence((25, 24, 5), 25, BrokenDiamondSpec(12), order), 24
+        ),
+        "elementary_mod5_proof": (elementary_mod5_proof, 24),
+        "regression_suite": (regression_suite, 327),
+    }
+
+    @pytest.mark.parametrize("entry,least", list(GATED.values()), ids=list(GATED))
+    @pytest.mark.parametrize(
+        "case,error", [("negative", ValueError), ("above_cap", OrderCapExceeded),
+                       ("below_residue", ValueError)],
+    )
+    def test_refusal_table(self, entry, least, case, error, no_series_work):
+        order = {"negative": -1, "above_cap": DEFAULT_ORDER_CAP + 1, "below_residue": least - 1}
+        with pytest.raises(error) as refused:
+            entry(order[case])
+        assert type(refused.value) is error
+
+    @pytest.mark.parametrize(
+        "b_family,ell_multiple,error,message",
+        [
+            ((0, 0, 7), 49, ValueError, "modulus must be positive, got 0$"),
+            ((-49, 0, 7), 49, ValueError, "modulus must be positive, got -49$"),
+            ((49, 60, 7), 49, ValueError, "residue 60 outside 0..48$"),
+            ((49, -1, 7), 49, ValueError, "residue -1 outside 0..48$"),
+            ((49, 19, 7), 0, PreconditionViolated, "ell_multiple must be positive, got 0$"),
+            ((49, 19, 7), -49, PreconditionViolated, "ell_multiple must be positive, got -49$"),
+        ],
+        ids=["m_zero", "m_negative", "t_above_m", "t_negative", "ell_multiple_zero",
+             "ell_multiple_negative"],
+    )
+    def test_lift_inputs_refused_up_front(self, b_family, ell_multiple, error, message,
+                                          no_series_work):
+        with pytest.raises(error, match=message):
+            lift_congruence(b_family, ell_multiple, BrokenDiamondSpec(24), 1517)
 
     def test_cap_above_default_is_clamped(self, no_series_work):
         with pytest.raises(OrderCapExceeded, match=f"exceeds cap {DEFAULT_ORDER_CAP}"):
