@@ -30,7 +30,6 @@ from .finite_check import (
 )
 from .series import (
     EtaQuotientSpec,
-    ParseError,
     _check_modulus,
     expand_eta_quotient,
     reduce_mod,
@@ -79,7 +78,7 @@ def _order_cap_default() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"ETA_CERT_ORDER_CAP must be an integer, got {raw!r}", 0) from None
+        raise ValueError(f"ETA_CERT_ORDER_CAP must be an integer, got {raw!r}") from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -165,7 +164,7 @@ def _cmd_dissect(args) -> int:
     _check_order(args.order, cap)
     # one summary line per class: m is bounded by the cap, as the order is
     if not 1 <= args.m <= cap:
-        raise ParseError(f"dissection modulus must be in 1..{cap}, got {args.m}", 0)
+        raise ValueError(f"dissection modulus must be in 1..{cap}, got {args.m}")
     _check_modulus(args.mod)  # reduce_mod would refuse it only after the expansion
     spec = EtaQuotientSpec.from_string(args.spec)
     series = expand_eta_quotient(spec, args.order)
@@ -252,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except OrderCapExceeded as exc:
         sys.stderr.write(f"etacert: {exc}\n")
         return EXIT_ORDER_CAP
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # a ParseError is a ValueError
         sys.stderr.write(f"etacert: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:  # an unwritable output is a usage error, not a failed step

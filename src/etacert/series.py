@@ -13,7 +13,10 @@ least nonnegative residues.  Reduction mod u is a ring homomorphism
 Z[[q]] -> (Z/u)[[q]], so these residues equal the exact result passed
 through `reduce_mod`, while no intermediate coefficient grows beyond
 about len * u**2.  The modular products pack residues 0..u-1 through a
-table of fixed-width digit strings and reduce each slot as they unpack it.
+table of fixed-width digit strings and reduce each slot as they read it
+back.  A slot is sized for the fewer nonzero entries of the two operands,
+so a product with a sparse base (the Jacobi cube, f_1, f_2) packs narrower
+slots, and slots of up to 8 digits are decoded a machine word at a time.
 
 Every inverse and every quotient goes through one division routine,
 `_divide`.  On the exact path, and at up to _NEWTON_MIN coefficients, it
@@ -37,6 +40,8 @@ product of the other factors is divided by the sparse base (see
 `expand_eta_quotient`), which saves the full-length product with the inverse.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import count
@@ -196,11 +201,53 @@ class EtaQuotientSpec:
 # sys.get_int_max_str_digits(), a limit that is 0 (off) or at least 640.
 _INT_STR_SAFE_DIGITS = 640
 
+# A slot of at most _LANE_DIGITS digits is widened to 1, 2, 4 or 8 digits and
+# decoded word-parallel: a run of up to _LANE_CHUNK slots is read as one int
+# from its ASCII bytes, each byte masked to its digit, and neighbouring digit
+# groups folded in place (lo + 10**k * hi) until every slot is one machine
+# word, which `array` then reads.
+_LANE_DIGITS = 8
+_LANE_CHUNK = 4096
+_LANE_BYTES = _LANE_DIGITS * _LANE_CHUNK
+_LANE_TYPES = {array(code).itemsize: code for code in "QLIHB"}  # item size -> typecode
+_DIGIT_MASK = int.from_bytes(b"\x0f" * _LANE_BYTES, "big")  # b"0".."9" -> 0..9
+# fold k joins the halves of every 2k-byte group, k = 1, 2, 4:
+# (shift, mask of each group's low half, 256**k - 10**k)
+_LANE_FOLDS = [
+    (8 * k, int.from_bytes((b"\x00" * k + b"\xff" * k) * (_LANE_BYTES // (2 * k)), "big"),
+     256**k - 10**k)
+    for k in (1, 2, 4)
+]
+
 # A modular quotient longer than this is computed by Newton steps on the
 # packed multiply, seeded by the recurrence on a prefix of at most this many
-# coefficients.  Timed on eta factors mod 7 up to 10**6, Newton wins from
-# about 2000 coefficients on, and the sparse recurrence is as fast below that.
-_NEWTON_MIN = 2048
+# coefficients.  Timed on divisions by the Jacobi cube (2-core x86-64,
+# CPython 3.11), one Newton level beats the sparse recurrence from about 300
+# coefficients mod 5 and 7 and from about 1100 mod 25, 49 and 125; mod 10**12
+# the recurrence stays faster up to about 4000.
+_NEWTON_MIN = 1024
+
+
+def _read_lanes(digits: str, w: int, take: int) -> Iterator[array]:
+    """The lowest `take` slots of a string of w-digit slots, w in 1, 2, 4 or 8.
+
+    The lowest slot is the last in `digits`; missing leading digits read as
+    zeros.  Yields arrays of at most _LANE_CHUNK slot values, lowest first.
+    """
+    end = len(digits)
+    code = _LANE_TYPES[w]
+    for first in range(0, take, _LANE_CHUNK):
+        size = min(_LANE_CHUNK, take - first) * w
+        stop = end - first * w
+        x = int.from_bytes(digits[max(stop - size, 0) : max(stop, 0)].encode(), "big")
+        x &= _DIGIT_MASK
+        for shift, mask, shrink in _LANE_FOLDS[: w.bit_length() - 1]:
+            # a group holding lo + 256**k * hi becomes lo + 10**k * hi
+            x -= (x >> shift & mask) * shrink
+        lanes = array(code, x.to_bytes(size, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        yield lanes
 
 
 def _convolve_packed(
@@ -211,47 +258,59 @@ def _convolve_packed(
     This is the kernel's only product: `series_mul` and every product of a
     Newton step in `_divide` call it at every length.
 
-    Each coefficient occupies a slot of w decimal digits, with w chosen so
-    every coefficient c of the product has c < 10**w, or |c| below the
-    half-slot 5 * 10**(w - 1) when an input has a negative coefficient;
-    adding that half-slot to every slot of the product then makes all slots
-    nonnegative, so they are sliced back out of its digit string without
-    borrow propagation.  The carrier is `decimal.Decimal` because CPython's
-    C decimal module (libmpdec) multiplies long operands by number-theoretic
-    transform, where `int` multiplication is Karatsuba.
+    Each coefficient occupies a slot of w decimal digits.  A product
+    coefficient is a sum of at most K = min(nonzeros(a), nonzeros(b))
+    nonzero terms, so w is chosen so that K * max|a| * max|b| < 10**w, or
+    below the half-slot 5 * 10**(w - 1) when an input has a negative
+    coefficient; adding that half-slot to every slot of the product then
+    makes all slots nonnegative, so they are read back from its digit
+    string without borrow propagation.  The carrier is `decimal.Decimal`
+    because CPython's C decimal module (libmpdec) multiplies long operands
+    by number-theoretic transform, where `int` multiplication is Karatsuba.
 
     With a modulus u the inputs are first reduced to residues 0..u-1, so no
-    slot is signed and w is the digit count of min(len) * (u - 1)**2, known
-    without scanning; residues are packed through a table of w-digit strings
-    when u is at most the number of coefficients to pack, and every slot is
-    reduced mod u as it is read back.
+    slot is signed and w is the digit count of K * (u - 1)**2; residues are
+    packed through a table of w-digit strings when u is at most the number
+    of coefficients to pack, and every slot is reduced mod u as it is read
+    back.
+
+    Slots of up to _LANE_DIGITS digits are widened to 1, 2, 4 or 8 digits
+    and decoded word-parallel by `_read_lanes`, a chunk at a time; wider
+    slots are read one `int` per slot, through `Decimal` above the 640
+    digits CPython may refuse to convert directly.
 
     The result is exact: the multiply runs at the maximal precision with
     `Inexact` and `Rounded` trapped, so any rounding would raise.  Operands
-    are built from and read back into per-slot strings; a whole operand is
-    never converted between `int` and `Decimal`, which would be quadratic.
+    are built from per-slot strings and the product is read back from its
+    digit string; a whole operand is never converted between `int` and
+    `Decimal`, which would be quadratic.
     """
-    if modulus is None:
-        amax = max(map(abs, a))
-        bmax = max(map(abs, b))
-        if amax == 0 or bmax == 0:
-            return [0] * out_len
-        a_signed = min(a) < 0
-        b_signed = min(b) < 0
-    else:
+    if modulus is not None:
         aliased = b is a
         a = [c % modulus for c in a]
         b = a if aliased else [c % modulus for c in b]
+    # count(0) runs in C; an all-zero operand makes every product slot zero
+    terms = min(len(a) - a.count(0), len(b) - b.count(0))
+    if not terms:
+        return [0] * out_len
+    if modulus is None:
+        amax = max(map(abs, a))
+        bmax = max(map(abs, b))
+        a_signed = min(a) < 0
+        b_signed = min(b) < 0
+    else:
         amax = bmax = modulus - 1
         a_signed = b_signed = False
     signed = a_signed or b_signed
-    # every product coefficient c has |c| <= min(len) * amax * bmax; w is the
+    # every product coefficient c has |c| <= terms * amax * bmax; w is the
     # digit count of that bound, or of twice it when signed, so that
     # |c| < 5 * 10**(w - 1) and the half-slot offset keeps c in its slot
-    span = (min(len(a), len(b)) * amax * bmax) << signed
+    span = (terms * amax * bmax) << signed
     w = span.bit_length() * 30103 // 100000 + 1  # the digit count, or one more
     if span < 10 ** (w - 1):
         w -= 1
+    if w <= _LANE_DIGITS:
+        w = 1 << (w - 1).bit_length()
     if w > _INT_STR_SAFE_DIGITS:
         to_str, to_int = (lambda c: str(Decimal(c))), (lambda s: int(Decimal(s)))
     else:
@@ -279,12 +338,20 @@ def _convolve_packed(
         half = 5 * 10 ** (w - 1)
         product = ctx.add(product, Decimal(("5" + "0" * (w - 1)) * n_slots))
     take = min(out_len, n_slots)
-    digits = str(product)[-take * w :].zfill(take * w)
-    slots = range((take - 1) * w, -1, -w)
-    if modulus is None:
-        out = [to_int(digits[i : i + w]) - half for i in slots]
+    if w <= _LANE_DIGITS:
+        out = []
+        for lanes in _read_lanes(str(product), w, take):
+            if modulus is None:
+                out.extend(map((-half).__add__, lanes))
+            else:
+                out.extend(map(modulus.__rmod__, lanes))
     else:
-        out = [to_int(digits[i : i + w]) % modulus for i in slots]
+        digits = str(product)[-take * w :].zfill(take * w)
+        slots = range((take - 1) * w, -1, -w)
+        if modulus is None:
+            out = [to_int(digits[i : i + w]) - half for i in slots]
+        else:
+            out = [to_int(digits[i : i + w]) % modulus for i in slots]
     out.extend([0] * (out_len - take))
     return out
 

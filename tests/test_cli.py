@@ -65,6 +65,17 @@ class TestExpand:
                        env={"ETA_CERT_ORDER_CAP": "10", "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 65
 
+    def test_non_integer_order_cap_env_exits_64(self, monkeypatch):
+        monkeypatch.setenv("ETA_CERT_ORDER_CAP", "5e3")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("expanded before the cap was read")
+
+        monkeypatch.setattr(cli, "expand_eta_quotient", refuse)
+        code, out, err = _main_output("expand", "--spec", "1:1", "--order", "5")
+        assert (code, out) == (64, "")
+        assert err == "etacert: ETA_CERT_ORDER_CAP must be an integer, got '5e3'\n"
+
     def test_parser_reused_across_calls(self):
         # main builds the parser once and reuses it, also after a usage error
         cli._build_parser.cache_clear()
@@ -187,7 +198,7 @@ class TestDissectSummary:
         code, out, err = _main_output("dissect", "--spec", "1:3", "--m", str(m),
                                       "--order", "10")
         assert (code, out) == (64, "")
-        assert err == f"etacert: dissection modulus must be in 1..50, got {m} (at position 0)\n"
+        assert err == f"etacert: dissection modulus must be in 1..50, got {m}\n"
 
     def test_m_at_cap_runs(self, monkeypatch):
         monkeypatch.setenv("ETA_CERT_ORDER_CAP", "50")

@@ -531,6 +531,104 @@ def test_residue_packing_slots_beyond_lowest_conversion_limit():
     assert got_series.coeffs == tuple(square[:40])
 
 
+# --- slot bound from the nonzero count, and word-parallel lane decoding ----------
+
+def _bound_operands(k, stride, n, amax, bmax, signed):
+    """k entries of size amax, `stride` apart, against n dense entries of size bmax.
+
+    Signed, entry t of the first has sign (-1)**t and entry j of the second
+    (-1)**(j // stride), so all k terms of a fully overlapped product
+    coefficient share one sign and its size is k * amax * bmax.
+    """
+    a = [0] * ((k - 1) * stride + 1)
+    for t in range(k):
+        a[t * stride] = -amax if signed and t & 1 else amax
+    b = [-bmax if signed and (j // stride) & 1 else bmax for j in range(n)]
+    return a, b
+
+
+def _record_lane_widths(monkeypatch):
+    widths = []
+    real = series_module._read_lanes
+
+    def recording(digits, w, take):
+        widths.append(w)
+        return real(digits, w, take)
+
+    monkeypatch.setattr(series_module, "_read_lanes", recording)
+    return widths
+
+
+# (u, k, lane width): k * (u - 1)**2 on either side of 10, 100, 10**4 and
+# 10**8; None is the per-slot string route
+@pytest.mark.parametrize(
+    "u,k,lane",
+    [(3, 2, 1), (2, 9, 1), (2, 10, 2), (4, 11, 2), (2, 100, 4), (34, 9, 4), (34, 10, 8),
+     (49, 40, 8), (10**4, 1, 8), (10**4, 2, None)],
+)
+def test_residue_slot_bound_reached(u, k, lane, monkeypatch):
+    # k entries of u - 1 against a dense operand of u - 1: the slots hold
+    # exactly the bound k * (u - 1)**2, counted from the nonzero entries
+    widths = _record_lane_widths(monkeypatch)
+    a, b = _bound_operands(k, 3, 3 * k + 5, u - 1, u - 1, signed=False)
+    exact = _convolve_schoolbook(a, b, len(a) + len(b) - 1)
+    assert max(exact) == k * (u - 1) ** 2
+    for out_len in (len(a) + len(b) - 1, len(b)):
+        assert _convolve_packed(a, b, out_len, u) == [c % u for c in exact[:out_len]]
+        assert _convolve_packed(b, a, out_len, u) == [c % u for c in exact[:out_len]]
+    assert set(widths) == ({lane} if lane else set())
+
+
+# (amax, bmax, k, lane width): 2 * k * amax * bmax on either side of 10, 100,
+# 10**4 and 10**8, so the largest |c| sits just under the half-slot
+@pytest.mark.parametrize(
+    "amax,bmax,k,lane",
+    [(1, 1, 4, 1), (1, 1, 5, 2), (1, 1, 49, 2), (1, 1, 50, 4), (7, 7, 102, 4),
+     (7, 7, 103, 8), (5000, 9999, 1, 8), (5000, 10**4, 1, None), (10**20, 3, 7, None)],
+)
+def test_signed_slot_bound_reached(amax, bmax, k, lane, monkeypatch):
+    widths = _record_lane_widths(monkeypatch)
+    for stride in (1, 2):
+        a, b = _bound_operands(k, stride, stride * k + 3, amax, bmax, signed=True)
+        exact = _convolve_schoolbook(a, b, len(a) + len(b) - 1)
+        assert max(exact) == k * amax * bmax == -min(exact)
+        for out_len in (len(exact), len(b)):
+            assert _convolve_packed(a, b, out_len) == exact[:out_len]
+            assert _convolve_packed(b, a, out_len) == exact[:out_len]
+    assert set(widths) == ({lane} if lane else set())
+
+
+@pytest.mark.parametrize("u", [None, 2, 49, 10**30])
+def test_all_zero_operands(u):
+    # an operand with no nonzero entry, before or after reduction mod u,
+    # gives zeros on either side, squared, and past the product's length
+    rng = random.Random(u)
+    zeros = tuple(rng.randint(-3, 3) * (u or 0) for _ in range(60))
+    other = tuple(rng.randint(-10**6, 10**6) for _ in range(40))
+    for a, b in ((zeros, other), (other, zeros), (zeros, zeros[:7])):
+        for out_len in (1, 40, 99, 150):
+            assert _convolve_packed(a, b, out_len, u) == [0] * out_len
+    assert _convolve_packed(zeros, zeros, 130, u) == [0] * 130
+    assert _convolve_packed((0,), (0,), 1, u) == [0]
+
+
+@pytest.mark.parametrize("u", [None, 49])
+def test_lane_chunk_boundaries(u, monkeypatch):
+    # slots are decoded in chunks of _LANE_CHUNK; outputs end just before,
+    # on and just after a chunk boundary, and one past two chunks
+    widths = _record_lane_widths(monkeypatch)
+    chunk = series_module._LANE_CHUNK
+    rng = random.Random(chunk)
+    n = 2 * chunk + 3
+    sparse = _sparse(rng, n, 9, 0.01)
+    dense = tuple(rng.randint(-9, 9) for _ in range(n))
+    exact = _convolve_schoolbook(sparse, dense, 2 * chunk + 2)
+    for take in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        expected = exact[:take] if u is None else [c % u for c in exact[:take]]
+        assert _convolve_packed(dense, sparse, take, u) == expected, take
+    assert widths and all(w <= series_module._LANE_DIGITS for w in widths)
+
+
 # --- short products: series_mul at every low order against the oracle --------
 
 _SHORT_ORDERS = range(71)
@@ -759,7 +857,7 @@ _T = series_module._NEWTON_MIN
 # around the threshold, and lengths one past a doubling: the last Newton step
 # then stops short of a full doubling
 _NEWTON_LENGTHS = (_T - 1, _T, _T + 1, 2 * _T + 1, 4 * _T, 4 * _T + 1)
-_NEWTON_MODULI = (2, 49, 125, 10**30)
+_NEWTON_MODULI = (2, 7, 49, 125, 10**30)
 
 
 class TestNewtonInversion:
@@ -892,7 +990,7 @@ class TestDivision:
 
 # --- Karp-Markstein division: Newton on 1/a, numerator folded into the last step --
 
-_KM_LENGTHS = tuple(sorted({_T - 1, _T, _T + 1, 2 * _T - 1, 2 * _T + 1, 4097}))
+_KM_LENGTHS = (_T - 1, _T, _T + 1, 2 * _T - 1, 2 * _T + 1, 4 * _T + 1)
 # a common multiple of the moduli, so one reference quotient serves them all
 _KM_REFERENCE_MODULUS = 49 * 10**30
 
@@ -922,7 +1020,7 @@ class TestKarpMarkstein:
             # the dense reference recurrence is O(N**2): the same steps at a
             # threshold of 64 instead of _NEWTON_MIN
             monkeypatch.setattr(series_module, "_NEWTON_MIN", 64)
-            lengths = (63, 64, 65, 127, 129, 1025)
+            lengths = (63, 64, 65, 127, 129, 16 * 64 + 1)
         rng = random.Random(f"{base_kind}{c0}{num_kind}")
         longest = max(lengths)
         a = _km_series(rng, base_kind, longest, c0)
@@ -933,11 +1031,11 @@ class TestKarpMarkstein:
                 got = series_module._divide(num.truncate(length - 1), a, u)
                 assert got == reduce_mod(reference.truncate(length - 1), u), (length, u)
 
-    @pytest.mark.parametrize("exponent", [1500, 2048, 2049, 3000])
+    @pytest.mark.parametrize("exponent", [_T, 2 * _T, 2 * _T + 1, 3 * _T])
     def test_numerator_with_one_late_term(self, exponent):
-        # 1 + q^e: below half = 2049 terms the numerator is not constant and
-        # is multiplied by g; from there on y is g itself and the fold adds q^e
-        length = 4097
+        # 1 + q^e: below half = 2 * _T + 1 terms the numerator is not constant
+        # and is multiplied by g; from there on y is g itself and the fold adds q^e
+        length = 4 * _T + 1
         num = TruncatedSeries.one(length - 1) + TruncatedSeries.monomial(exponent, length - 1)
         a = -eta_factor(1, length - 1)
         reference = _divide_recurrence(num, a, _KM_REFERENCE_MODULUS)
