@@ -2,10 +2,14 @@
 
 Every series is a finite prefix of a formal power series in q: exact
 arbitrary-precision integer coefficients for exponents 0..order, nothing
-rounded anywhere.  Every product, at any length, is one packed multiply
+rounded anywhere.  Every product goes through `_product`, which forms only
+the window of coefficients its caller keeps.  An exact product, and any
+modular product whose operands are both dense, is one packed multiply
 (`_convolve_packed`), which uses `decimal` only as an exact integer
-carrier, with rounding trapped.  Binary operations truncate to the smaller
-order; precision is never extended silently.
+carrier, with rounding trapped.  A modular product by a sparse operand is
+built by shift-and-add instead (`_shift_add`) when a cost rule says that
+is cheaper.  Binary operations truncate to the smaller order; precision is
+never extended silently.
 
 `series_mul`, `series_invert`, `series_pow` and `expand_eta_quotient` take an
 optional `modulus` u and then compute in (Z/u)[[q]]: every result holds the
@@ -17,6 +21,10 @@ table of fixed-width digit strings and reduce each slot as they read it
 back.  A slot is sized for the fewer nonzero entries of the two operands,
 so a product with a sparse base (the Jacobi cube, f_1, f_2) packs narrower
 slots, and slots of up to 8 digits are decoded a machine word at a time.
+Shift-and-add packs the dense operand once into binary lanes of 1, 2, 4 or
+8 bytes and adds one shifted copy of it per nonzero entry of the sparse
+one, so the Newton steps of a division by the Jacobi cube cost about K
+passes over the window, K of order sqrt(N), instead of a full product.
 
 Every inverse and every quotient goes through one division routine,
 `_divide`.  On the exact path, and at up to _NEWTON_MIN coefficients, it
@@ -42,9 +50,10 @@ product of the other factors is divided by the sparse base (see
 
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -219,13 +228,42 @@ _LANE_FOLDS = [
     for k in (1, 2, 4)
 ]
 
-# A modular quotient longer than this is computed by Newton steps on the
-# packed multiply, seeded by the recurrence on a prefix of at most this many
-# coefficients.  Timed on divisions by the Jacobi cube (2-core x86-64,
-# CPython 3.11), one Newton level beats the sparse recurrence from about 300
-# coefficients mod 5 and 7 and from about 1100 mod 25, 49 and 125; mod 10**12
-# the recurrence stays faster up to about 4000.
-_NEWTON_MIN = 1024
+# A modular quotient longer than this is computed by Newton steps on
+# windowed products, seeded by the recurrence on a prefix of at most this
+# many coefficients.  One Newton level against the sparse recurrence, for
+# f_2 divided by the Jacobi cube to L coefficients (2-core x86-64, CPython
+# 3.11, median of 9; Newton time / recurrence time):
+#   L        128   192   256   384   512   768  1024
+#   mod 5   1.16  0.87  0.79  0.67  0.42  0.57  0.67
+#   mod 7   1.46  1.12  0.85  0.70  0.74  0.68  0.43
+#   mod 25  1.41  1.14  1.04  0.88  0.75  0.73  0.70
+#   mod 49  1.55  1.29  1.17  0.92  0.81  0.73  0.71
+#   mod 125 1.41  1.24  1.19  0.92  0.84  0.82  0.59
+# The perfbench `families` wall time (seeds 3-5) was 0.189-0.197 s at 256,
+# 0.200-0.201 at 384, 0.197-0.204 at 512 and 0.207-0.214 at 1024.  Mod
+# 10**12 and above the recurrence stays faster up to about 4000.
+_NEWTON_MIN = 256
+
+# `_shift_add_pays` takes shift-and-add for a window of W slots ending at
+# hi, by a sparse operand of K terms in lanes of s bytes, when
+# K * (s * W + _SHIFT_ADD_TERM) <= _SHIFT_ADD_BYTES * hi.  Timed on every
+# product of b = f_2/f_1**3 mod 5, 7, 25, 49 and 125 at orders 9000 to
+# 921,224 (2-core x86-64, CPython 3.11), against the packed product:
+#   product                                      K*s*W/hi  shift-add/packed
+#   Newton windows by the cube, orders <= 20,000   50-400   0.18-0.37
+#   X1 residual (a * out)[189458:378916] mod 49      1742   0.81
+#   X2 residual (a * out)[460613:921225] mod 125     2714   0.85
+#   f_2 * g to 189,458 mod 49                        2012   0.86
+#   f_2 * g to 460,613 mod 125                       3136   1.46
+#   dense g * h of 100-400 terms mod 5, 7           200-800   0.9-1.1
+#   dense g * h of 580-1560 terms mod 5, 7          840-2290  0.9-1.3
+#   dense g * h of 100-400 terms mod 49, 125        400-1600  1.2-1.7
+#   dense g * h of 600-900 terms mod 25, 49, 125   2330-3550  1.5-3.0
+# The term cost stands for the fixed work of each term (a loop step, two
+# int allocations, a share of the multiplies by residues); it keeps dense
+# products, whose K is about W, packed at every length.
+_SHIFT_ADD_BYTES = 2800
+_SHIFT_ADD_TERM = 3072
 
 
 def _read_lanes(digits: str, w: int, take: int) -> Iterator[array]:
@@ -235,19 +273,23 @@ def _read_lanes(digits: str, w: int, take: int) -> Iterator[array]:
     zeros.  Yields arrays of at most _LANE_CHUNK slot values, lowest first.
     """
     end = len(digits)
-    code = _LANE_TYPES[w]
     for first in range(0, take, _LANE_CHUNK):
-        size = min(_LANE_CHUNK, take - first) * w
+        count = min(_LANE_CHUNK, take - first)
         stop = end - first * w
-        x = int.from_bytes(digits[max(stop - size, 0) : max(stop, 0)].encode(), "big")
+        x = int.from_bytes(digits[max(stop - count * w, 0) : max(stop, 0)].encode(), "big")
         x &= _DIGIT_MASK
         for shift, mask, shrink in _LANE_FOLDS[: w.bit_length() - 1]:
             # a group holding lo + 256**k * hi becomes lo + 10**k * hi
             x -= (x >> shift & mask) * shrink
-        lanes = array(code, x.to_bytes(size, "little"))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        yield lanes
+        yield _lanes(x, count, w)
+
+
+def _lanes(x: int, count: int, width: int) -> array:
+    """The `count` lowest lanes of `width` bytes of a nonnegative x, as an array."""
+    lanes = array(_LANE_TYPES[width], x.to_bytes(count * width, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
 
 
 def _convolve_packed(
@@ -255,8 +297,8 @@ def _convolve_packed(
 ) -> list[int]:
     """Exact signed convolution via fixed-width packing into big decimals.
 
-    This is the kernel's only product: `series_mul` and every product of a
-    Newton step in `_divide` call it at every length.
+    `_product` calls it for every exact product, and for every modular one
+    that `_shift_add` would not make cheaper, then cuts the window it needs.
 
     Each coefficient occupies a slot of w decimal digits.  A product
     coefficient is a sum of at most K = min(nonzeros(a), nonzeros(b))
@@ -268,11 +310,11 @@ def _convolve_packed(
     because CPython's C decimal module (libmpdec) multiplies long operands
     by number-theoretic transform, where `int` multiplication is Karatsuba.
 
-    With a modulus u the inputs are first reduced to residues 0..u-1, so no
-    slot is signed and w is the digit count of K * (u - 1)**2; residues are
-    packed through a table of w-digit strings when u is at most the number
-    of coefficients to pack, and every slot is reduced mod u as it is read
-    back.
+    With a modulus u the inputs are first reduced to residues 0..u-1
+    (unless `_residues` finds they already are), so no slot is signed and w
+    is the digit count of K * (u - 1)**2; residues are packed through a
+    table of w-digit strings when u is at most the number of coefficients
+    to pack, and every slot is reduced mod u as it is read back.
 
     Slots of up to _LANE_DIGITS digits are widened to 1, 2, 4 or 8 digits
     and decoded word-parallel by `_read_lanes`, a chunk at a time; wider
@@ -287,8 +329,8 @@ def _convolve_packed(
     """
     if modulus is not None:
         aliased = b is a
-        a = [c % modulus for c in a]
-        b = a if aliased else [c % modulus for c in b]
+        a = _residues(a, modulus)
+        b = a if aliased else _residues(b, modulus)
     # count(0) runs in C; an all-zero operand makes every product slot zero
     terms = min(len(a) - a.count(0), len(b) - b.count(0))
     if not terms:
@@ -356,6 +398,114 @@ def _convolve_packed(
     return out
 
 
+def _residues(coeffs: Sequence[int], u: int) -> Sequence[int]:
+    """`coeffs` reduced to residues 0..u-1, or `coeffs` itself if they all are.
+
+    The C-level min and max cost less than reducing every entry, and the
+    Newton steps of `_divide` pass residues back in.
+    """
+    if not coeffs or (min(coeffs) >= 0 and max(coeffs) < u):
+        return coeffs
+    return [c % u for c in coeffs]
+
+
+def _shift_add_pays(terms: int, slot_bytes: int, window: int, out_len: int) -> bool:
+    """Whether `_shift_add` beats `_convolve_packed` on a window of a product.
+
+    Shift-and-add moves about `window` lanes of `slot_bytes` each per term
+    of the sparse operand; the packed product packs, multiplies and reads
+    back about `out_len` slots (the window's end), at a cost per slot that
+    varies little with the modulus or the length.  The timings behind the
+    constants are listed at _SHIFT_ADD_BYTES.
+    """
+    return terms * (slot_bytes * window + _SHIFT_ADD_TERM) <= _SHIFT_ADD_BYTES * out_len
+
+
+def _product(
+    a: Sequence[int], b: Sequence[int], lo: int, hi: int, modulus: int | None = None
+) -> list[int]:
+    """Coefficients lo..hi-1 of a * b, reduced mod `modulus` when given.
+
+    Every product of the kernel comes here.  A modular product whose
+    sparser operand has K nonzero entries goes to `_shift_add` when a slot
+    of 1, 2, 4 or 8 bytes holds K * (u - 1)**2 and `_shift_add_pays`; any
+    other product, and every exact one, is the packed multiply cut to the
+    window.
+    """
+    if hi <= lo:
+        return []
+    if modulus is not None:
+        a_terms = len(a) - a.count(0)
+        b_terms = len(b) - b.count(0)
+        sparse, dense, terms = (a, b, a_terms) if a_terms <= b_terms else (b, a, b_terms)
+        if not terms:
+            return [0] * (hi - lo)
+        bound = terms * (modulus - 1) ** 2
+        slot = next((s for s in (1, 2, 4, 8) if bound < 1 << 8 * s), None)
+        if slot is not None and _shift_add_pays(terms, slot, hi - lo, hi):
+            return _shift_add(sparse, _residues(dense, modulus), lo, hi, slot, modulus)
+    out = _convolve_packed(a, b, hi, modulus)
+    return out[lo:] if lo else out
+
+
+def _shift_add(
+    sparse: Sequence[int], dense: Sequence[int], lo: int, hi: int, slot: int, u: int
+) -> list[int]:
+    """Coefficients lo..hi-1 of sparse * dense mod u, one shifted copy of dense per term.
+
+    `dense` holds residues 0..u-1, and `slot` bytes hold K * (u - 1)**2 for
+    the K nonzero entries of `sparse`.  The dense operand is packed once
+    into one int of slot-byte lanes, and once more in reverse order.  For
+    each nonzero sparse(k) one of the two is shifted into place and added:
+    the forward copy when it keeps fewer lanes (n + k - lo) than the
+    reversed one (hi - k), which builds the window back to front.  Terms
+    are grouped by residue, so each residue costs one multiply.  A lane
+    outside the window holds a partial sum of true product coefficients,
+    so it never carries into its neighbour; it is cut off at the end.
+    """
+    width = hi - lo
+    code = _LANE_TYPES[slot]
+    bits = 8 * slot
+    groups: dict[int, list[int]] = {}
+    for k in compress(range(min(len(sparse), hi)), sparse):
+        r = sparse[k] % u
+        if r:
+            groups.setdefault(r, []).append(k)
+    n = len(dense)
+    lanes = array(code, dense)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    up_base = int.from_bytes(lanes.tobytes(), "little")  # lane i holds dense(i)
+    lanes.reverse()
+    down_base = int.from_bytes(lanes.tobytes(), "little")  # lane i holds dense(n - 1 - i)
+    # lane j - lo of up_base shifted by k - lo holds dense(j - k); it keeps
+    # n + k - lo lanes against hi - k for the reversed copy
+    turn = (hi + lo - n) // 2
+    up = down = 0
+    for r, ks in groups.items():
+        acc = 0
+        split = bisect_right(ks, turn)
+        for k in ks[:split]:
+            if k > lo:
+                acc += up_base << bits * (k - lo)
+            elif k + n > lo:
+                acc += up_base >> bits * (lo - k)
+        up += r * acc
+        acc = 0
+        # lane hi - 1 - j of the down copy holds dense(j - k); largest first
+        for k in reversed(ks[split:]):
+            shift = k + n - hi
+            acc += down_base >> bits * shift if shift >= 0 else down_base << -bits * shift
+        down += r * acc
+    mask = (1 << bits * width) - 1
+    back = _lanes(down & mask, width, slot)
+    back.reverse()
+    if sys.byteorder == "big":
+        back.byteswap()
+    total = (up & mask) + int.from_bytes(back.tobytes(), "little")
+    return [c % u for c in _lanes(total, width, slot).tolist()]
+
+
 def _check_modulus(modulus: int | None) -> None:
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -381,8 +531,7 @@ def series_mul(
     _check_modulus(modulus)
     order = min(a.order, b.order)
     n = order + 1
-    out = _convolve_packed(a.coeffs[:n], b.coeffs[:n], n, modulus)
-    return TruncatedSeries(order, tuple(out))
+    return TruncatedSeries(order, tuple(_product(a.coeffs[:n], b.coeffs[:n], 0, n, modulus)))
 
 
 def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSeries:
@@ -393,7 +542,7 @@ def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSe
     coefficients, skipping zero terms of `a`, so sparse inputs (eta factors)
     invert in O(N sqrt N) and dense ones in O(N**2).  A longer modular
     inverse is seeded by the recurrence and doubled by Newton steps on the
-    packed modular multiply, in O(M(N)) for M(N) the cost of one length-N
+    windowed modular products, in O(M(N)) for M(N) the cost of one length-N
     product.
     """
     _check_modulus(modulus)
@@ -417,6 +566,12 @@ def _divide(num: TruncatedSeries, a: TruncatedSeries, modulus: int | None) -> Tr
     (num/a - y) / q^n, the remaining L - n terms are g * (num - a * y)[n:L].
     No product of two length-L operands is formed.  A constant numerator,
     as for an inverse, scales g instead of multiplying by it.
+
+    Each product asks `_product` for the window it keeps: h = (a * g)[n:m],
+    the residual (a * y)[n:L] and num * g to n terms.  With a sparse divisor
+    (the Jacobi cube, f_1) and a sparse numerator (f_2), these three are
+    built by shift-and-add at the lengths where that pays; the products by
+    the dense g are packed multiplies.
     """
     length = num.order + 1
     if modulus is None or length <= _NEWTON_MIN:
@@ -429,16 +584,16 @@ def _divide(num: TruncatedSeries, a: TruncatedSeries, modulus: int | None) -> Tr
         # a * g = 1 + q^n * h (mod q^m), so the next m - n terms of the
         # inverse are those of -g * h
         m = min(2 * n, half)
-        h = _convolve_packed(a.coeffs[:m], g, m, modulus)[n:]
-        g.extend([-c % modulus for c in _convolve_packed(g[: m - n], h, m - n, modulus)])
+        h = _product(a.coeffs[:m], g, n, m, modulus)
+        g.extend([-c % modulus for c in _product(g[: m - n], h, 0, m - n, modulus)])
         n = m
     if any(num.coeffs[1:half]):
-        out = _convolve_packed(num.coeffs[:half], g, half, modulus)
+        out = _product(num.coeffs[:half], g, 0, half, modulus)
     else:
         out = [num.coeffs[0] * c % modulus for c in g]
-    residual = _convolve_packed(a.coeffs[:length], out, length, modulus)[half:]
+    residual = _product(a.coeffs[:length], out, half, length, modulus)
     excess = [x - y for x, y in zip(num.coeffs[half:], residual)]
-    out.extend(_convolve_packed(g[: length - half], excess, length - half, modulus))
+    out.extend(_product(g[: length - half], excess, 0, length - half, modulus))
     return TruncatedSeries(num.order, tuple(out))
 
 

@@ -629,6 +629,160 @@ def test_lane_chunk_boundaries(u, monkeypatch):
     assert widths and all(w <= series_module._LANE_DIGITS for w in widths)
 
 
+# --- windowed products: shift-and-add by a sparse operand -----------------------
+
+
+def _record_products(monkeypatch):
+    """(lo, hi, route) of every `_product` call from now on.
+
+    The route is the lane bytes `_shift_add` was given, "packed" for
+    `_convolve_packed`, or None when neither ran.
+    """
+    products, route = [], []
+    real_product = series_module._product
+    real_shift_add = series_module._shift_add
+    real_packed = series_module._convolve_packed
+
+    def product(a, b, lo, hi, modulus=None):
+        route.clear()
+        out = real_product(a, b, lo, hi, modulus)
+        products.append((lo, hi, route[0] if route else None))
+        return out
+
+    def shift_add(sparse, dense, lo, hi, slot, u):
+        route.append(slot)
+        return real_shift_add(sparse, dense, lo, hi, slot, u)
+
+    def packed(a, b, out_len, modulus=None):
+        route.append("packed")
+        return real_packed(a, b, out_len, modulus)
+
+    monkeypatch.setattr(series_module, "_product", product)
+    monkeypatch.setattr(series_module, "_shift_add", shift_add)
+    monkeypatch.setattr(series_module, "_convolve_packed", packed)
+    return products
+
+
+def _windowed_reference(a, b, lo, hi, u):
+    return [c % u for c in _convolve_schoolbook(a, b, hi)[lo:]]
+
+
+@pytest.mark.parametrize("u", [2, 7, 49, 125])
+def test_shift_add_windows_match_schoolbook(u, monkeypatch):
+    products = _record_products(monkeypatch)
+    rng = random.Random(u)
+    # signed entries far outside 0..u-1 on both sides
+    sparse = [0] * 300
+    for k in rng.sample(range(300), 8) + [0, 299]:
+        sparse[k] = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+    dense = [rng.randint(-10**6, 10**6) for _ in range(200)]
+    end = len(sparse) + len(dense) - 1
+    # from 0, empty, inside, the Newton windows [n, 2n), and past the end
+    windows = [(0, 60), (0, end), (37, 37), (150, 420), (100, 200), (150, 300),
+               (end - 30, end + 40), (end + 5, end + 50)]
+    for lo, hi in windows:
+        expected = _windowed_reference(sparse, dense, lo, hi, u)
+        assert series_module._product(sparse, dense, lo, hi, u) == expected, (lo, hi)
+        assert series_module._product(dense, sparse, lo, hi, u) == expected, (lo, hi)
+        assert series_module._product(sparse, sparse, lo, hi, u) == _windowed_reference(
+            sparse, sparse, lo, hi, u
+        ), (lo, hi)
+    # every window was shifted and added; an empty one formed no product
+    assert products
+    assert all((route in (1, 2, 4)) if lo < hi else route is None for lo, hi, route in products)
+
+
+@pytest.mark.parametrize("u", [2, 49])
+def test_shift_add_operands_reducing_to_zero(u, monkeypatch):
+    products = _record_products(monkeypatch)
+    rng = random.Random(u)
+    multiples = [0] * 80
+    for k in rng.sample(range(80), 6):
+        multiples[k] = u * rng.randint(-9, 9) or u
+    dense = [rng.randint(-10**4, 10**4) for _ in range(90)]
+    sparse = [0] * 90
+    sparse[3] = sparse[50] = -1
+    for a, b in ((multiples, dense), (dense, multiples), (sparse, [u] * 90)):
+        for lo, hi in ((0, 100), (40, 169), (150, 200)):
+            assert series_module._product(a, b, lo, hi, u) == [0] * (hi - lo)
+    assert {route for _, _, route in products} <= {1, 2, 4}
+    products.clear()
+    assert series_module._product([0] * 40, dense, 0, 129, u) == [0] * 129
+    assert products == [(0, 129, None)]
+
+
+# (u, K, lane bytes): K * (u - 1)**2 just below and at 2**8, 2**16, 2**32 and
+# 2**64; None is the packed product
+@pytest.mark.parametrize(
+    "u,k,lane",
+    [(2, 255, 1), (2, 256, 2), (16, 291, 2), (17, 256, 4), (2**16, 1, 4), (2**16 + 1, 1, 8),
+     (2**32, 1, 8), (2**32 + 1, 1, "packed")],
+)
+def test_shift_add_lane_bound_reached(u, k, lane, monkeypatch):
+    # K entries of u - 1, 3 apart, against a dense operand of u - 1: the
+    # coefficients from 3 * (K - 1) on are the bound itself
+    products = _record_products(monkeypatch)
+    a, b = _bound_operands(k, 3, 3 * k + 5, u - 1, u - 1, signed=False)
+    end = len(a) + len(b) - 1
+    exact = _convolve_schoolbook(a, b, end)
+    assert max(exact) == exact[3 * (k - 1)] == k * (u - 1) ** 2
+    for lo, hi in ((max(3 * k - 5, 0), 3 * k), (0, end + 2)):
+        expected = _windowed_reference(a, b, lo, hi, u)
+        assert series_module._product(a, b, lo, hi, u) == expected
+        assert series_module._product(b, a, lo, hi, u) == expected
+    assert {route for _, _, route in products} == {lane}
+
+
+def test_residue_operands_are_not_reduced_again():
+    residues = [0, 1, 6, 3]
+    assert series_module._residues(residues, 7) is residues
+    assert series_module._residues((), 7) == ()
+    assert series_module._residues([0, 7, -1, 3], 7) == [0, 0, 6, 3]
+    assert series_module._residues([-7], 7) == [0]
+
+
+# (lo, hi, route) of each product of b_series(19549, 49): the Newton windows
+# h = (a * g)[n:2n] by the cube, f_2 * g and the residual are shifted and
+# added, in 2-byte lanes for the 25 cube terms below 306 and in 4-byte lanes
+# from there; the dense g * h and g * (num - a * y) stay packed
+_B_19549_PRODUCTS = [
+    (153, 306, 2), (0, 153, "packed"),
+    (306, 612, 4), (0, 306, "packed"),
+    (612, 1224, 4), (0, 612, "packed"),
+    (1224, 2448, 4), (0, 1224, "packed"),
+    (2448, 4896, 4), (0, 2448, "packed"),
+    (4896, 9775, 4), (0, 4879, "packed"),
+    (0, 9775, 4), (9775, 19550, 4), (0, 9775, "packed"),
+]
+
+
+def test_b_series_product_routes(monkeypatch):
+    products = _record_products(monkeypatch)
+    b_series(19549, 49)
+    assert products == _B_19549_PRODUCTS
+
+
+@pytest.mark.parametrize(
+    "terms,slot,window,out_len,pays",
+    [
+        # X1, b mod 49 to 378,915: the residual (a * out)[189458:378916] and
+        # f_2 * g to 189,458, timed at 0.81 and 0.86 of the packed product
+        (871, 4, 189458, 378916, True),
+        (503, 4, 189458, 189458, True),
+        # X2, b mod 125 to 921,224: the residual at 0.85, f_2 * g at 1.46
+        (1357, 4, 460612, 921225, True),
+        (784, 4, 460613, 460613, False),
+        # dense g * h of the first two Newton steps of b mod 49 to 19,549
+        (583, 4, 611, 611, False),
+        (1155, 4, 1222, 1222, False),
+        # T4's largest window, the residual of b mod 49 to 19,549
+        (198, 4, 9775, 19550, True),
+    ],
+)
+def test_shift_add_rule_at_the_extension_orders(terms, slot, window, out_len, pays):
+    assert series_module._shift_add_pays(terms, slot, window, out_len) is pays
+
+
 # --- short products: series_mul at every low order against the oracle --------
 
 _SHORT_ORDERS = range(71)
@@ -914,13 +1068,13 @@ class TestNewtonInversion:
         # the exact path never runs a Newton step, whatever the length
         monkeypatch.setattr(series_module, "_NEWTON_MIN", 16)
         calls = []
-        real = series_module._convolve_packed
+        real = series_module._product
 
-        def counting(*args):
-            calls.append(args[-1])
-            return real(*args)
+        def counting(a, b, lo, hi, modulus=None):
+            calls.append(modulus)
+            return real(a, b, lo, hi, modulus)
 
-        monkeypatch.setattr(series_module, "_convolve_packed", counting)
+        monkeypatch.setattr(series_module, "_product", counting)
         a = eta_factor(1, 300)
         assert series_invert(a) == naive_invert(a)
         assert calls == []
@@ -947,24 +1101,26 @@ class TestDivision:
                 assert got == _expand_per_factor(spec, order, u), (order, u)
 
     def test_division_drops_the_full_length_product(self, monkeypatch):
-        lengths = []
-        real = series_module._convolve_packed
+        windows = []
+        real = series_module._product
 
-        def counting(a, b, out_len, modulus=None):
-            lengths.append(out_len)
-            return real(a, b, out_len, modulus)
+        def recording(a, b, lo, hi, modulus=None):
+            windows.append((lo, hi))
+            return real(a, b, lo, hi, modulus)
 
-        monkeypatch.setattr(series_module, "_convolve_packed", counting)
+        monkeypatch.setattr(series_module, "_product", recording)
         spec = EtaQuotientSpec(4, {1: -3, 4: 2})
         expand_eta_quotient(spec, 600)
-        assert lengths and 601 not in lengths
-        lengths.clear()
+        assert windows and all(hi < 601 for _, hi in windows)
+        windows.clear()
         expand_eta_quotient(spec, _T - 1, modulus=49)
-        assert lengths and _T not in lengths
-        # one past the threshold the cube takes a Newton inverse and a product
-        lengths.clear()
+        assert windows and all(hi < _T for _, hi in windows)
+        # one past the threshold the cube takes a Newton inverse: the residual
+        # window ends at _T + 1, and no product forms all _T + 1 coefficients
+        windows.clear()
         expand_eta_quotient(spec, _T, modulus=49)
-        assert _T + 1 in lengths
+        assert ((_T + 2) // 2, _T + 1) in windows
+        assert all(lo > 0 for lo, hi in windows if hi == _T + 1)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), u=st.one_of(moduli, st.just(10**30)))
@@ -1031,11 +1187,13 @@ class TestKarpMarkstein:
                 got = series_module._divide(num.truncate(length - 1), a, u)
                 assert got == reduce_mod(reference.truncate(length - 1), u), (length, u)
 
-    @pytest.mark.parametrize("exponent", [_T, 2 * _T, 2 * _T + 1, 3 * _T])
+    @pytest.mark.parametrize("exponent", [1024, 2048, 2049, 3072])
     def test_numerator_with_one_late_term(self, exponent):
-        # 1 + q^e: below half = 2 * _T + 1 terms the numerator is not constant
-        # and is multiplied by g; from there on y is g itself and the fold adds q^e
-        length = 4 * _T + 1
+        # 1 + q^e to 4097 terms, several Newton levels past the threshold:
+        # below half = 2049 terms the numerator is not constant and is
+        # multiplied by g; from there on y is g itself and the fold adds q^e
+        length = 4097
+        assert length > 4 * _T
         num = TruncatedSeries.one(length - 1) + TruncatedSeries.monomial(exponent, length - 1)
         a = -eta_factor(1, length - 1)
         reference = _divide_recurrence(num, a, _KM_REFERENCE_MODULUS)
@@ -1044,17 +1202,19 @@ class TestKarpMarkstein:
 
     def test_b_series_forms_no_full_length_product(self, monkeypatch):
         pairs = []
-        real = series_module._convolve_packed
+        real = series_module._product
 
-        def recording(a, b, out_len, modulus=None):
+        def recording(a, b, lo, hi, modulus=None):
             pairs.append((len(a), len(b)))
-            return real(a, b, out_len, modulus)
+            return real(a, b, lo, hi, modulus)
 
-        monkeypatch.setattr(series_module, "_convolve_packed", recording)
+        monkeypatch.setattr(series_module, "_product", recording)
         b_series(19549, 49)
         assert pairs and (19550, 19550) not in pairs
 
-    @pytest.mark.parametrize("order", [_T - 1, _T, _T + 1])
+    # across the threshold, and at lengths 1024 to 1026, which straddle a
+    # power-of-two multiple of it: the seed is halved once more on one side
+    @pytest.mark.parametrize("order", [_T - 1, _T, _T + 1, 1023, 1024, 1025])
     def test_b_quotient_across_threshold(self, order):
         spec = EtaQuotientSpec(2, {1: -3, 2: 1})
         assert expand_eta_quotient(spec, order, 49) == _expand_per_factor(spec, order, 49)
