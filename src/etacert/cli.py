@@ -11,6 +11,7 @@ Exit codes are a stable contract:
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -33,6 +34,7 @@ from .series import (
     _check_modulus,
     expand_eta_quotient,
     reduce_mod,
+    tracing,
 )
 from .theta import extract_arithmetic_progression
 from .pipelines import run_theorem
@@ -101,6 +103,9 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+_TRACE_HELP = "write the series kernel's expansion and product counts to FILE as JSON"
+
+
 @functools.cache  # set-up costs about 0.6 ms: built on the first main call, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="etacert", description=__doc__.splitlines()[0])
@@ -135,11 +140,13 @@ def _build_parser() -> _Parser:
                         help="do not assume admissibility of the instance tuple")
     p_cert.add_argument("--order-cap", type=int, default=None)
     p_cert.add_argument("--output", default=None)
+    p_cert.add_argument("--trace", default=None, metavar="FILE", help=_TRACE_HELP)
 
     p_thm = sub.add_parser("verify-theorem", help="run a theorem pipeline")
     p_thm.add_argument("id", choices=sorted(_THEOREM_BY_ID))
     p_thm.add_argument("--order", type=int, default=None)
     p_thm.add_argument("--output", default=None)
+    p_thm.add_argument("--trace", default=None, metavar="FILE", help=_TRACE_HELP)
 
     return parser
 
@@ -246,8 +253,16 @@ def main(argv: list[str] | None = None) -> int:
         "certify": _cmd_certify,
         "verify-theorem": _cmd_verify_theorem,
     }
+    trace = getattr(args, "trace", None)
+    written = args.output or "stdout"
     try:
-        return handlers[args.command](args)
+        # the counters are written beside the output, never into it
+        with tracing() if trace else contextlib.nullcontext() as counters:
+            code = handlers[args.command](args)
+        if trace:
+            written = trace
+            _write_output(json.dumps(counters, sort_keys=True) + "\n", trace)
+        return code
     except OrderCapExceeded as exc:
         sys.stderr.write(f"etacert: {exc}\n")
         return EXIT_ORDER_CAP
@@ -255,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"etacert: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:  # an unwritable output is a usage error, not a failed step
-        sys.stderr.write(f"etacert: cannot write {args.output or 'stdout'}: {exc.strerror or exc}\n")
+        sys.stderr.write(f"etacert: cannot write {written}: {exc.strerror or exc}\n")
         return EXIT_USAGE
 
 

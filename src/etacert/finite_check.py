@@ -223,12 +223,14 @@ def compute_p_set(instance: RSInstance) -> tuple[int, ...]:
 
     Every square of a unit mod 24m is 1 mod 24, which keeps (s-1)/24
     integral; that is asserted during enumeration rather than trusted.
+    x and 24m - x have the same square and are units together, so x runs
+    over 1..12m - 1 only.
     """
     m = instance.m
     modulus = 24 * m
     sigma = instance.r.weighted_sum()
     squares = set()
-    for x in range(1, modulus):
+    for x in range(1, 12 * m):
         if gcd(x, modulus) == 1:
             squares.add(x * x % modulus)
     out = set()
@@ -267,11 +269,15 @@ def coset_representatives(N: int) -> tuple[int, ...]:
 def _cusp_sum(r: EtaQuotientSpec, xs: Iterable[int], y: int, m: int) -> Fraction:
     """min over x in xs of S(r; x, y, m) = (1/24) sum_delta r_delta gcd^2(delta x, y) / (delta m).
 
-    Summed in integers over the common denominator 24 m L, L = lcm of the deltas.
+    Summed in integers over the common denominator 24 m L, L = lcm of the
+    deltas.  gcd(delta x, y) = gcd(delta gcd(x, y), y), as the exponents of
+    each prime show, so S depends on x only through gcd(x, y): the sum is
+    taken once per distinct gcd, not once per x.
     """
     lcm = math.lcm(*(delta for delta, _ in r.exponents))
     weights = [(delta, r_delta * (lcm // delta)) for delta, r_delta in r.exponents]
-    num = min(sum(w * gcd(delta * x, y) ** 2 for delta, w in weights) for x in xs)
+    gcds = {gcd(x, y) for x in xs}
+    num = min(sum(w * gcd(delta * g, y) ** 2 for delta, w in weights) for g in gcds)
     return Fraction(num, 24 * m * lcm)
 
 

@@ -21,6 +21,7 @@ from .finite_check import (
 from .series import (
     EtaQuotientSpec,
     TruncatedSeries,
+    _expand,
     _reduce_exponents,
     expand_eta_quotient,
     reduce_mod,
@@ -278,6 +279,12 @@ def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofRepor
     `order` defaults to that of run_theorem("T1_mod5").  j parametrizes the
     witness 2k+1 = 25j (j odd); steps 2-4 do not involve j at all, so a
     single witness exercises the whole argument.
+
+    Every step reads residues mod 5 only, so psi^3, the spectator factor
+    (expanded as given, with no exponent reduction), their product, the
+    collapsed psi(q^25) psi(q^5)^2 and its q^4 shift are all formed in
+    (Z/5)[[q]]; reduction mod 5 is a ring homomorphism, so the residues, and
+    every witness, are those of the exact series.
     """
     order = _DEFAULT_ORDERS["T1_mod5"] if order is None else order
     if j < 1 or j % 2 == 0:
@@ -290,21 +297,21 @@ def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofRepor
     # 1. generating function reduces to psi^3(q) / f10 times a spectator factor;
     # its mod-5 expansion is also the series scanned in step 5
     reduced = broken_k_diamond_series(BrokenDiamondSpec(k), order, modulus=5)
-    psi_cubed = series_pow(psi_series(1, order), 3)
-    spectator = expand_eta_quotient(
-        EtaQuotientSpec(50 * j, {10: -1, 25 * j: 1, 50 * j: -1}), order
+    psi_cubed = series_pow(psi_series(1, order), 3, modulus=5)
+    spectator = _expand(
+        EtaQuotientSpec(50 * j, {10: -1, 25 * j: 1, 50 * j: -1}), order, 5, reduce=False
     )
     steps.append(
         _series_equal_step(
-            "reduction" + suffix, reduced, series_mul(psi_cubed, spectator), 5, order
+            "reduction" + suffix, reduced, series_mul(psi_cubed, spectator, modulus=5), 5, order
         )
     )
 
     # 2. class-4 part of psi^3 collapses to q^4 psi(q^25) psi^2(q^5)
-    class4 = dissect(reduce_mod(psi_cubed, 5), 5)[4]
+    class4 = dissect(psi_cubed, 5)[4]
     psi5 = psi_series(5, order)
-    collapsed = series_mul(series_mul(psi_series(25, order), psi5), psi5)
-    shifted = series_mul(TruncatedSeries.monomial(4, order), collapsed)
+    collapsed = series_mul(series_mul(psi_series(25, order), psi5, modulus=5), psi5, modulus=5)
+    shifted = TruncatedSeries(order, (0,) * 4 + collapsed.coeffs[: order - 3])
     steps.append(_series_equal_step("dissection" + suffix, class4, shifted, 5, order))
 
     # 3. cube supports: f1^3 lives on classes {0,1} mod 5, f2^3 on {0,2}
@@ -338,6 +345,12 @@ def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
 
     An `order` below the largest residue would leave a lift scan empty; it
     is refused before any series is expanded.
+
+    b mod u is expanded once, by the reduced kernel, for every step that
+    reads b.  The binomial lemma f_1^u == f_p^(u/p) and the instance's r
+    are expanded in (Z/u)[[q]] as given, with no exponent reduction, so the
+    two basis steps check the lemma the reduced kernel relies on without
+    using it, and check the reduced b against an independent route.
     """
     family = _FAMILIES[theorem_id]
     _check_order(order, least=max(family.residues))
@@ -345,23 +358,22 @@ def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
     m, u = instances[0].m, instances[0].u
     p = divisors(u)[1]  # the prime dividing u
     basis_order = min(order, 300)
+    b_reduced = b_series(max(order, family.b_order), modulus=u)
     steps = [
         _series_equal_step(
             f"binomial_lemma_mod{u}",
-            expand_eta_quotient(EtaQuotientSpec(p, {1: u}), basis_order),
-            expand_eta_quotient(EtaQuotientSpec(p, {p: u // p}), basis_order),
+            _expand(EtaQuotientSpec(p, {1: u}), basis_order, u, reduce=False),
+            _expand(EtaQuotientSpec(p, {p: u // p}), basis_order, u, reduce=False),
             u, basis_order,
         ),
         _series_equal_step(
             f"congruent_form_mod{u}",
-            b_series(basis_order),
-            expand_eta_quotient(instances[0].r, basis_order),
+            b_reduced.truncate(basis_order),
+            _expand(instances[0].r, basis_order, u, reduce=False),
             u, basis_order,
         ),
     ]
 
-    # b mod u is expanded once, for the certificates, the b-family scan and the lifts
-    b_reduced = b_series(max(order, family.b_order), modulus=u)
     certs = tuple(
         _verify_instance(instance, b_reduced.truncate, order_cap=order_cap)
         for instance in instances

@@ -38,19 +38,29 @@ When u is a prime power p**a, the modulus path first reduces the quotient's
 exponents by the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u), so
 that, for instance, the mod-49 quotient {1:46, 2:1, 7:-7} is expanded as
 {1:-3, 2:1}.  Other moduli (see `_reduce_exponents`) and the exact path
-expand the quotient as given.  A quotient whose divisors share a factor g
-is expanded in q^g, at order//g, and lifted once.  Every power of (q;q)_inf
-is built from two sparse bases: its cube from Jacobi's identity,
+expand the quotient as given.  So does the private `_expand(spec, order,
+modulus, reduce=False)` for any modulus: its residues are those of the
+exact expansion by the same homomorphism, and unlike the reduced route they
+do not rest on the binomial lemma.  The pipelines check the lemma, and the
+congruent form of each certified quotient, in (Z/u)[[q]] through it, and
+tests compare the two routes at scale.  A quotient whose divisors share a
+factor g is expanded in q^g, at order//g, and lifted once.  Every power of
+(q;q)_inf is built from two sparse bases: its cube from Jacobi's identity,
 sum (-1)^n (2n+1) q^(n(n+1)/2), and the factor itself from the pentagonal
 number theorem; a negative power inverts those sparse bases, never a dense
 product.  The f_1**-1 or f_1**-3 of a quotient is not inverted at all: the
 product of the other factors is divided by the sparse base (see
 `expand_eta_quotient`), which saves the full-length product with the inverse.
+
+Inside a `tracing()` block the kernel counts its expansions by route and
+its products by route and ring, with their sizes; outside one it counts
+nothing.
 """
 
 import sys
 from array import array
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import compress, count
@@ -70,6 +80,7 @@ __all__ = [
     "eta_factor",
     "expand_eta_quotient",
     "reduce_mod",
+    "tracing",
 ]
 
 
@@ -200,6 +211,50 @@ class EtaQuotientSpec:
 
     def to_spec_string(self) -> str:
         return ",".join(f"{d}:{r}" for d, r in self.exponents)
+
+
+# ---------------------------------------------------------------------------
+# trace counters
+# ---------------------------------------------------------------------------
+
+# The counters of the innermost open `tracing` block; None when none is open.
+_trace: dict | None = None
+
+
+@contextmanager
+def tracing() -> Iterator[dict]:
+    """Count the kernel's expansions and products while the block runs.
+
+    Yields the counter dict, which the calls made inside the block fill in:
+
+    - "expand": {"exact", "reduced", "unreduced"}: the order of every
+      expansion, exact, mod u on the quotient `_reduce_exponents` gives, or
+      mod u on the quotient as given;
+    - "product": {"packed", "shift_add"} -> {"exact", "modular"}: one
+      [len(a), len(b), K] per product `_product` forms, K the smaller
+      nonzero count of its operands as passed in.
+
+    Entries come in call order, so the same calls give the same dict.  The
+    counters reach no result: series, certificates and reports have the
+    same bytes with tracing on or off.  A nested block counts on its own,
+    and the outer block's counters resume when it ends.
+    """
+    global _trace
+    outer = _trace
+    _trace = {
+        "expand": {"exact": [], "reduced": [], "unreduced": []},
+        "product": {"packed": {"exact": [], "modular": []}, "shift_add": {"modular": []}},
+    }
+    try:
+        yield _trace
+    finally:
+        _trace = outer
+
+
+def _count_product(route: str, a: Sequence[int], b: Sequence[int], modulus: int | None) -> None:
+    terms = min(len(a) - a.count(0), len(b) - b.count(0))
+    ring = "exact" if modulus is None else "modular"
+    _trace["product"][route][ring].append([len(a), len(b), terms])
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +498,11 @@ def _product(
         bound = terms * (modulus - 1) ** 2
         slot = next((s for s in (1, 2, 4, 8) if bound < 1 << 8 * s), None)
         if slot is not None and _shift_add_pays(terms, slot, hi - lo, hi):
+            if _trace is not None:
+                _count_product("shift_add", a, b, modulus)
             return _shift_add(sparse, _residues(dense, modulus), lo, hi, slot, modulus)
+    if _trace is not None:
+        _count_product("packed", a, b, modulus)
     out = _convolve_packed(a, b, hi, modulus)
     return out[lo:] if lo else out
 
@@ -788,8 +847,26 @@ def expand_eta_quotient(
     delta > 1 a division at full length where its inverse runs at
     order//delta; each keeps the product.
     """
+    return _expand(spec, order, modulus, reduce=True)
+
+
+def _expand(
+    spec: EtaQuotientSpec, order: int, modulus: int | None, reduce: bool
+) -> TruncatedSeries:
+    """`expand_eta_quotient`; with a modulus and `reduce=False`, of `spec` as given.
+
+    Skipping `_reduce_exponents` leaves the residues as they are and changes
+    only the route: the quotient's own factors are expanded in (Z/u)[[q]],
+    so the result rests on reduction mod u being a ring homomorphism and not
+    on the binomial lemma.  That makes it a second route to the residues of
+    the reduced expansion, and the route on which the lemma itself is
+    checked.  `reduce` has no effect on the exact path.
+    """
     _check_modulus(modulus)
-    if modulus is not None:
+    if _trace is not None:
+        kind = "exact" if modulus is None else "reduced" if reduce else "unreduced"
+        _trace["expand"][kind].append(order)
+    if modulus is not None and reduce:
         spec = _reduce_exponents(spec, modulus, order)
     g = gcd(*(delta for delta, _ in spec.exponents)) or 1
     inner = order // g

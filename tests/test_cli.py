@@ -12,6 +12,7 @@ import pytest
 
 from etacert import (
     DEFAULT_ORDER_CAP, EtaQuotientSpec, cli, dissect, expand_eta_quotient, finite_check, reduce_mod,
+    series,
 )
 
 CLI = [sys.executable, "-m", "etacert.cli"]
@@ -413,6 +414,50 @@ class TestUnwritableOutput:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"etacert: cannot write {path}")
         assert list(tmp_path.rglob(".etacert-*")) == []
+
+
+class TestTrace:
+    """--trace FILE writes the kernel's counters beside the output, never into it."""
+
+    COMMANDS = {
+        "certify": TestCertify.MOD25,
+        "verify-theorem-4": ["verify-theorem", "4"],
+        "verify-theorem-1": ["verify-theorem", "1"],
+        "counterexample": ["certify", "--m", "49", "--M", "14", "--N", "14", "--t", "34",
+                           "--r", "1:4,2:1,7:-1", "--rprime", "1:3", "--mod", "7"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_output_bytes_do_not_change(self, command, tmp_path):
+        argv = self.COMMANDS[command]
+        plain = _main_output(*argv)
+        trace = tmp_path / "trace.json"
+        assert _main_output(*argv, "--trace", str(trace)) == plain
+        counters = json.loads(trace.read_text())
+        assert set(counters) == {"expand", "product"}
+        assert sum(map(len, counters["expand"].values())) >= 1
+        assert series._trace is None
+
+    def test_counters_repeat_exactly(self, tmp_path):
+        texts = []
+        for name in ("a.json", "b.json"):
+            _main_output("verify-theorem", "2", "--trace", str(tmp_path / name))
+            texts.append((tmp_path / name).read_text())
+        assert texts[0] == texts[1]
+
+    def test_unwritable_trace_exits_64(self, tmp_path):
+        path = tmp_path / "missing" / "trace.json"
+        code, out, err = _main_output(*TestCertify.MOD25, "--trace", str(path))
+        assert code == 64
+        assert json.loads(out)["status"] == "verified"  # the output came first
+        assert err.startswith(f"etacert: cannot write {path}")
+
+    @pytest.mark.parametrize("command", [["expand", "--spec", "1:1", "--order", "5"],
+                                         ["dissect", "--spec", "1:1", "--m", "2", "--order", "5"]],
+                             ids=["expand", "dissect"])
+    def test_only_certify_and_verify_theorem_trace(self, command, tmp_path):
+        proc = run_cli(*command, "--trace", str(tmp_path / "t.json"))
+        assert proc.returncode == 64 and "unrecognized arguments" in proc.stderr
 
 
 def test_help_runs():

@@ -191,6 +191,26 @@ class TestCuspSumsAgainstReference:
         assert p_star(inst, c) == _reference_p_star(inst, c)
         assert type(p_min(inst, c)) is type(p_star(inst, c)) is Fraction
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r=_eta_spec(list(range(1, 61))),
+        xs=st.lists(st.integers(1, 10**4), min_size=1, max_size=30),
+        y=st.integers(1, 3000),
+        m=st.integers(1, 60),
+    )
+    @example(  # p_min of mod49 at c = 7: x = 1 + 24 * 7 * lambda, y = 343 * 7
+        r=EtaQuotientSpec(14, {1: 46, 2: 1, 7: -7}),
+        xs=[1 + 24 * 7 * lam for lam in range(343)], y=343 * 7, m=343,
+    )
+    def test_sum_over_distinct_gcds_is_per_x_minimum(self, r, xs, y, m):
+        # the reference takes gcd(delta x, y) for every x, with no gcd(x, y) step
+        brute = min(
+            sum(Fraction(r_delta * math.gcd(delta * x, y) ** 2, 24 * delta * m)
+                for delta, r_delta in r.exponents)
+            for x in xs
+        )
+        assert finite_check._cusp_sum(r, xs, y, m) == brute
+
     @settings(max_examples=40, deadline=None)
     @given(r_prime=_eta_spec(_COMPLETE_LEVELS), c=st.integers(-40, 0))
     def test_c_below_one_refused(self, r_prime, c):
@@ -199,6 +219,20 @@ class TestCuspSumsAgainstReference:
         for cusp_sum in (p_min, p_star):
             with pytest.raises(ValueError, match="c >= 1"):
                 cusp_sum(inst, c)
+
+
+class TestPSetAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 400), t=st.integers(0, 10**6), r=_eta_spec(list(range(1, 61))))
+    def test_half_range_matches_every_unit(self, m, t, r):
+        # the reference squares every unit x in 1..24m - 1
+        t %= m
+        modulus = 24 * m
+        sigma = r.weighted_sum()
+        squares = {x * x % modulus for x in range(1, modulus) if math.gcd(x, modulus) == 1}
+        orbit = {(t * s + (s - 1) // 24 * sigma) % m for s in squares}
+        inst = RSInstance(m=m, M=r.level, N=1, t=t, r=r, r_prime=EtaQuotientSpec(1, {}), u=2)
+        assert compute_p_set(inst) == tuple(sorted(orbit))
 
 
 class TestVBound:

@@ -461,19 +461,58 @@ class TestSharedBSeries:
         assert modular.count((pipelines._B_SPEC, 7)) == 1
         assert (KNOWN_INSTANCES["mod7_t33"].r, 7) not in modular
 
+    @pytest.fixture
+    def unreduced(self, monkeypatch):
+        calls = []
+        expand = pipelines._expand
+
+        def recording(spec, order, modulus, reduce):
+            calls.append((spec, order, modulus, reduce))
+            return expand(spec, order, modulus, reduce)
+
+        monkeypatch.setattr(pipelines, "_expand", recording)
+        return calls
+
     @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
-    def test_basis_steps_stay_exact(self, theorem_id, expansions):
-        # the binomial lemma and the congruent form check, with no modulus,
-        # the identity the reduced kernel relies on
+    def test_basis_steps_stay_exact(self, theorem_id, expansions, unreduced):
+        # the binomial lemma and the congruent form are checked mod u on the
+        # quotients exactly as written: no side goes through _reduce_exponents,
+        # which relies on the lemma, and b is the family's one reduced
+        # expansion, so the congruent form compares two routes to b mod u
         instance = pipelines._FAMILIES[theorem_id].instances[0]
         u = instance.u
         p = divisors(u)[1]
         assert run_theorem(theorem_id).overall
-        for spec in (
-            EtaQuotientSpec(p, {1: u}), EtaQuotientSpec(p, {p: u // p}),
-            pipelines._B_SPEC, instance.r,
-        ):
-            assert (spec, 300, None) in expansions
+        assert unreduced == [
+            (EtaQuotientSpec(p, {1: u}), 300, u, False),
+            (EtaQuotientSpec(p, {p: u // p}), 300, u, False),
+            (instance.r, 300, u, False),
+        ]
+        assert [call for call in expansions if call[0] == pipelines._B_SPEC] == [
+            (pipelines._B_SPEC, pipelines._FAMILIES[theorem_id].b_order, u)
+        ]
+
+    @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
+    def test_perturbed_unreduced_r_fails_congruent_form(self, theorem_id, monkeypatch):
+        instance = pipelines._FAMILIES[theorem_id].instances[0]
+        u = instance.u
+        expand = pipelines._expand
+
+        def perturbed(spec, order, modulus, reduce):
+            series = expand(spec, order, modulus, reduce)
+            if spec != instance.r:
+                return series
+            coeffs = list(series.coeffs)
+            coeffs[150] = (coeffs[150] + 1) % u
+            return TruncatedSeries(order, tuple(coeffs))
+
+        monkeypatch.setattr(pipelines, "_expand", perturbed)
+        report = run_theorem(theorem_id)
+        step = report.step(f"congruent_form_mod{u}")
+        b_value = b_series(150, modulus=u).coeffs[150]
+        assert step.witness == {"exponent": 150, "lhs": b_value, "rhs": (b_value + 1) % u}
+        assert not report.overall
+        assert [s.name for s in report.steps if not s.passed] == [step.name]
 
     @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
     def test_b_order_covers_every_certificate(self, theorem_id):
@@ -501,6 +540,25 @@ class TestSharedBSeries:
         )
         with pytest.raises(ValueError, match="is not b mod 7"):
             pipelines._Family((19, 33, 40, 47), (instance,), 30)
+
+
+class TestResidueOnlySteps:
+    """T1-T4 check residues only, so no step forms a long exact product."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [*(pytest.param(lambda t=t: run_theorem(t), id=t) for t in THEOREM_IDS[:4]),
+         pytest.param(lambda: elementary_mod5_proof(j=41), id="T1_j41")],
+    )
+    def test_no_exact_product_past_64(self, run):
+        # the one exact product left is the lift support f_ell/f_2ell, at
+        # order // ell + 1 <= 31 coefficients
+        with series.tracing() as counters:
+            assert run().overall
+        exact = counters["product"]["packed"]["exact"]
+        assert all(max(la, lb) <= 64 for la, lb, _ in exact), exact
+        products = counters["product"]
+        assert products["packed"]["modular"] or products["shift_add"]["modular"]
 
 
 class TestKnownInstancesRule:

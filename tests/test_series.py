@@ -1005,6 +1005,90 @@ class TestExponentReduction:
         assert proc.stdout == ",".join(map(str, expected.coeffs)) + "\n"
 
 
+# --- the unreduced route: the quotient as given, in (Z/u)[[q]] -------------------
+
+# r = {1: u - 3, 2: 1, p: -u/p} of the p-adic ladder of b (T2, T3, T4, X1, X2);
+# each is congruent to b = f2/f1^3 mod u by the binomial lemma
+_LADDER_R = {
+    5: EtaQuotientSpec(10, {1: 2, 2: 1, 5: -1}),
+    25: EtaQuotientSpec(10, {1: 22, 2: 1, 5: -5}),
+    125: EtaQuotientSpec(10, {1: 122, 2: 1, 5: -25}),
+    7: EtaQuotientSpec(14, {1: 4, 2: 1, 7: -1}),
+    49: EtaQuotientSpec(14, {1: 46, 2: 1, 7: -7}),
+}
+
+
+class TestUnreducedRoute:
+    @pytest.mark.parametrize("u", sorted(_LADDER_R))
+    def test_ladder_r_equals_b_at_scale(self, u):
+        # two routes to b mod u that share no factor: f1^(u-3) from powers of
+        # the cube, inverted sparse bases of f_p, no division by f1^3
+        r = _LADDER_R[u]
+        with series_module.tracing() as counters:
+            unreduced = series_module._expand(r, 20000, u, reduce=False)
+        assert counters["expand"]["unreduced"] == [20000]
+        assert unreduced == b_series(20000, u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=wide_specs, order=st.integers(0, 400), u=reduction_moduli)
+    def test_matches_per_factor_route(self, spec, order, u):
+        assert series_module._expand(spec, order, u, reduce=False) == _expand_per_factor(
+            spec, order, u
+        )
+
+    def test_reduce_has_no_effect_on_the_exact_path(self):
+        spec = _LADDER_R[49]
+        assert series_module._expand(spec, 200, None, reduce=False) == expand_eta_quotient(
+            spec, 200
+        )
+
+
+# --- trace counters ----------------------------------------------------------------
+
+
+class TestTracing:
+    def test_off_by_default_and_after_the_block(self):
+        assert series_module._trace is None
+        with series_module.tracing() as counters:
+            assert series_module._trace is counters
+        assert series_module._trace is None
+        b_series(300, 7)
+        assert counters["expand"] == {"exact": [], "reduced": [], "unreduced": []}
+
+    def test_counts_each_route_with_its_sizes(self):
+        sparse, short = S(1, 2, 0, 3), S(4, 5, 6, 7)
+        rng = random.Random(7)
+        dense = S(*(rng.randint(1, 6) for _ in range(300)))
+        with series_module.tracing() as counters:
+            series_mul(sparse, short)
+            series_mul(sparse, short, modulus=7)
+            series_mul(dense, dense, modulus=7)
+            expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), 10)
+            expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), 12, 7)
+            series_module._expand(EtaQuotientSpec(2, {1: -3, 2: 1}), 14, 7, reduce=False)
+        assert counters["expand"] == {"exact": [10], "reduced": [12], "unreduced": [14]}
+        assert counters["product"] == {
+            "packed": {"exact": [[4, 4, 3]], "modular": [[300, 300, 300]]},
+            "shift_add": {"modular": [[4, 4, 3]]},
+        }
+
+    def test_nested_block_counts_on_its_own(self):
+        with series_module.tracing() as outer:
+            expand_eta_quotient(EtaQuotientSpec(1, {1: 2}), 5)
+            with series_module.tracing() as inner:
+                expand_eta_quotient(EtaQuotientSpec(1, {1: 2}), 6)
+            expand_eta_quotient(EtaQuotientSpec(1, {1: 2}), 7)
+        assert outer["expand"]["exact"] == [5, 7]
+        assert inner["expand"]["exact"] == [6]
+
+    def test_results_do_not_change(self):
+        spec = EtaQuotientSpec(14, {1: 46, 2: 1, 7: -7})
+        plain = [expand_eta_quotient(spec, 3000, u) for u in (None, 7, 49)]
+        with series_module.tracing():
+            traced = [expand_eta_quotient(spec, 3000, u) for u in (None, 7, 49)]
+        assert traced == plain
+
+
 # --- Newton inversion on the modular path ---------------------------------------
 
 _T = series_module._NEWTON_MIN
@@ -1213,8 +1297,13 @@ class TestKarpMarkstein:
         assert pairs and (19550, 19550) not in pairs
 
     # across the threshold, and at lengths 1024 to 1026, which straddle a
-    # power-of-two multiple of it: the seed is halved once more on one side
-    @pytest.mark.parametrize("order", [_T - 1, _T, _T + 1, 1023, 1024, 1025])
+    # power-of-two multiple of it: the seed is halved once more on one side.
+    # The threshold's cases are named by role, so a new threshold keeps the ids
+    @pytest.mark.parametrize(
+        "order",
+        [pytest.param(_T - 1, id="T-1"), pytest.param(_T, id="T"),
+         pytest.param(_T + 1, id="T+1"), 1023, 1024, 1025],
+    )
     def test_b_quotient_across_threshold(self, order):
         spec = EtaQuotientSpec(2, {1: -3, 2: 1})
         assert expand_eta_quotient(spec, order, 49) == _expand_per_factor(spec, order, 49)
