@@ -3,12 +3,12 @@
 Every series is a finite prefix of a formal power series in q: exact
 arbitrary-precision integer coefficients for exponents 0..order, nothing
 rounded anywhere.  Every product goes through `_product`, which forms only
-the window of coefficients its caller keeps.  An exact product, and any
-modular product whose operands are both dense, is one packed multiply
-(`_convolve_packed`), which uses `decimal` only as an exact integer
-carrier, with rounding trapped.  A modular product by a sparse operand is
-built by shift-and-add instead (`_shift_add`) when a cost rule says that
-is cheaper.  Binary operations truncate to the smaller order; precision is
+the window of coefficients its caller keeps and picks its route by one rule
+in both rings.  A product by a sparse operand is built by shift-and-add
+(`_shift_add`) when binary lanes hold its coefficients and a cost rule says
+that is cheaper; any other is one packed multiply (`_convolve_packed`),
+which uses `decimal` only as an exact integer carrier, with rounding
+trapped.  Binary operations truncate to the smaller order; precision is
 never extended silently.
 
 `series_mul`, `series_invert`, `series_pow` and `expand_eta_quotient` take an
@@ -22,9 +22,11 @@ back.  A slot is sized for the fewer nonzero entries of the two operands,
 so a product with a sparse base (the Jacobi cube, f_1, f_2) packs narrower
 slots, and slots of up to 8 digits are decoded a machine word at a time.
 Shift-and-add packs the dense operand once into binary lanes of 1, 2, 4 or
-8 bytes and adds one shifted copy of it per nonzero entry of the sparse
-one, so the Newton steps of a division by the Jacobi cube cost about K
-passes over the window, K of order sqrt(N), instead of a full product.
+8 bytes, an exact signed one as its positive and negative parts, and adds
+one shifted copy of it per nonzero entry of the sparse one.  So a Newton
+step of a division by the Jacobi cube, or an exact product by the cube or
+f_delta, costs about K passes over the window, K of order sqrt(N), instead
+of a full product.
 
 Every inverse and every quotient goes through one division routine,
 `_divide`.  On the exact path, and at up to _NEWTON_MIN coefficients, it
@@ -65,6 +67,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import compress, count
 from math import gcd, isqrt, lcm
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -232,7 +235,8 @@ def tracing() -> Iterator[dict]:
       mod u on the quotient as given;
     - "product": {"packed", "shift_add"} -> {"exact", "modular"}: one
       [len(a), len(b), K] per product `_product` forms, K the smaller
-      nonzero count of its operands as passed in.
+      nonzero count of its operands as passed in; a product with an
+      all-zero operand is not formed and not counted.
 
     Entries come in call order, so the same calls give the same dict.  The
     counters reach no result: series, certificates and reports have the
@@ -243,7 +247,7 @@ def tracing() -> Iterator[dict]:
     outer = _trace
     _trace = {
         "expand": {"exact": [], "reduced": [], "unreduced": []},
-        "product": {"packed": {"exact": [], "modular": []}, "shift_add": {"modular": []}},
+        "product": {route: {"exact": [], "modular": []} for route in ("packed", "shift_add")},
     }
     try:
         yield _trace
@@ -251,8 +255,8 @@ def tracing() -> Iterator[dict]:
         _trace = outer
 
 
-def _count_product(route: str, a: Sequence[int], b: Sequence[int], modulus: int | None) -> None:
-    terms = min(len(a) - a.count(0), len(b) - b.count(0))
+def _count_product(route: str, a: Sequence[int], b: Sequence[int], terms: int,
+                   modulus: int | None) -> None:
     ring = "exact" if modulus is None else "modular"
     _trace["product"][route][ring].append([len(a), len(b), terms])
 
@@ -303,7 +307,9 @@ _NEWTON_MIN = 256
 # hi, by a sparse operand of K terms in lanes of s bytes, when
 # K * (s * W + _SHIFT_ADD_TERM) <= _SHIFT_ADD_BYTES * hi.  Timed on every
 # product of b = f_2/f_1**3 mod 5, 7, 25, 49 and 125 at orders 9000 to
-# 921,224 (2-core x86-64, CPython 3.11), against the packed product:
+# 921,224, and on the exact products of the f_1**4 * f_delta**e requests at
+# orders 300, 700, 1500 and 2500 (2-core x86-64, CPython 3.11), against the
+# packed product:
 #   product                                      K*s*W/hi  shift-add/packed
 #   Newton windows by the cube, orders <= 20,000   50-400   0.18-0.37
 #   X1 residual (a * out)[189458:378916] mod 49      1742   0.81
@@ -314,9 +320,16 @@ _NEWTON_MIN = 256
 #   dense g * h of 580-1560 terms mod 5, 7          840-2290  0.9-1.3
 #   dense g * h of 100-400 terms mod 49, 125        400-1600  1.2-1.7
 #   dense g * h of 600-900 terms mod 25, 49, 125   2330-3550  1.5-3.0
+#   exact cube * f_1, 300 to 2500                  50-142   0.77-0.45
+#   exact f_1**4 * f_3, 300 to 2500                 34-94   0.43-0.25
+#   exact f_1**4 * f_5**2, 300 to 2500             80-1032  0.31-0.63
+#   exact f_1**4 * K random terms to 700, 2500    1400-2500  1.00-1.11
 # The term cost stands for the fixed work of each term (a loop step, two
 # int allocations, a share of the multiplies by residues); it keeps dense
-# products, whose K is about W, packed at every length.
+# products, whose K is about W, packed at every length.  An exact signed
+# dense operand is shifted and added once per sign, and the last row shows
+# that the rule's bound already sits where such a product breaks even, so
+# the split is not priced apart.
 _SHIFT_ADD_BYTES = 2800
 _SHIFT_ADD_TERM = 3072
 
@@ -352,8 +365,8 @@ def _convolve_packed(
 ) -> list[int]:
     """Exact signed convolution via fixed-width packing into big decimals.
 
-    `_product` calls it for every exact product, and for every modular one
-    that `_shift_add` would not make cheaper, then cuts the window it needs.
+    `_product` calls it for every product, exact or modular, that
+    `_shift_add` would not make cheaper, then cuts the window it needs.
 
     Each coefficient occupies a slot of w decimal digits.  A product
     coefficient is a sum of at most K = min(nonzeros(a), nonzeros(b))
@@ -481,88 +494,107 @@ def _product(
 ) -> list[int]:
     """Coefficients lo..hi-1 of a * b, reduced mod `modulus` when given.
 
-    Every product of the kernel comes here.  A modular product whose
-    sparser operand has K nonzero entries goes to `_shift_add` when a slot
-    of 1, 2, 4 or 8 bytes holds K * (u - 1)**2 and `_shift_add_pays`; any
-    other product, and every exact one, is the packed multiply cut to the
-    window.
+    Every product of the kernel comes here, and one rule picks its route in
+    both rings.  The sparser operand has K nonzero entries.  When a lane of
+    1, 2, 4 or 8 bytes holds K * (u - 1)**2, or on the exact path K *
+    max|sparse| * max|dense|, and `_shift_add_pays`, the product goes to
+    `_shift_add`; any other is the packed multiply cut to the window.
     """
     if hi <= lo:
         return []
-    if modulus is not None:
-        a_terms = len(a) - a.count(0)
-        b_terms = len(b) - b.count(0)
-        sparse, dense, terms = (a, b, a_terms) if a_terms <= b_terms else (b, a, b_terms)
-        if not terms:
-            return [0] * (hi - lo)
+    a_terms = len(a) - a.count(0)
+    b_terms = len(b) - b.count(0)
+    sparse, dense, terms = (a, b, a_terms) if a_terms <= b_terms else (b, a, b_terms)
+    if not terms:
+        return [0] * (hi - lo)
+    if modulus is None:
+        bound = terms * max(max(sparse), -min(sparse)) * max(max(dense), -min(dense))
+    else:
         bound = terms * (modulus - 1) ** 2
-        slot = next((s for s in (1, 2, 4, 8) if bound < 1 << 8 * s), None)
-        if slot is not None and _shift_add_pays(terms, slot, hi - lo, hi):
-            if _trace is not None:
-                _count_product("shift_add", a, b, modulus)
-            return _shift_add(sparse, _residues(dense, modulus), lo, hi, slot, modulus)
+    slot = next((s for s in (1, 2, 4, 8) if bound < 1 << 8 * s), None)
+    if slot is not None and _shift_add_pays(terms, slot, hi - lo, hi):
+        if _trace is not None:
+            _count_product("shift_add", a, b, terms, modulus)
+        if modulus is not None:
+            dense = _residues(dense, modulus)
+        return _shift_add(sparse, dense, lo, hi, slot, modulus)
     if _trace is not None:
-        _count_product("packed", a, b, modulus)
+        _count_product("packed", a, b, terms, modulus)
     out = _convolve_packed(a, b, hi, modulus)
     return out[lo:] if lo else out
 
 
 def _shift_add(
-    sparse: Sequence[int], dense: Sequence[int], lo: int, hi: int, slot: int, u: int
+    sparse: Sequence[int], dense: Sequence[int], lo: int, hi: int, slot: int, u: int | None
 ) -> list[int]:
-    """Coefficients lo..hi-1 of sparse * dense mod u, one shifted copy of dense per term.
+    """Coefficients lo..hi-1 of sparse * dense, mod u unless u is None, by shift-and-add.
 
-    `dense` holds residues 0..u-1, and `slot` bytes hold K * (u - 1)**2 for
-    the K nonzero entries of `sparse`.  The dense operand is packed once
-    into one int of slot-byte lanes, and once more in reverse order.  For
-    each nonzero sparse(k) one of the two is shifted into place and added:
-    the forward copy when it keeps fewer lanes (n + k - lo) than the
-    reversed one (hi - k), which builds the window back to front.  Terms
-    are grouped by residue, so each residue costs one multiply.  A lane
-    outside the window holds a partial sum of true product coefficients,
-    so it never carries into its neighbour; it is cut off at the end.
+    `slot` bytes hold K * (u - 1)**2 for the K nonzero entries of `sparse`,
+    with `dense` residues 0..u-1, or on the exact path K * max|sparse| *
+    max|dense|.  An exact dense operand with a negative entry is split into
+    its positive and negative parts; each part is packed once into one int
+    of slot-byte lanes, and once more in reverse order.  For each nonzero
+    sparse(k) one copy of each part is shifted into place and added: the
+    forward copy when it keeps fewer lanes (n + k - lo) than the reversed
+    one (hi - k), which builds the window back to front.  Terms are grouped
+    by residue, or exactly by value, so each group costs one multiply per
+    part, and goes by its sign and the part's to a plus or a minus sum,
+    which are subtracted lane by lane at the end.  A lane outside the
+    window holds a partial sum of same-signed terms of one true product
+    coefficient, so it never carries into its neighbour; it is cut off.
     """
     width = hi - lo
     code = _LANE_TYPES[slot]
     bits = 8 * slot
     groups: dict[int, list[int]] = {}
     for k in compress(range(min(len(sparse), hi)), sparse):
-        r = sparse[k] % u
+        r = sparse[k] if u is None else sparse[k] % u
         if r:
             groups.setdefault(r, []).append(k)
     n = len(dense)
-    lanes = array(code, dense)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    up_base = int.from_bytes(lanes.tobytes(), "little")  # lane i holds dense(i)
-    lanes.reverse()
-    down_base = int.from_bytes(lanes.tobytes(), "little")  # lane i holds dense(n - 1 - i)
+    parts = [dense]
+    if u is None and min(dense) < 0:
+        parts = [[c if c > 0 else 0 for c in dense], [-c if c < 0 else 0 for c in dense]]
     # lane j - lo of up_base shifted by k - lo holds dense(j - k); it keeps
     # n + k - lo lanes against hi - k for the reversed copy
     turn = (hi + lo - n) // 2
-    up = down = 0
-    for r, ks in groups.items():
-        acc = 0
-        split = bisect_right(ks, turn)
-        for k in ks[:split]:
-            if k > lo:
-                acc += up_base << bits * (k - lo)
-            elif k + n > lo:
-                acc += up_base >> bits * (lo - k)
-        up += r * acc
-        acc = 0
-        # lane hi - 1 - j of the down copy holds dense(j - k); largest first
-        for k in reversed(ks[split:]):
-            shift = k + n - hi
-            acc += down_base >> bits * shift if shift >= 0 else down_base << -bits * shift
-        down += r * acc
+    sums = [[0, 0], [0, 0]]  # [up, down] of the plus and of the minus sum
+    for negative, part in enumerate(parts):
+        lanes = array(code, part)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        up_base = int.from_bytes(lanes.tobytes(), "little")  # lane i holds part(i)
+        lanes.reverse()
+        down_base = int.from_bytes(lanes.tobytes(), "little")  # lane i holds part(n - 1 - i)
+        for r, ks in groups.items():
+            acc = 0
+            split = bisect_right(ks, turn)
+            for k in ks[:split]:
+                if k > lo:
+                    acc += up_base << bits * (k - lo)
+                elif k + n > lo:
+                    acc += up_base >> bits * (lo - k)
+            total = sums[(r < 0) ^ negative]
+            total[0] += abs(r) * acc
+            acc = 0
+            # lane hi - 1 - j of the down copy holds dense(j - k); largest first
+            for k in reversed(ks[split:]):
+                shift = k + n - hi
+                acc += down_base >> bits * shift if shift >= 0 else down_base << -bits * shift
+            total[1] += abs(r) * acc
     mask = (1 << bits * width) - 1
-    back = _lanes(down & mask, width, slot)
-    back.reverse()
-    if sys.byteorder == "big":
-        back.byteswap()
-    total = (up & mask) + int.from_bytes(back.tobytes(), "little")
-    return [c % u for c in _lanes(total, width, slot).tolist()]
+
+    def lanes_of(up: int, down: int) -> array:
+        back = _lanes(down & mask, width, slot)
+        back.reverse()
+        if sys.byteorder == "big":
+            back.byteswap()
+        return _lanes((up & mask) + int.from_bytes(back.tobytes(), "little"), width, slot)
+
+    plus = lanes_of(*sums[0])
+    if u is not None:
+        return [c % u for c in plus.tolist()]
+    return list(map(sub, plus, lanes_of(*sums[1])))
 
 
 def _check_modulus(modulus: int | None) -> None:
@@ -663,26 +695,39 @@ def _divide_recurrence(
 
     Solves a * out = num term by term: out(n) = a(0) * (num(n) - sum_{k>=1}
     a(k) out(n-k)), over the nonzero a(k) only, so dividing by a sparse
-    series costs the same pass as inverting it.  With a modulus every
-    out(n) is reduced as soon as it is known.
+    series costs the same pass as inverting it.  `out` grows by one entry
+    per n, so out(n - k) is out[-k], and the n between two nonzero a(k)
+    share one prefix of live terms, so no term is tested against n.  The
+    a(k) = +-1 terms (every term of f_1) are summed in C, by sum(map(
+    out.__getitem__, offsets)); each other term takes one multiply.  With a
+    modulus every out(n) is reduced as soon as it is known.
     """
+    order = num.order
     c0 = a.coeffs[0]
-    nz = [(k, ak) for k, ak in enumerate(a.coeffs[: num.order + 1]) if ak and k]
-    out = list(num.coeffs)
-    out[0] = c0 * out[0] if modulus is None else c0 * out[0] % modulus
-    for n in range(1, num.order + 1):
-        acc = 0
-        for k, ak in nz:
-            if k > n:
-                break
-            if ak == 1:
-                acc += out[n - k]
-            elif ak == -1:
-                acc -= out[n - k]
-            else:
-                acc += ak * out[n - k]
-        out[n] = c0 * (out[n] - acc) if modulus is None else c0 * (out[n] - acc) % modulus
-    return TruncatedSeries(num.order, tuple(out))
+    nums = num.coeffs
+    out = [c0 * nums[0] if modulus is None else c0 * nums[0] % modulus]
+    get, append = out.__getitem__, out.append
+    plus, minus, other = [], [], []  # the live terms, by offset -k
+    start = 1
+    for k in [*compress(range(1, order + 1), a.coeffs[1 : order + 1]), order + 1]:
+        ones = plus or minus
+        for n in range(start, k):
+            acc = sum(map(get, plus)) - sum(map(get, minus)) if ones else 0
+            for j, aj in other:
+                acc += aj * out[j]
+            x = c0 * (nums[n] - acc)
+            append(x if modulus is None else x % modulus)
+        if k > order:
+            break
+        start = k
+        ak = a.coeffs[k]
+        if ak == 1:
+            plus.append(-k)
+        elif ak == -1:
+            minus.append(-k)
+        else:
+            other.append((-k, ak))
+    return TruncatedSeries(order, tuple(out))
 
 
 def series_pow(a: TruncatedSeries, e: int, modulus: int | None = None) -> TruncatedSeries:

@@ -733,6 +733,91 @@ def test_shift_add_lane_bound_reached(u, k, lane, monkeypatch):
     assert {route for _, _, route in products} == {lane}
 
 
+# --- the same route rule for exact products ----------------------------------------
+
+_exact_entries = st.integers(-(2**20), 2**20)
+
+
+@st.composite
+def _exact_operands(draw):
+    """Two signed operands of any sparsity, one of them perhaps with no negative entry."""
+
+    def operand(label):
+        length = draw(st.integers(1, 40), label=f"{label} length")
+        terms = draw(
+            st.dictionaries(st.integers(0, length - 1), _exact_entries, max_size=length),
+            label=label,
+        )
+        return [terms.get(k, 0) for k in range(length)]
+
+    a, b = operand("a"), operand("b")
+    if draw(st.booleans(), label="b nonnegative"):
+        b = [abs(c) for c in b]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands=_exact_operands(), data=st.data())
+def test_exact_shift_add_matches_schoolbook(operands, data):
+    a, b = operands
+    end = len(a) + len(b) - 1
+    # windows from 0, with lo > 0, with hi past the product's end, and with
+    # lo past every shifted copy
+    lo = data.draw(st.integers(0, end + 3), label="lo")
+    hi = data.draw(st.integers(lo, end + 8), label="hi")
+    expected = _convolve_schoolbook(a, b, hi)[lo:]
+    assert series_module._product(a, b, lo, hi) == expected
+    assert series_module._product(b, a, lo, hi) == expected
+    # shift-and-add itself, in the narrowest lanes that hold the bound,
+    # whichever route the cost rule picks
+    for sparse, dense in ((a, b), (b, a)):
+        terms = len(sparse) - sparse.count(0)
+        if not terms:
+            continue  # `_product` forms no product by an all-zero operand
+        bound = terms * max(map(abs, sparse)) * max(map(abs, dense))
+        slot = next(s for s in (1, 2, 4, 8) if bound < 1 << 8 * s)
+        assert series_module._shift_add(sparse, dense, lo, hi, slot, None) == expected
+
+
+# (K, max|sparse|, max|dense|, lane bytes): K * max|sparse| * max|dense| at
+# 2**(8s) - 1 and at 2**(8s) for s = 1, 2, 4 and 8; "packed" past 8 bytes
+@pytest.mark.parametrize(
+    "k,smax,dmax,lane",
+    [(3, 5, 17, 1), (4, 8, 8, 2), (3, 85, 257, 2), (4, 2**7, 2**7, 4),
+     (3, 21845, 65537, 4), (4, 2**15, 2**15, 8),
+     (3, 21845, 281479271743489, 8), (4, 2**31, 2**31, "packed")],
+)
+@pytest.mark.parametrize("signed", [False, True])
+def test_exact_shift_add_lane_bound_reached(k, smax, dmax, lane, signed, monkeypatch):
+    # signed, the K terms of a fully overlapped coefficient share one sign,
+    # so the plus or the minus sum of its lane reaches the bound
+    products = _record_products(monkeypatch)
+    for stride in (1, 3):
+        a, b = _bound_operands(k, stride, stride * k + 5, smax, dmax, signed)
+        end = len(a) + len(b) - 1
+        exact = _convolve_schoolbook(a, b, end)
+        assert max(map(abs, exact)) == k * smax * dmax
+        first = stride * (k - 1)  # the first fully overlapped coefficient
+        for lo, hi in ((first, first + 5), (0, end + 2)):
+            expected = _convolve_schoolbook(a, b, hi)[lo:]
+            assert series_module._product(a, b, lo, hi) == expected
+            assert series_module._product(b, a, lo, hi) == expected
+    assert {route for _, _, route in products} == {lane}
+
+
+@pytest.mark.parametrize("exps", [{1: 4, 3: 1}, {1: -3, 5: 2}])
+def test_exact_requests_form_no_packed_product(exps):
+    # f1**4 * f3 is the cube times f1, then times f3; f1**-3 * f5**2 is f1
+    # squared at order 500, lifted and divided by the cube: every product
+    # has a sparse operand, so none is a packed multiply
+    spec = EtaQuotientSpec(max(exps), exps)
+    with series_module.tracing() as counters:
+        got = expand_eta_quotient(spec, 2500)
+    assert counters["product"]["packed"]["exact"] == []
+    assert counters["product"]["shift_add"]["exact"]
+    assert got == _expand_per_factor(spec, 2500)
+
+
 def test_residue_operands_are_not_reduced_again():
     residues = [0, 1, 6, 3]
     assert series_module._residues(residues, 7) is residues
@@ -1067,9 +1152,11 @@ class TestTracing:
             expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), 12, 7)
             series_module._expand(EtaQuotientSpec(2, {1: -3, 2: 1}), 14, 7, reduce=False)
         assert counters["expand"] == {"exact": [10], "reduced": [12], "unreduced": [14]}
+        # the 4 x 4 product by K = 3 terms is shifted and added in both
+        # rings; only the dense square is packed
         assert counters["product"] == {
-            "packed": {"exact": [[4, 4, 3]], "modular": [[300, 300, 300]]},
-            "shift_add": {"modular": [[4, 4, 3]]},
+            "packed": {"exact": [], "modular": [[300, 300, 300]]},
+            "shift_add": {"exact": [[4, 4, 3]], "modular": [[4, 4, 3]]},
         }
 
     def test_nested_block_counts_on_its_own(self):
@@ -1206,6 +1293,35 @@ class TestDivision:
         assert ((_T + 2) // 2, _T + 1) in windows
         assert all(lo > 0 for lo, hi in windows if hi == _T + 1)
 
+    @pytest.mark.parametrize("kind", ["ones", "others", "mixed"])
+    @pytest.mark.parametrize("c0", [1, -1])
+    def test_recurrence_matches_oracle(self, kind, c0):
+        # the +-1 terms are summed apart from the others, so divisors with
+        # only the one kind, only the other, and both
+        rng = random.Random(f"{kind}{c0}")
+        order = 60
+        if kind == "ones":
+            a = eta_factor(1, order)
+        elif kind == "others":
+            a = series_module._sparse_series(order, series_module._jacobi_walk())
+        else:
+            a = S(1, *(rng.choice((0, 0, 1, -1, 2, -7)) for _ in range(order)))
+        if c0 == -1:
+            a = -a
+        inverse = naive_invert(a)
+        numerators = (
+            S(*(rng.randint(-(10**20), 10**20) for _ in range(order + 1))),
+            TruncatedSeries(order, (0,) * (order + 1)),
+        )
+        for num in numerators:
+            for num_order in (0, 1, 16, order):
+                prefix = num.truncate(num_order)
+                expected = naive_mul(prefix, inverse)
+                assert _divide_recurrence(prefix, a, None) == expected, num_order
+                for u in (2, 49, 10**30):
+                    got = _divide_recurrence(prefix, a, u)
+                    assert got == reduce_mod(expected, u), (num_order, u)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), u=st.one_of(moduli, st.just(10**30)))
     def test_quotient_times_base_is_numerator(self, data, u):
@@ -1331,12 +1447,12 @@ class TestQuotientsInQPower:
     def test_expanded_at_order_over_g(self, monkeypatch):
         # f_343 / f_686 to 3771 is f_1 / f_2 to 10, lifted once
         lengths = []
-        real = series_module._convolve_packed
+        real = series_module._product
 
-        def recording(a, b, out_len, modulus=None):
-            lengths.append(out_len)
-            return real(a, b, out_len, modulus)
+        def recording(a, b, lo, hi, modulus=None):
+            lengths.append(hi)
+            return real(a, b, lo, hi, modulus)
 
-        monkeypatch.setattr(series_module, "_convolve_packed", recording)
+        monkeypatch.setattr(series_module, "_product", recording)
         expand_eta_quotient(EtaQuotientSpec(686, {343: 1, 686: -1}), 3771)
         assert lengths == [3771 // 343 + 1]
