@@ -470,13 +470,17 @@ def _verify_instance(
 def revalidate_certificate(data: Mapping) -> bool:
     """Replay a certificate dict against a fresh expansion; True iff it reproduces.
 
-    A malformed or inconsistent dict gives False.  A certificate whose order
-    bound m * checked_upto + t exceeds DEFAULT_ORDER_CAP is not replayed: it
-    raises OrderCapExceeded instead of returning a verdict.
+    The fresh certificate's canonical (sorted, compact) JSON text must equal
+    that of `data`, so a field rewritten as an equal value of another type,
+    such as 49.0 for 49, does not reproduce.  A malformed or inconsistent
+    dict, or one that does not serialize, gives False.  A certificate whose
+    order bound m * checked_upto + t exceeds DEFAULT_ORDER_CAP is not
+    replayed: it raises OrderCapExceeded instead of returning a verdict.
     """
     if not isinstance(data, Mapping) or data.get("schema_version") != CERTIFICATE_SCHEMA_VERSION:
         return False
     try:
+        text = json.dumps(dict(data), sort_keys=True)
         instance = instance_from_dict(data["instance"])
         fresh = verify_instance(
             instance,
@@ -484,6 +488,7 @@ def revalidate_certificate(data: Mapping) -> bool:
             check_upto=int(data["checked_upto"]),
         )
     except (KeyError, TypeError, ValueError):
-        # malformed or internally inconsistent input cannot reproduce anything
+        # malformed, unserializable or internally inconsistent input cannot
+        # reproduce anything
         return False
-    return fresh.to_json_dict() == dict(data)
+    return json.dumps(fresh.to_json_dict(), sort_keys=True) == text

@@ -2,31 +2,40 @@
 
 Every series is a finite prefix of a formal power series in q: exact
 arbitrary-precision integer coefficients for exponents 0..order, nothing
-rounded anywhere.  Every product goes through `_product`, which forms only
-the window of coefficients its caller keeps and picks its route by one rule
-in both rings.  A product by a sparse operand is built by shift-and-add
-(`_shift_add`) when binary lanes hold its coefficients and a cost rule says
-that is cheaper; any other is one packed multiply (`_convolve_packed`),
-which uses `decimal` only as an exact integer carrier, with rounding
-trapped.  Binary operations truncate to the smaller order; precision is
-never extended silently.
+rounded anywhere.  Binary operations truncate to the smaller order;
+precision is never extended silently.
 
 `series_mul`, `series_invert`, `series_pow` and `expand_eta_quotient` take an
 optional `modulus` u and then compute in (Z/u)[[q]]: every result holds the
 least nonnegative residues.  Reduction mod u is a ring homomorphism
 Z[[q]] -> (Z/u)[[q]], so these residues equal the exact result passed
-through `reduce_mod`, while no intermediate coefficient grows beyond
-about len * u**2.  The modular products pack residues 0..u-1 through a
-table of fixed-width digit strings and reduce each slot as they read it
-back.  A slot is sized for the fewer nonzero entries of the two operands,
-so a product with a sparse base (the Jacobi cube, f_1, f_2) packs narrower
-slots, and slots of up to 8 digits are decoded a machine word at a time.
-Shift-and-add packs the dense operand once into binary lanes of 1, 2, 4 or
-8 bytes, an exact signed one as its positive and negative parts, and adds
-one shifted copy of it per nonzero entry of the sparse one.  So a Newton
-step of a division by the Jacobi cube, or an exact product by the cube or
-f_delta, costs about K passes over the window, K of order sqrt(N), instead
-of a full product.
+through `reduce_mod`.  Every product goes through `_product`, which forms
+only the window of coefficients its caller keeps:
+
+- `_product` alone knows the ring.  It counts the K nonzero entries of the
+  sparser operand once, bounds every product coefficient by K * (u - 1)**2
+  mod u, or by K * max|sparse| * max|dense| exactly, and picks the route by
+  one rule in both rings.  Mod u it hands the carrier residues 0..u-1 (both
+  operands of a packed multiply; the dense operand of shift-and-add, with
+  the sparse one's nonzero terms reduced and grouped by value), so no
+  intermediate coefficient grows beyond about len * u**2, and it reduces
+  the window once, as it collects it.
+- Both carriers compute exactly in Z, with no modulus of their own.
+- A product by a sparse operand is built by shift-and-add (`_shift_add`)
+  when binary lanes of 1, 2, 4 or 8 bytes hold the bound and a cost rule
+  says that is cheaper.  The dense operand is packed once into lanes, a
+  signed one as its positive and negative parts, and one shifted copy of
+  it is added per nonzero term of the sparse one.  So a Newton step of a
+  division by the Jacobi cube, or an exact product by the cube or f_delta,
+  costs about K passes over the window, K of order sqrt(N), instead of a
+  full product.
+- Any other product is one packed multiply (`_convolve_packed`), which uses
+  `decimal` only as an exact integer carrier, with rounding trapped.  Each
+  coefficient fills a slot of decimal digits sized for the bound, so a
+  product with a sparse base (the Jacobi cube, f_1, f_2) packs narrower
+  slots; small nonnegative entries, as residues are, pack through a table
+  of digit strings, and slots of up to 8 digits are decoded a machine word
+  at a time.
 
 Every inverse and every quotient goes through one division routine,
 `_divide`.  On the exact path, and at up to _NEWTON_MIN coefficients, it
@@ -255,12 +264,6 @@ def tracing() -> Iterator[dict]:
         _trace = outer
 
 
-def _count_product(route: str, a: Sequence[int], b: Sequence[int], terms: int,
-                   modulus: int | None) -> None:
-    ring = "exact" if modulus is None else "modular"
-    _trace["product"][route][ring].append([len(a), len(b), terms])
-
-
 # ---------------------------------------------------------------------------
 # convolution kernel
 # ---------------------------------------------------------------------------
@@ -334,22 +337,21 @@ _SHIFT_ADD_BYTES = 2800
 _SHIFT_ADD_TERM = 3072
 
 
-def _read_lanes(digits: str, w: int, take: int) -> Iterator[array]:
-    """The lowest `take` slots of a string of w-digit slots, w in 1, 2, 4 or 8.
+def _read_lanes(digits: str, w: int) -> array:
+    """The slots of a string of w-digit slots, w in 1, 2, 4 or 8, lowest first.
 
-    The lowest slot is the last in `digits`; missing leading digits read as
-    zeros.  Yields arrays of at most _LANE_CHUNK slot values, lowest first.
+    The lowest slot is the last in `digits`, whose length is a multiple of
+    w.  Runs of at most _LANE_CHUNK slots are decoded at a time.
     """
-    end = len(digits)
-    for first in range(0, take, _LANE_CHUNK):
-        count = min(_LANE_CHUNK, take - first)
-        stop = end - first * w
-        x = int.from_bytes(digits[max(stop - count * w, 0) : max(stop, 0)].encode(), "big")
-        x &= _DIGIT_MASK
+    lanes = array(_LANE_TYPES[w])
+    for stop in range(len(digits), 0, -w * _LANE_CHUNK):
+        start = max(stop - w * _LANE_CHUNK, 0)
+        x = int.from_bytes(digits[start:stop].encode(), "big") & _DIGIT_MASK
         for shift, mask, shrink in _LANE_FOLDS[: w.bit_length() - 1]:
             # a group holding lo + 256**k * hi becomes lo + 10**k * hi
             x -= (x >> shift & mask) * shrink
-        yield _lanes(x, count, w)
+        lanes += _lanes(x, (stop - start) // w, w)
+    return lanes
 
 
 def _lanes(x: int, count: int, width: int) -> array:
@@ -361,33 +363,30 @@ def _lanes(x: int, count: int, width: int) -> array:
 
 
 def _convolve_packed(
-    a: Sequence[int], b: Sequence[int], out_len: int, modulus: int | None = None
-) -> list[int]:
-    """Exact signed convolution via fixed-width packing into big decimals.
+    a: Sequence[int], b: Sequence[int], lo: int, hi: int, bound: int, top: int,
+    signs: tuple[bool, bool],
+) -> Iterable[int]:
+    """Coefficients lo..hi-1 of a * b in Z, by one multiply of big decimals.
 
-    `_product` calls it for every product, exact or modular, that
-    `_shift_add` would not make cheaper, then cuts the window it needs.
+    `_product` calls it for every product that `_shift_add` would not make
+    cheaper, with what it has already found: every |coefficient| of a * b
+    is at most `bound` and every |entry| of a and b at most `top`, and
+    `signs` says whether a and b have a negative entry.
 
-    Each coefficient occupies a slot of w decimal digits.  A product
-    coefficient is a sum of at most K = min(nonzeros(a), nonzeros(b))
-    nonzero terms, so w is chosen so that K * max|a| * max|b| < 10**w, or
-    below the half-slot 5 * 10**(w - 1) when an input has a negative
-    coefficient; adding that half-slot to every slot of the product then
-    makes all slots nonnegative, so they are read back from its digit
-    string without borrow propagation.  The carrier is `decimal.Decimal`
-    because CPython's C decimal module (libmpdec) multiplies long operands
-    by number-theoretic transform, where `int` multiplication is Karatsuba.
-
-    With a modulus u the inputs are first reduced to residues 0..u-1
-    (unless `_residues` finds they already are), so no slot is signed and w
-    is the digit count of K * (u - 1)**2; residues are packed through a
-    table of w-digit strings when u is at most the number of coefficients
-    to pack, and every slot is reduced mod u as it is read back.
+    Each coefficient occupies a slot of w decimal digits, w the digit count
+    of `bound`, or of twice it when an operand is signed; adding the
+    half-slot 5 * 10**(w - 1) to every slot of the product then makes all
+    slots nonnegative, so they are read back from its digit string without
+    borrow propagation.  The carrier is `decimal.Decimal` because CPython's
+    C decimal module (libmpdec) multiplies long operands by number-theoretic
+    transform, where `int` multiplication is Karatsuba.  An operand with no
+    negative entry is packed through a table of w-digit strings when `top`
+    is below the number of entries to pack, as for residues mod a small u.
 
     Slots of up to _LANE_DIGITS digits are widened to 1, 2, 4 or 8 digits
-    and decoded word-parallel by `_read_lanes`, a chunk at a time; wider
-    slots are read one `int` per slot, through `Decimal` above the 640
-    digits CPython may refuse to convert directly.
+    and decoded word-parallel by `_read_lanes`; wider slots are read one
+    `int` per slot, through `Decimal` above the 640 digits CPython may
+    refuse to convert directly.
 
     The result is exact: the multiply runs at the maximal precision with
     `Inexact` and `Rounded` trapped, so any rounding would raise.  Operands
@@ -395,27 +394,8 @@ def _convolve_packed(
     digit string; a whole operand is never converted between `int` and
     `Decimal`, which would be quadratic.
     """
-    if modulus is not None:
-        aliased = b is a
-        a = _residues(a, modulus)
-        b = a if aliased else _residues(b, modulus)
-    # count(0) runs in C; an all-zero operand makes every product slot zero
-    terms = min(len(a) - a.count(0), len(b) - b.count(0))
-    if not terms:
-        return [0] * out_len
-    if modulus is None:
-        amax = max(map(abs, a))
-        bmax = max(map(abs, b))
-        a_signed = min(a) < 0
-        b_signed = min(b) < 0
-    else:
-        amax = bmax = modulus - 1
-        a_signed = b_signed = False
-    signed = a_signed or b_signed
-    # every product coefficient c has |c| <= terms * amax * bmax; w is the
-    # digit count of that bound, or of twice it when signed, so that
-    # |c| < 5 * 10**(w - 1) and the half-slot offset keeps c in its slot
-    span = (terms * amax * bmax) << signed
+    signed = signs[0] or signs[1]
+    span = bound << signed
     w = span.bit_length() * 30103 // 100000 + 1  # the digit count, or one more
     if span < 10 ** (w - 1):
         w -= 1
@@ -427,12 +407,10 @@ def _convolve_packed(
         to_str, to_int = str, int
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
     zero = "0" * w
-    table = None
-    if modulus is not None and modulus <= len(a) + len(b):
-        table = [to_str(r).zfill(w) for r in range(modulus)]
+    table = [to_str(c).zfill(w) for c in range(top + 1)] if top < len(a) + len(b) else None
 
     def pack(coeffs: Sequence[int], negatives: bool) -> Decimal:
-        if table is not None:
+        if table is not None and not negatives:
             return Decimal("".join([table[c] for c in reversed(coeffs)]))
         pos = Decimal("".join([to_str(c).zfill(w) if c > 0 else zero for c in reversed(coeffs)]))
         if not negatives:
@@ -440,30 +418,19 @@ def _convolve_packed(
         neg = Decimal("".join([to_str(-c).zfill(w) if c < 0 else zero for c in reversed(coeffs)]))
         return ctx.subtract(pos, neg)
 
-    n_slots = len(a) + len(b) - 1
-    packed_a = pack(a, a_signed)
-    product = ctx.multiply(packed_a, packed_a if b is a else pack(b, b_signed))
-    half = 0
+    packed_a = pack(a, signs[0])
+    product = ctx.multiply(packed_a, packed_a if b is a else pack(b, signs[1]))
     if signed:
-        half = 5 * 10 ** (w - 1)
-        product = ctx.add(product, Decimal(("5" + "0" * (w - 1)) * n_slots))
-    take = min(out_len, n_slots)
+        # every slot up to hi, past the product's end too, reads back as c + half
+        product = ctx.add(product, Decimal(("5" + "0" * (w - 1)) * max(hi, len(a) + len(b) - 1)))
+    text = str(product)
+    end = len(text) - lo * w
+    digits = text[max(end - (hi - lo) * w, 0) : max(end, 0)].zfill((hi - lo) * w)
     if w <= _LANE_DIGITS:
-        out = []
-        for lanes in _read_lanes(str(product), w, take):
-            if modulus is None:
-                out.extend(map((-half).__add__, lanes))
-            else:
-                out.extend(map(modulus.__rmod__, lanes))
+        slots = _read_lanes(digits, w)
     else:
-        digits = str(product)[-take * w :].zfill(take * w)
-        slots = range((take - 1) * w, -1, -w)
-        if modulus is None:
-            out = [to_int(digits[i : i + w]) - half for i in slots]
-        else:
-            out = [to_int(digits[i : i + w]) % modulus for i in slots]
-    out.extend([0] * (out_len - take))
-    return out
+        slots = (to_int(digits[i : i + w]) for i in range((hi - lo - 1) * w, -1, -w))
+    return map((-5 * 10 ** (w - 1)).__add__, slots) if signed else slots
 
 
 def _residues(coeffs: Sequence[int], u: int) -> Sequence[int]:
@@ -494,11 +461,16 @@ def _product(
 ) -> list[int]:
     """Coefficients lo..hi-1 of a * b, reduced mod `modulus` when given.
 
-    Every product of the kernel comes here, and one rule picks its route in
-    both rings.  The sparser operand has K nonzero entries.  When a lane of
-    1, 2, 4 or 8 bytes holds K * (u - 1)**2, or on the exact path K *
-    max|sparse| * max|dense|, and `_shift_add_pays`, the product goes to
-    `_shift_add`; any other is the packed multiply cut to the window.
+    Every product of the kernel comes here, and it is the only product
+    function that knows the ring: both carriers compute in Z.  It counts
+    the K nonzero entries of the sparser operand once, and from the scans
+    it makes anyway bounds every coefficient by K * (u - 1)**2 mod u, or by
+    K * max|sparse| * max|dense| exactly.  When a lane of 1, 2, 4 or 8 bytes
+    holds the bound and `_shift_add_pays`, the product goes to `_shift_add`,
+    with the dense operand as residues and only the sparse one's nonzero
+    terms, reduced and grouped by value; any other goes to
+    `_convolve_packed` with both operands as residues.  The window comes
+    back in Z and is reduced once, as it is collected.
     """
     if hi <= lo:
         return []
@@ -507,60 +479,67 @@ def _product(
     sparse, dense, terms = (a, b, a_terms) if a_terms <= b_terms else (b, a, b_terms)
     if not terms:
         return [0] * (hi - lo)
+    aliased = sparse is dense
     if modulus is None:
-        bound = terms * max(max(sparse), -min(sparse)) * max(max(dense), -min(dense))
+        lows = min(sparse), min(dense)
+        tops = max(max(sparse), -lows[0]), max(max(dense), -lows[1])
     else:
-        bound = terms * (modulus - 1) ** 2
+        lows, tops = (0, 0), (modulus - 1, modulus - 1)
+        dense = _residues(dense, modulus)
+    signs = lows[0] < 0, lows[1] < 0
+    bound = terms * tops[0] * tops[1]
     slot = next((s for s in (1, 2, 4, 8) if bound < 1 << 8 * s), None)
     if slot is not None and _shift_add_pays(terms, slot, hi - lo, hi):
-        if _trace is not None:
-            _count_product("shift_add", a, b, terms, modulus)
+        route = "shift_add"
+        groups: dict[int, list[int]] = {}
+        for k in compress(range(min(len(sparse), hi)), sparse):
+            r = sparse[k] if modulus is None else sparse[k] % modulus
+            if r:
+                groups.setdefault(r, []).append(k)
+        out = _shift_add(groups, dense, lo, hi, slot, signs[1])
+    else:
+        route = "packed"
         if modulus is not None:
-            dense = _residues(dense, modulus)
-        return _shift_add(sparse, dense, lo, hi, slot, modulus)
+            sparse = dense if aliased else _residues(sparse, modulus)
+        out = _convolve_packed(sparse, dense, lo, hi, bound, max(tops), signs)
     if _trace is not None:
-        _count_product("packed", a, b, terms, modulus)
-    out = _convolve_packed(a, b, hi, modulus)
-    return out[lo:] if lo else out
+        _trace["product"][route]["exact" if modulus is None else "modular"].append(
+            [len(a), len(b), terms])
+    return list(out) if modulus is None else [c % modulus for c in out]
 
 
 def _shift_add(
-    sparse: Sequence[int], dense: Sequence[int], lo: int, hi: int, slot: int, u: int | None
-) -> list[int]:
-    """Coefficients lo..hi-1 of sparse * dense, mod u unless u is None, by shift-and-add.
+    groups: Mapping[int, list[int]], dense: Sequence[int], lo: int, hi: int, slot: int,
+    signed: bool,
+) -> Iterable[int]:
+    """Coefficients lo..hi-1 of sparse * dense in Z, by shift-and-add.
 
-    `slot` bytes hold K * (u - 1)**2 for the K nonzero entries of `sparse`,
-    with `dense` residues 0..u-1, or on the exact path K * max|sparse| *
-    max|dense|.  An exact dense operand with a negative entry is split into
-    its positive and negative parts; each part is packed once into one int
-    of slot-byte lanes, and once more in reverse order.  For each nonzero
-    sparse(k) one copy of each part is shifted into place and added: the
-    forward copy when it keeps fewer lanes (n + k - lo) than the reversed
-    one (hi - k), which builds the window back to front.  Terms are grouped
-    by residue, or exactly by value, so each group costs one multiply per
+    `groups` maps each nonzero value of the sparse operand to its exponents
+    below hi, in increasing order; `slot` bytes hold K * max|sparse| *
+    max|dense| for its K terms, and `signed` says whether `dense` has a
+    negative entry.  A signed dense operand is split into its positive and
+    negative parts; each part is packed once into one int of slot-byte
+    lanes, and once more in reverse order.  For each term k one copy of
+    each part is shifted into place and added: the forward copy when it
+    keeps fewer lanes (n + k - lo) than the reversed one (hi - k), which
+    builds the window back to front.  Each group costs one multiply per
     part, and goes by its sign and the part's to a plus or a minus sum,
     which are subtracted lane by lane at the end.  A lane outside the
     window holds a partial sum of same-signed terms of one true product
     coefficient, so it never carries into its neighbour; it is cut off.
     """
     width = hi - lo
-    code = _LANE_TYPES[slot]
     bits = 8 * slot
-    groups: dict[int, list[int]] = {}
-    for k in compress(range(min(len(sparse), hi)), sparse):
-        r = sparse[k] if u is None else sparse[k] % u
-        if r:
-            groups.setdefault(r, []).append(k)
     n = len(dense)
     parts = [dense]
-    if u is None and min(dense) < 0:
+    if signed:
         parts = [[c if c > 0 else 0 for c in dense], [-c if c < 0 else 0 for c in dense]]
     # lane j - lo of up_base shifted by k - lo holds dense(j - k); it keeps
     # n + k - lo lanes against hi - k for the reversed copy
     turn = (hi + lo - n) // 2
     sums = [[0, 0], [0, 0]]  # [up, down] of the plus and of the minus sum
     for negative, part in enumerate(parts):
-        lanes = array(code, part)
+        lanes = array(_LANE_TYPES[slot], part)
         if sys.byteorder == "big":
             lanes.byteswap()
         up_base = int.from_bytes(lanes.tobytes(), "little")  # lane i holds part(i)
@@ -592,9 +571,7 @@ def _shift_add(
         return _lanes((up & mask) + int.from_bytes(back.tobytes(), "little"), width, slot)
 
     plus = lanes_of(*sums[0])
-    if u is not None:
-        return [c % u for c in plus.tolist()]
-    return list(map(sub, plus, lanes_of(*sums[1])))
+    return map(sub, plus, lanes_of(*sums[1])) if any(sums[1]) else plus
 
 
 def _check_modulus(modulus: int | None) -> None:

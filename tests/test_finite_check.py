@@ -550,3 +550,16 @@ class TestCertificateSerialization:
             data["instance"]["r"] = bad_r
             assert not revalidate_certificate(data)
         assert not revalidate_certificate([json.loads(cert.to_json())])
+        # equal values of another type: 49.0 == 49, but the JSON text differs
+        for path in (("instance", "m"), ("instance", "u"), ("checked_upto",), ("kappa",),
+                     ("instance", "r", "1")):
+            data = json.loads(cert.to_json())
+            *parents, key = path
+            holder = data
+            for name in parents:
+                holder = holder[name]
+            holder[key] = float(holder[key])
+            assert not revalidate_certificate(data), path
+        data = json.loads(cert.to_json())
+        data["note"] = {1, 2}  # does not serialize; refuse, not crash
+        assert not revalidate_certificate(data)

@@ -1,6 +1,7 @@
 """Series kernel: frozen examples, oracle cross-checks, ring properties,
 and agreement of the residue-ring (modulus) path with exact-then-reduce."""
 
+import functools
 import random
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from etacert import (
 )
 from etacert import series as series_module
 from etacert.oracle import naive_eta, naive_invert, naive_mul
-from etacert.series import _convolve_packed, _divide_recurrence, _reduce_exponents
+from etacert.series import _divide_recurrence, _product, _reduce_exponents
 
 
 def S(*coeffs):
@@ -352,85 +353,140 @@ def _convolve_schoolbook(a, b, out_len):
     return out
 
 
+def _reference(a, b, lo, hi, u=None):
+    """Coefficients lo..hi-1 of a * b by the schoolbook loop, mod u unless u is None."""
+    window = _convolve_schoolbook(a, b, hi)[lo:]
+    return window if u is None else [c % u for c in window]
+
+
 def _sparse(rng, length, mag, density):
     return tuple(rng.randint(-mag, mag) if rng.random() < density else 0 for _ in range(length))
 
 
-def test_packed_matches_schoolbook_random():
+@pytest.fixture
+def no_shift_add(monkeypatch):
+    """Every `_product` from now on is one packed multiply: shift-and-add never pays."""
+    monkeypatch.setattr(series_module, "_shift_add_pays", lambda *args: False)
+
+
+@functools.cache
+def _random_products():
+    """(a, b, lo, hi, exact coefficients 0..hi-1 of a * b) for random operands.
+
+    Short operands of any size of entry, then long ones of a few thousand
+    entries: the schoolbook loop skips zero entries of its first operand,
+    so a sparse first operand keeps the reference cheap.  Every ring of
+    `test_packed_matches_schoolbook_random` reads the same exact products.
+    """
     rng = random.Random(20260810)
+    cases = []
     for _ in range(300):
         la = rng.randint(1, 60)
         lb = rng.randint(1, 60)
         mag = rng.choice((1, 9, 10**6, 10**30))
         a = tuple(rng.randint(-mag, mag) for _ in range(la))
         b = tuple(rng.randint(-mag, mag) for _ in range(lb))
-        out_len = rng.randint(1, la + lb)
-        assert _convolve_packed(a, b, out_len) == _convolve_schoolbook(a, b, out_len)
-    # lengths of a few thousand: the schoolbook loop skips zero entries of its
-    # first operand, so a sparse first operand keeps the reference cheap
+        hi = rng.randint(1, la + lb)
+        cases.append((a, b, rng.randint(0, hi), hi, _convolve_schoolbook(a, b, hi)))
     for mag in (1, 48, 10**6, 10**30, 2**300):
         la, lb = rng.randint(1000, 3000), rng.randint(1000, 3000)
         a = _sparse(rng, la, mag, 0.02)
         b = tuple(rng.randint(-mag, mag) for _ in range(lb))
-        out_len = rng.randint(1, la + lb - 1)
-        expected = _convolve_schoolbook(a, b, out_len)
-        assert _convolve_packed(a, b, out_len) == expected
-        assert _convolve_packed(b, a, out_len) == expected
+        hi = rng.randint(1, la + lb - 1)
+        cases.append((a, b, rng.randint(0, hi), hi, _convolve_schoolbook(a, b, hi)))
+    return cases
 
 
-def test_packed_edge_cases():
-    assert _convolve_packed((0, 0), (0, 0, 0), 4) == [0, 0, 0, 0]
-    assert _convolve_packed((-1,), (1, -1, 1), 3) == [-1, 1, -1]
+@pytest.mark.parametrize("u", [None, 2, 3, 49, 125, 1999, 2000, 2001, 10**6, 10**30])
+def test_packed_matches_schoolbook_random(u, no_shift_add):
+    for a, b, lo, hi, exact in _random_products():
+        expected = exact if u is None else [c % u for c in exact]
+        for start in (0, lo):
+            assert _product(a, b, start, hi, u) == expected[start:]
+            assert _product(b, a, start, hi, u) == expected[start:]
+    # 1000 + 1000 coefficients: u up to 2000 packs by table, larger u per
+    # coefficient; inputs carry negative entries and entries >= u
+    rng = random.Random(1 if u is None else u)
+    mag = 3 * (u or 10**6)
+    a = _sparse(rng, 1000, mag, 0.05)
+    b = tuple(rng.randint(-mag, mag) for _ in range(1000))
+    assert min(a) < 0 and min(b) < 0 and max(b) >= (u or 0)
+    expected = _reference(a, b, 0, 1999, u)
+    for lo, hi in ((0, 1), (0, 999), (0, 1000), (0, 1999), (1, 2), (500, 999), (998, 1999)):
+        assert _product(a, b, lo, hi, u) == expected[lo:hi]
+        assert _product(b, a, lo, hi, u) == expected[lo:hi]
+
+
+def test_packed_edge_cases(no_shift_add):
+    assert _product((0, 0), (0, 0, 0), 0, 4) == [0, 0, 0, 0]
+    assert _product((-1,), (1, -1, 1), 0, 3) == [-1, 1, -1]
     # a zero operand on either side
     b = tuple(range(-200, 200))
-    assert _convolve_packed((0,) * 200, b, 300) == [0] * 300
-    assert _convolve_packed(b, (0,), 401) == [0] * 401
-    # out_len beyond len(a) + len(b) - 1 pads with zeros
+    assert _product((0,) * 200, b, 0, 300) == [0] * 300
+    assert _product(b, (0,), 0, 401) == [0] * 401
+    # hi beyond len(a) + len(b) - 1 pads with zeros, from 0 or from past the end
     a, b = (3, -1, 4), (1, -5, 9, 2)
-    assert _convolve_packed(a, b, 10) == _convolve_schoolbook(a, b, 6) + [0] * 4
-    assert _convolve_packed(a, b, 10) == _convolve_schoolbook(a, b, 10)
+    assert _product(a, b, 0, 10) == _convolve_schoolbook(a, b, 6) + [0] * 4
+    assert _product(a, b, 0, 10) == _convolve_schoolbook(a, b, 10)
+    assert _product(a, b, 4, 10) == _convolve_schoolbook(a, b, 6)[4:] + [0] * 4
+    assert _product(a, b, 7, 10) == [0] * 3
 
 
-def test_packed_nonnegative_inputs():
+def test_packed_nonnegative_inputs(no_shift_add):
     # residues mod u: no negative half is packed and no offset is needed
     rng = random.Random(49)
     for u in (2, 49, 10**12):
         a = tuple(abs(c) for c in _sparse(rng, 2000, u - 1, 0.1))
         b = tuple(rng.randrange(u) for _ in range(2500))
-        assert _convolve_packed(a, b, 2000) == _convolve_schoolbook(a, b, 2000)
-    assert _convolve_packed((0, 3), (5, 0, 7), 4) == [0, 15, 0, 21]
+        assert _product(a, b, 0, 2000) == _convolve_schoolbook(a, b, 2000)
+    assert _product((0, 3), (5, 0, 7), 0, 4) == [0, 15, 0, 21]
 
 
+@pytest.mark.parametrize("u", [None, 5, 49, 10**6])
 @pytest.mark.parametrize("signed", [False, True])
-def test_packed_aliased_operands(signed):
-    rng = random.Random(11)
-    low = -(10**40) if signed else 0
-    a = tuple(rng.randint(low, 10**40) for _ in range(900))
+def test_packed_aliased_operands(u, signed, no_shift_add, monkeypatch):
+    # a square is packed once; mod u its operand is reduced once
+    reduced = []
+    real_residues = series_module._residues
+
+    def residues(coeffs, modulus):
+        reduced.append(coeffs)
+        return real_residues(coeffs, modulus)
+
+    monkeypatch.setattr(series_module, "_residues", residues)
+    rng = random.Random(11 if u is None else u + 1)
+    mag = 10**40 if u is None else 2 * u
+    a = tuple(rng.randint(-mag if signed else 0, mag) for _ in range(900))
     assert (min(a) < 0) == signed
-    expected = _convolve_schoolbook(a, a, 900)
-    assert _convolve_packed(a, a, 900) == expected
-    assert _convolve_packed(a, tuple(list(a)), 900) == expected
+    for lo in (0, 450):
+        expected = _reference(a, a, lo, 900, u)
+        reduced.clear()
+        assert _product(a, a, lo, 900, u) == expected
+        assert len(reduced) == (0 if u is None else 1)
+        reduced.clear()
+        assert _product(a, tuple(list(a)), lo, 900, u) == expected
+        assert len(reduced) == (0 if u is None else 2)
 
 
 @pytest.mark.parametrize(
     "value", [4, 5, 9, 10, 49, 50, 99, 100, 5 * 10**20 - 1, 5 * 10**20, 10**21 - 1, 10**21]
 )
-def test_packed_slot_width_boundaries(value):
+def test_packed_slot_width_boundaries(value, no_shift_add):
     # products whose largest coefficient sits at either side of a digit or
     # half-slot boundary, in both signs
     for a, b in (((value,), (1,)), ((-value,), (1,)), ((value, value), (1, 1)),
                  ((value, -value), (1, 1)), ((1,) * 3, (value,) * 3)):
-        assert _convolve_packed(a, b, 4) == _convolve_schoolbook(a, b, 4)
+        assert _product(a, b, 0, 4) == _convolve_schoolbook(a, b, 4)
 
 
-def test_packed_wide_slots():
+def test_packed_wide_slots(no_shift_add):
     # slots of more than 4300 digits: CPython refuses int <-> str conversions
     # that long unless the process-wide limit is raised, which the kernel must not do
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     a, b = (10**5000, 1) * 40, (10**5000, -1) * 40
-    assert _convolve_packed(a, b, 80) == _convolve_schoolbook(a, b, 80)
+    assert _product(a, b, 0, 80) == _convolve_schoolbook(a, b, 80)
     c = (-(7**6000), 3, 0, 2**20000)
-    assert _convolve_packed(c, c, 7) == _convolve_schoolbook(c, c, 7)
+    assert _product(c, c, 0, 7) == _convolve_schoolbook(c, c, 7)
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
 
@@ -438,97 +494,55 @@ def test_packed_wide_slots():
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int/str conversion limit"
 )
-def test_packed_slots_beyond_lowest_conversion_limit():
-    # 640 digits is the lowest limit CPython accepts; slots of 700-1300 digits
-    # must decode under it as well
-    rng = random.Random(640)
-    a = tuple(rng.randint(-(10**600), 10**600) for _ in range(30))
-    b = tuple(rng.randint(-(10**650), 10**650) for _ in range(30))
-    expected = _convolve_schoolbook(a, b, 59)
+@pytest.mark.parametrize("u", [None, 10**400 + 1])
+def test_packed_slots_beyond_lowest_conversion_limit(u, no_shift_add):
+    # 640 digits is the lowest limit CPython accepts; slots of 700-1300
+    # digits, exact or mod u = 10**400 + 1, must decode under it as well,
+    # without the kernel raising it
+    if u is None:
+        rng = random.Random(640)
+        a = tuple(rng.randint(-(10**600), 10**600) for _ in range(30))
+        b = tuple(rng.randint(-(10**650), 10**650) for _ in range(30))
+    else:
+        rng = random.Random(400)
+        a = tuple(rng.randint(-2 * u, 2 * u) for _ in range(40))
+        b = tuple(rng.randint(0, u - 1) for _ in range(30))
+    end, square_end = len(a) + len(b) - 1, 2 * len(a) - 1
+    expected = _reference(a, b, 0, end, u)
+    square = _reference(a, a, 0, square_end, u)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        got = _convolve_packed(a, b, 59)
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert got == expected
-
-
-# --- residue packing: the modulus path of the packed kernel -------------------
-
-def _reduced_schoolbook(a, b, out_len, u):
-    return [c % u for c in _convolve_schoolbook(a, b, out_len)]
-
-
-@pytest.mark.parametrize("u", [2, 3, 49, 125, 1999, 2000, 2001, 10**6, 10**30])
-def test_residue_packing_matches_reduced_schoolbook(u):
-    # 1000 + 1000 coefficients: u up to 2000 packs by table, larger u per
-    # coefficient; inputs carry negative entries and entries >= u
-    rng = random.Random(u)
-    mag = 3 * u
-    a = _sparse(rng, 1000, mag, 0.05)
-    b = tuple(rng.randint(-mag, mag) for _ in range(1000))
-    assert min(a) < 0 and min(b) < 0 and max(b) >= u
-    for out_len in (1, 999, 1000, 1999):
-        expected = _reduced_schoolbook(a, b, out_len, u)
-        assert _convolve_packed(a, b, out_len, u) == expected
-        assert _convolve_packed(b, a, out_len, u) == expected
-
-
-def test_residue_packing_residue_inputs():
-    # residues already in 0..u-1, including all u - 1 (the slot-width bound)
-    # and all zero
-    for u in (2, 7, 49, 10**12):
-        top = (u - 1,) * 700
-        assert _convolve_packed(top, top[:500], 1199, u) == _reduced_schoolbook(
-            top, top[:500], 1199, u
-        )
-        assert _convolve_packed((0,) * 300, top, 500, u) == [0] * 500
-        assert _convolve_packed(top, (u, -u, 2 * u), 702, u) == [0] * 702
-
-
-@pytest.mark.parametrize("u", [5, 49, 10**6])
-def test_residue_packing_aliased_operands(u):
-    rng = random.Random(u + 1)
-    a = tuple(rng.randint(-2 * u, 2 * u) for _ in range(900))
-    expected = _reduced_schoolbook(a, a, 900, u)
-    assert _convolve_packed(a, a, 900, u) == expected
-    assert _convolve_packed(a, tuple(list(a)), 900, u) == expected
-
-
-def test_residue_packing_out_len_beyond_product():
-    rng = random.Random(7)
-    a = tuple(rng.randint(-100, 100) for _ in range(70))
-    b = tuple(rng.randint(-100, 100) for _ in range(90))
-    for u in (7, 49, 10**9):
-        got = _convolve_packed(a, b, 200, u)
-        assert got == _reduced_schoolbook(a, b, 159, u) + [0] * 41
-        assert got == _reduced_schoolbook(a, b, 200, u)
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str conversion limit"
-)
-def test_residue_packing_slots_beyond_lowest_conversion_limit():
-    # u = 10**400 + 1: slots of about 800 digits must decode under the lowest
-    # limit CPython accepts, without the kernel raising it
-    u = 10**400 + 1
-    rng = random.Random(400)
-    a = tuple(rng.randint(-2 * u, 2 * u) for _ in range(40))
-    b = tuple(rng.randint(0, u - 1) for _ in range(30))
-    expected = _reduced_schoolbook(a, b, 69, u)
-    square = _reduced_schoolbook(a, a, 79, u)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        got = _convolve_packed(a, b, 69, u)
-        got_square = _convolve_packed(a, a, 79, u)
+        got = _product(a, b, 0, end, u)
+        got_window = _product(a, b, 20, end, u)
+        got_square = _product(a, a, 0, square_end, u)
         got_series = series_mul(S(*a), S(*a), modulus=u)
     finally:
         sys.set_int_max_str_digits(limit)
     assert got == expected
+    assert got_window == expected[20:]
     assert got_square == square
-    assert got_series.coeffs == tuple(square[:40])
+    assert got_series.coeffs == tuple(square[: len(a)])
+
+
+def test_residue_packing_residue_inputs(no_shift_add):
+    # residues already in 0..u-1, including all u - 1 (the slot-width bound)
+    # and all zero
+    for u in (2, 7, 49, 10**12):
+        top = (u - 1,) * 700
+        assert _product(top, top[:500], 0, 1199, u) == _reference(top, top[:500], 0, 1199, u)
+        assert _product((0,) * 300, top, 0, 500, u) == [0] * 500
+        assert _product(top, (u, -u, 2 * u), 0, 702, u) == [0] * 702
+
+
+def test_residue_packing_out_len_beyond_product(no_shift_add):
+    rng = random.Random(7)
+    a = tuple(rng.randint(-100, 100) for _ in range(70))
+    b = tuple(rng.randint(-100, 100) for _ in range(90))
+    for u in (7, 49, 10**9):
+        got = _product(a, b, 0, 200, u)
+        assert got == _reference(a, b, 0, 159, u) + [0] * 41
+        assert got == _reference(a, b, 0, 200, u)
 
 
 # --- slot bound from the nonzero count, and word-parallel lane decoding ----------
@@ -551,81 +565,75 @@ def _record_lane_widths(monkeypatch):
     widths = []
     real = series_module._read_lanes
 
-    def recording(digits, w, take):
+    def recording(digits, w):
         widths.append(w)
-        return real(digits, w, take)
+        return real(digits, w)
 
     monkeypatch.setattr(series_module, "_read_lanes", recording)
     return widths
 
 
-# (u, k, lane width): k * (u - 1)**2 on either side of 10, 100, 10**4 and
-# 10**8; None is the per-slot string route
+# (u, max|a|, max|b|, K, lane width).  Mod u, K entries of u - 1 against a
+# dense operand of u - 1: K * (u - 1)**2 on either side of 10, 100, 10**4 and
+# 10**8.  Exact, with mixed signs: 2 * K * max|a| * max|b| on either side of
+# the same, so the largest |c| sits just under the half-slot.  None is the
+# per-slot string route
 @pytest.mark.parametrize(
-    "u,k,lane",
-    [(3, 2, 1), (2, 9, 1), (2, 10, 2), (4, 11, 2), (2, 100, 4), (34, 9, 4), (34, 10, 8),
-     (49, 40, 8), (10**4, 1, 8), (10**4, 2, None)],
+    "u,amax,bmax,k,lane",
+    [(3, 2, 2, 2, 1), (2, 1, 1, 9, 1), (2, 1, 1, 10, 2), (4, 3, 3, 11, 2), (2, 1, 1, 100, 4),
+     (34, 33, 33, 9, 4), (34, 33, 33, 10, 8), (49, 48, 48, 40, 8), (10**4, 9999, 9999, 1, 8),
+     (10**4, 9999, 9999, 2, None),
+     (None, 1, 1, 4, 1), (None, 1, 1, 5, 2), (None, 1, 1, 49, 2), (None, 1, 1, 50, 4),
+     (None, 7, 7, 102, 4), (None, 7, 7, 103, 8), (None, 5000, 9999, 1, 8),
+     (None, 5000, 10**4, 1, None), (None, 10**20, 3, 7, None)],
 )
-def test_residue_slot_bound_reached(u, k, lane, monkeypatch):
-    # k entries of u - 1 against a dense operand of u - 1: the slots hold
-    # exactly the bound k * (u - 1)**2, counted from the nonzero entries
+def test_slot_bound_reached(u, amax, bmax, k, lane, no_shift_add, monkeypatch):
+    # the slots hold exactly the bound, counted from the nonzero entries, in
+    # every window that reads a fully overlapped coefficient
     widths = _record_lane_widths(monkeypatch)
-    a, b = _bound_operands(k, 3, 3 * k + 5, u - 1, u - 1, signed=False)
-    exact = _convolve_schoolbook(a, b, len(a) + len(b) - 1)
-    assert max(exact) == k * (u - 1) ** 2
-    for out_len in (len(a) + len(b) - 1, len(b)):
-        assert _convolve_packed(a, b, out_len, u) == [c % u for c in exact[:out_len]]
-        assert _convolve_packed(b, a, out_len, u) == [c % u for c in exact[:out_len]]
-    assert set(widths) == ({lane} if lane else set())
-
-
-# (amax, bmax, k, lane width): 2 * k * amax * bmax on either side of 10, 100,
-# 10**4 and 10**8, so the largest |c| sits just under the half-slot
-@pytest.mark.parametrize(
-    "amax,bmax,k,lane",
-    [(1, 1, 4, 1), (1, 1, 5, 2), (1, 1, 49, 2), (1, 1, 50, 4), (7, 7, 102, 4),
-     (7, 7, 103, 8), (5000, 9999, 1, 8), (5000, 10**4, 1, None), (10**20, 3, 7, None)],
-)
-def test_signed_slot_bound_reached(amax, bmax, k, lane, monkeypatch):
-    widths = _record_lane_widths(monkeypatch)
-    for stride in (1, 2):
-        a, b = _bound_operands(k, stride, stride * k + 3, amax, bmax, signed=True)
-        exact = _convolve_schoolbook(a, b, len(a) + len(b) - 1)
-        assert max(exact) == k * amax * bmax == -min(exact)
-        for out_len in (len(exact), len(b)):
-            assert _convolve_packed(a, b, out_len) == exact[:out_len]
-            assert _convolve_packed(b, a, out_len) == exact[:out_len]
+    for stride in (1, 2, 3):
+        a, b = _bound_operands(k, stride, stride * k + 5, amax, bmax, signed=u is None)
+        end = len(a) + len(b) - 1
+        exact = _convolve_schoolbook(a, b, end)
+        assert max(exact) == k * amax * bmax
+        assert u is not None or min(exact) == -max(exact)
+        for lo, hi in ((0, end), (0, len(b)), (stride * (k - 1), end)):
+            expected = _reference(a, b, lo, hi, u)
+            assert _product(a, b, lo, hi, u) == expected
+            assert _product(b, a, lo, hi, u) == expected
     assert set(widths) == ({lane} if lane else set())
 
 
 @pytest.mark.parametrize("u", [None, 2, 49, 10**30])
-def test_all_zero_operands(u):
+def test_all_zero_operands(u, no_shift_add):
     # an operand with no nonzero entry, before or after reduction mod u,
     # gives zeros on either side, squared, and past the product's length
     rng = random.Random(u)
     zeros = tuple(rng.randint(-3, 3) * (u or 0) for _ in range(60))
     other = tuple(rng.randint(-10**6, 10**6) for _ in range(40))
     for a, b in ((zeros, other), (other, zeros), (zeros, zeros[:7])):
-        for out_len in (1, 40, 99, 150):
-            assert _convolve_packed(a, b, out_len, u) == [0] * out_len
-    assert _convolve_packed(zeros, zeros, 130, u) == [0] * 130
-    assert _convolve_packed((0,), (0,), 1, u) == [0]
+        for hi in (1, 40, 99, 150):
+            assert _product(a, b, 0, hi, u) == [0] * hi
+    assert _product(zeros, zeros, 0, 130, u) == [0] * 130
+    assert _product(zeros, zeros, 50, 130, u) == [0] * 80
+    assert _product((0,), (0,), 0, 1, u) == [0]
 
 
 @pytest.mark.parametrize("u", [None, 49])
-def test_lane_chunk_boundaries(u, monkeypatch):
-    # slots are decoded in chunks of _LANE_CHUNK; outputs end just before,
-    # on and just after a chunk boundary, and one past two chunks
+def test_lane_chunk_boundaries(u, no_shift_add, monkeypatch):
+    # slots are decoded in chunks of _LANE_CHUNK; windows end just before,
+    # on and just after a chunk boundary, and one past two chunks, from 0 and
+    # from a slot inside the first chunk
     widths = _record_lane_widths(monkeypatch)
     chunk = series_module._LANE_CHUNK
     rng = random.Random(chunk)
     n = 2 * chunk + 3
     sparse = _sparse(rng, n, 9, 0.01)
     dense = tuple(rng.randint(-9, 9) for _ in range(n))
-    exact = _convolve_schoolbook(sparse, dense, 2 * chunk + 2)
-    for take in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-        expected = exact[:take] if u is None else [c % u for c in exact[:take]]
-        assert _convolve_packed(dense, sparse, take, u) == expected, take
+    for hi in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for lo in (0, 5):
+            expected = _reference(sparse, dense, lo, hi, u)
+            assert _product(dense, sparse, lo, hi, u) == expected, (lo, hi)
     assert widths and all(w <= series_module._LANE_DIGITS for w in widths)
 
 
@@ -649,22 +657,18 @@ def _record_products(monkeypatch):
         products.append((lo, hi, route[0] if route else None))
         return out
 
-    def shift_add(sparse, dense, lo, hi, slot, u):
+    def shift_add(groups, dense, lo, hi, slot, signed):
         route.append(slot)
-        return real_shift_add(sparse, dense, lo, hi, slot, u)
+        return real_shift_add(groups, dense, lo, hi, slot, signed)
 
-    def packed(a, b, out_len, modulus=None):
+    def packed(*args):
         route.append("packed")
-        return real_packed(a, b, out_len, modulus)
+        return real_packed(*args)
 
     monkeypatch.setattr(series_module, "_product", product)
     monkeypatch.setattr(series_module, "_shift_add", shift_add)
     monkeypatch.setattr(series_module, "_convolve_packed", packed)
     return products
-
-
-def _windowed_reference(a, b, lo, hi, u):
-    return [c % u for c in _convolve_schoolbook(a, b, hi)[lo:]]
 
 
 @pytest.mark.parametrize("u", [2, 7, 49, 125])
@@ -681,10 +685,10 @@ def test_shift_add_windows_match_schoolbook(u, monkeypatch):
     windows = [(0, 60), (0, end), (37, 37), (150, 420), (100, 200), (150, 300),
                (end - 30, end + 40), (end + 5, end + 50)]
     for lo, hi in windows:
-        expected = _windowed_reference(sparse, dense, lo, hi, u)
+        expected = _reference(sparse, dense, lo, hi, u)
         assert series_module._product(sparse, dense, lo, hi, u) == expected, (lo, hi)
         assert series_module._product(dense, sparse, lo, hi, u) == expected, (lo, hi)
-        assert series_module._product(sparse, sparse, lo, hi, u) == _windowed_reference(
+        assert series_module._product(sparse, sparse, lo, hi, u) == _reference(
             sparse, sparse, lo, hi, u
         ), (lo, hi)
     # every window was shifted and added; an empty one formed no product
@@ -727,7 +731,7 @@ def test_shift_add_lane_bound_reached(u, k, lane, monkeypatch):
     exact = _convolve_schoolbook(a, b, end)
     assert max(exact) == exact[3 * (k - 1)] == k * (u - 1) ** 2
     for lo, hi in ((max(3 * k - 5, 0), 3 * k), (0, end + 2)):
-        expected = _windowed_reference(a, b, lo, hi, u)
+        expected = _reference(a, b, lo, hi, u)
         assert series_module._product(a, b, lo, hi, u) == expected
         assert series_module._product(b, a, lo, hi, u) == expected
     assert {route for _, _, route in products} == {lane}
@@ -768,15 +772,20 @@ def test_exact_shift_add_matches_schoolbook(operands, data):
     expected = _convolve_schoolbook(a, b, hi)[lo:]
     assert series_module._product(a, b, lo, hi) == expected
     assert series_module._product(b, a, lo, hi) == expected
-    # shift-and-add itself, in the narrowest lanes that hold the bound,
-    # whichever route the cost rule picks
+    # shift-and-add itself, by either operand, in the narrowest lanes that
+    # hold the bound, whichever route the cost rule picks
     for sparse, dense in ((a, b), (b, a)):
         terms = len(sparse) - sparse.count(0)
         if not terms:
             continue  # `_product` forms no product by an all-zero operand
         bound = terms * max(map(abs, sparse)) * max(map(abs, dense))
         slot = next(s for s in (1, 2, 4, 8) if bound < 1 << 8 * s)
-        assert series_module._shift_add(sparse, dense, lo, hi, slot, None) == expected
+        groups = {}
+        for k, c in enumerate(sparse[:hi]):
+            if c:
+                groups.setdefault(c, []).append(k)
+        got = series_module._shift_add(groups, dense, lo, hi, slot, min(dense) < 0)
+        assert list(got) == expected
 
 
 # (K, max|sparse|, max|dense|, lane bytes): K * max|sparse| * max|dense| at
@@ -845,6 +854,37 @@ def test_b_series_product_routes(monkeypatch):
     products = _record_products(monkeypatch)
     b_series(19549, 49)
     assert products == _B_19549_PRODUCTS
+
+
+def test_shift_add_reduces_only_the_dense_operand(monkeypatch):
+    # on the shift-and-add route of a modular product `_residues` sees the
+    # dense operand alone: the sparse one, such as the signed Jacobi cube of
+    # every Newton window, is reduced term by term over its nonzero entries,
+    # never whole; a packed product reduces each operand, a square once
+    products = _record_products(monkeypatch)
+    reduced, calls = [], []
+    real_residues, recorded = series_module._residues, series_module._product
+
+    def residues(coeffs, u):
+        reduced.append(coeffs)
+        return real_residues(coeffs, u)
+
+    def product(a, b, lo, hi, modulus=None):
+        reduced.clear()
+        out = recorded(a, b, lo, hi, modulus)
+        calls.append((a, b, list(reduced)))
+        return out
+
+    monkeypatch.setattr(series_module, "_residues", residues)
+    monkeypatch.setattr(series_module, "_product", product)
+    b_series(19549, 49)
+    assert products == _B_19549_PRODUCTS
+    for (a, b, seen), (_, _, route) in zip(calls, products):
+        dense = b if len(a) - a.count(0) <= len(b) - b.count(0) else a
+        if route == "packed":
+            assert len(seen) == 1 + (a is not b)
+        else:
+            assert len(seen) == 1 and seen[0] is dense
 
 
 @pytest.mark.parametrize(
