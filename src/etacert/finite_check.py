@@ -247,18 +247,8 @@ def index_gamma0(N: int) -> int:
     """Index of the level-N congruence subgroup: N * prod over p | N of (1 + 1/p)."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    idx = N
-    n = N
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            idx = idx // p * (p + 1)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        idx = idx // n * (n + 1)
-    return idx
+    primes = [p for p in divisors(N)[1:] if divisors(p)[1] == p]
+    return N * math.prod(p + 1 for p in primes) // math.prod(primes)
 
 
 def coset_representatives(N: int) -> tuple[int, ...]:
@@ -370,8 +360,9 @@ def verify_instance(
     n = 0 is always scanned (v itself stays exact).  It may exceed floor(v)
     for empirical over-checking; it may neither undercut it nor be negative.
     Before P and the cusp table are built, f = max(floor(v) at t, 0) (at most
-    the default, as t_min <= t) refuses a check_upto below f, and then an
-    order bound m * (check_upto or f) + t above order_cap.  The exact checks
+    the default, as t_min <= t) refuses a check_upto below f, then an order
+    bound m * (check_upto or f) + t above order_cap, and then an m above
+    order_cap, since P and the cusp table take O(m) steps.  The exact checks
     follow once P is known, so a check_upto in f..floor(v) - 1 whose order
     bound exceeds the cap is refused by the cap, not as an undercut.
     """
@@ -394,8 +385,9 @@ def _verify_instance(
     `expand` must return the least nonnegative residues mod u of f_r to
     exactly that order; a family pipeline passes the truncation of a series
     it already holds.  It is called at most once, after every refusal: the
-    early lower bound and the two undercut checks keep their own messages,
-    and the exact order m * checked_upto + max(P) goes through `_check_order`.
+    early lower bound, the bound on m and the two undercut checks keep their
+    own messages, and the exact order m * checked_upto + max(P) goes through
+    `_check_order`.
     Each progression t' in P is read off the expansion once; its values give
     the series hash, the residues_ok flags and the first witness.
     """
@@ -408,6 +400,9 @@ def _verify_instance(
     least_order = instance.m * (least_upto if check_upto is None else check_upto) + instance.t
     if least_order > order_cap:
         raise OrderCapExceeded(f"required order at least {least_order} exceeds cap {order_cap}")
+    # P and the cusp table take O(m) steps, even where least_upto = 0 keeps the bound small
+    if instance.m > order_cap:
+        raise OrderCapExceeded(f"m = {instance.m} exceeds cap {order_cap}")
     kap = kappa(instance.m)
     p_set = compute_p_set(instance)
     t_min = min(p_set)
@@ -470,7 +465,7 @@ def _verify_instance(
 def revalidate_certificate(data: Mapping) -> bool:
     """Replay a certificate dict against a fresh expansion; True iff it reproduces.
 
-    The fresh certificate's canonical (sorted, compact) JSON text must equal
+    The fresh certificate's canonical (sorted, single-line) JSON text must equal
     that of `data`, so a field rewritten as an equal value of another type,
     such as 49.0 for 49, does not reproduce.  A malformed or inconsistent
     dict, or one that does not serialize, gives False.  A certificate whose

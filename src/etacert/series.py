@@ -43,7 +43,9 @@ runs the sparse recurrence `_divide_recurrence`, which solves a * out = num
 for any numerator.  A longer modular quotient takes Newton steps on the
 inverse of the divisor to half its length and folds the numerator into the
 last step (Karp-Markstein), so no product of two full-length operands is
-formed.
+formed.  Its every product goes through `_product`, even by the numerator
+1 of an inverse, a one-term operand.  Since `_product` reduces what it
+multiplies, `series_pow` reduces no base up front, only a first power.
 
 When u is a prime power p**a, the modulus path first reduces the quotient's
 exponents by the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u), so
@@ -551,7 +553,7 @@ def _shift_add(
             for k in ks[:split]:
                 if k > lo:
                     acc += up_base << bits * (k - lo)
-                elif k + n > lo:
+                else:  # 0 once the shift passes the copy's n lanes
                     acc += up_base >> bits * (lo - k)
             total = sums[(r < 0) ^ negative]
             total[0] += abs(r) * acc
@@ -632,14 +634,14 @@ def _divide(num: TruncatedSeries, a: TruncatedSeries, modulus: int | None) -> Tr
     The numerator is folded into the last step (Karp-Markstein): y = num * g
     to n terms is the quotient to n terms, and since num - a * y = q^n * a *
     (num/a - y) / q^n, the remaining L - n terms are g * (num - a * y)[n:L].
-    No product of two length-L operands is formed.  A constant numerator,
-    as for an inverse, scales g instead of multiplying by it.
+    No product of two length-L operands is formed.
 
     Each product asks `_product` for the window it keeps: h = (a * g)[n:m],
     the residual (a * y)[n:L] and num * g to n terms.  With a sparse divisor
     (the Jacobi cube, f_1) and a sparse numerator (f_2), these three are
     built by shift-and-add at the lengths where that pays; the products by
-    the dense g are packed multiplies.
+    the dense g are packed multiplies.  A constant numerator, as for an
+    inverse, is a one-term operand, which `_product` shifts and adds.
     """
     length = num.order + 1
     if modulus is None or length <= _NEWTON_MIN:
@@ -655,10 +657,7 @@ def _divide(num: TruncatedSeries, a: TruncatedSeries, modulus: int | None) -> Tr
         h = _product(a.coeffs[:m], g, n, m, modulus)
         g.extend([-c % modulus for c in _product(g[: m - n], h, 0, m - n, modulus)])
         n = m
-    if any(num.coeffs[1:half]):
-        out = _product(num.coeffs[:half], g, 0, half, modulus)
-    else:
-        out = [num.coeffs[0] * c % modulus for c in g]
+    out = _product(num.coeffs[:half], g, 0, half, modulus)
     residual = _product(a.coeffs[:length], out, half, length, modulus)
     excess = [x - y for x, y in zip(num.coeffs[half:], residual)]
     out.extend(_product(g[: length - half], excess, 0, length - half, modulus))
@@ -674,18 +673,19 @@ def _divide_recurrence(
     a(k) out(n-k)), over the nonzero a(k) only, so dividing by a sparse
     series costs the same pass as inverting it.  `out` grows by one entry
     per n, so out(n - k) is out[-k], and the n between two nonzero a(k)
-    share one prefix of live terms, so no term is tested against n.  The
-    a(k) = +-1 terms (every term of f_1) are summed in C, by sum(map(
+    share one prefix of live terms, so no term is tested against n; at n = 0
+    none is live yet, so out(0) = a(0) * num(0) comes out of the same loop.
+    The a(k) = +-1 terms (every term of f_1) are summed in C, by sum(map(
     out.__getitem__, offsets)); each other term takes one multiply.  With a
     modulus every out(n) is reduced as soon as it is known.
     """
     order = num.order
     c0 = a.coeffs[0]
     nums = num.coeffs
-    out = [c0 * nums[0] if modulus is None else c0 * nums[0] % modulus]
+    out = []
     get, append = out.__getitem__, out.append
     plus, minus, other = [], [], []  # the live terms, by offset -k
-    start = 1
+    start = 0
     for k in [*compress(range(1, order + 1), a.coeffs[1 : order + 1]), order + 1]:
         ones = plus or minus
         for n in range(start, k):
@@ -708,14 +708,17 @@ def _divide_recurrence(
 
 
 def series_pow(a: TruncatedSeries, e: int, modulus: int | None = None) -> TruncatedSeries:
-    """a**e on the truncated ring by repeated squaring; e < 0 inverts once first."""
+    """a**e on the truncated ring by repeated squaring; e < 0 inverts once first.
+
+    The base is not reduced up front: `_product` reduces every operand it
+    multiplies, so only a**1, which forms no product, is reduced here.
+    """
     _check_modulus(modulus)
     if e == 0:
         return TruncatedSeries.one(a.order)
-    if e < 0:
-        base = series_invert(a, modulus)
-    else:
-        base = a if modulus is None else reduce_mod(a, modulus)
+    if e == 1 and modulus is not None:
+        return reduce_mod(a, modulus)
+    base = series_invert(a, modulus) if e < 0 else a
     e = abs(e)
     result = None
     while e:

@@ -18,12 +18,12 @@ from etacert import (
 CLI = [sys.executable, "-m", "etacert.cli"]
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=300):
     """Run the CLI; `env` entries are laid over the inherited environment."""
     if env is not None:
         env = {**os.environ, **env}
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
+        CLI + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -309,6 +309,14 @@ class TestCertify:
                        "--check-upto", "10")
         assert proc.returncode == 65
         assert proc.stdout == "" and "exceeds cap 1000000" in proc.stderr
+
+    def test_m_over_cap_exits_65(self):
+        # floor(v) <= 0 at t keeps m * floor(v) + t under the cap, so only the
+        # bound on m stops the 12m-unit orbit, which ran past 20 s without it
+        proc = run_cli("certify", "--m", "100000000", "--M", "10", "--N", "10", "--t", "5",
+                       "--r", "1:22,2:1,5:-5", "--rprime", "1:-40", "--mod", "25", timeout=20)
+        assert proc.returncode == 65
+        assert proc.stdout == "" and "m = 100000000 exceeds cap 1000000" in proc.stderr
 
 
 class TestVerifyTheorem:

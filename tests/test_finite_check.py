@@ -73,6 +73,15 @@ class TestIndex:
                 want *= Fraction(p + 1, p)
             assert index_gamma0(n) == want
 
+    def test_matches_projective_line_count(self):
+        # [SL2(Z) : Gamma0(N)] = |P^1(Z/N)|: the pairs (c, d) mod N with
+        # gcd(c, d, N) = 1, up to the phi(N) unit scalings; no prime is found
+        for n in range(1, 61):
+            pairs = sum(1 for c in range(n) for d in range(n) if math.gcd(c, d, n) == 1)
+            phi = sum(1 for x in range(n) if math.gcd(x, n) == 1)
+            assert pairs % phi == 0
+            assert index_gamma0(n) == pairs // phi
+
 
 class TestCosetRepresentatives:
     def test_n14(self):
@@ -397,6 +406,23 @@ class TestVerifyInstance:
             verify_instance(inst)
         with pytest.raises(OrderCapExceeded, match="exceeds cap 100$"):
             verify_instance(KNOWN_INSTANCES["mod25"], order_cap=100)
+
+    def test_m_over_cap_refused_before_orbit(self, monkeypatch):
+        # floor(v) at t is <= 0, so m * floor(v) + t = 5 stays under the cap
+        def no_orbit(instance):
+            raise AssertionError("P set computed for an m over the cap")
+
+        monkeypatch.setattr(finite_check, "compute_p_set", no_orbit)
+        inst = RSInstance(
+            m=10**8, M=10, N=10, t=5,
+            r=EtaQuotientSpec(10, {1: 22, 2: 1, 5: -5}), r_prime=EtaQuotientSpec(10, {1: -40}),
+            u=25,
+        )
+        assert finite_check._v_exact(inst, inst.t) <= 0
+        with pytest.raises(OrderCapExceeded, match="^m = 100000000 exceeds cap 1000000$"):
+            verify_instance(inst)
+        with pytest.raises(OrderCapExceeded, match="^m = 100000000 exceeds cap 10$"):
+            verify_instance(inst, order_cap=10)
 
     @pytest.mark.parametrize("key", sorted(KNOWN_INSTANCES))
     def test_order_cap_early_bound_below_required_order(self, key):
