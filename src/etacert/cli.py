@@ -37,7 +37,7 @@ from .series import (
     tracing,
 )
 from .theta import extract_arithmetic_progression
-from .pipelines import run_theorem
+from .pipelines import _THEOREMS, run_theorem
 
 __all__ = ["main"]
 
@@ -56,13 +56,7 @@ _STATUS_EXIT = {
     STATUS_DELTA_STAR_UNVERIFIED: EXIT_DELTA_STAR,
 }
 
-_THEOREM_BY_ID = {
-    "1": "T1_mod5",
-    "2": "T2_mod25",
-    "3": "T3_mod7",
-    "4": "T4_mod49",
-    "regressions": "regression",
-}
+_THEOREM_BY_ID = {row.alias: theorem_id for theorem_id, row in _THEOREMS.items()}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -113,11 +113,6 @@ class ProofReport:
         }
 
 
-_DEFAULT_ORDERS = {
-    "T1_mod5": 1024, "T2_mod25": 1349, "T3_mod7": 1517, "T4_mod49": 3771, "regression": 3071,
-}
-THEOREM_IDS = tuple(_DEFAULT_ORDERS)
-
 KNOWN_INSTANCES: dict[str, RSInstance] = {
     "mod25": RSInstance(
         m=125, M=10, N=10, t=99,
@@ -150,20 +145,23 @@ _B_SPEC = EtaQuotientSpec(2, {1: -3, 2: 1})
 
 
 @dataclass(frozen=True, slots=True)
-class _Family:
-    """A certified b-family b(m n + t) == 0 (mod u), lifted to Delta_k.
+class _Theorem:
+    """A theorem id's CLI alias and default order, and for a family its data.
 
-    m and u are those of the family's certificate instances, which share
-    them; the lift takes k = (m - 1) / 2, the least k with m | 2k + 1.  The
-    residues are literal data rather than the certificates' P-sets, so a
+    A row with instances is a certified b-family b(m n + t) == 0 (mod u),
+    lifted to Delta_k.  m and u are those of its certificate instances, which
+    share them; the lift takes k = (m - 1) / 2, the least k with m | 2k + 1.
+    The residues are literal data rather than the certificates' P-sets, so a
     fault in the orbit computation changes a step name or a digest.  Every
     certificate reads f_r mod u off a truncation of b mod u, so a row with an
     instance whose r does not reduce to b mod u is refused here.
     """
 
-    residues: tuple[int, ...]
-    instances: tuple[RSInstance, ...]
-    b_scan_depth: int  # empirical depth n of the b(m n + t) scan
+    alias: str
+    order: int
+    residues: tuple[int, ...] = ()
+    instances: tuple[RSInstance, ...] = ()
+    b_scan_depth: int = 0  # empirical depth n of the b(m n + t) scan
 
     def __post_init__(self):
         for instance in self.instances:
@@ -176,13 +174,16 @@ class _Family:
         return self.instances[0].m * self.b_scan_depth + max(self.residues)
 
 
-_FAMILIES = {  # theorem id: residues, certificate instances, b-scan depth
-    "T2_mod25": _Family((99,), (KNOWN_INSTANCES["mod25"],), 50),
-    "T3_mod7": _Family(
-        (19, 33, 40, 47), (KNOWN_INSTANCES["mod7_t33"], KNOWN_INSTANCES["mod7_t47"]), 30
+_THEOREMS = {  # id: CLI alias, default order[, residues, certificate instances, b-scan depth]
+    "T1_mod5": _Theorem("1", 1024),
+    "T2_mod25": _Theorem("2", 1349, (99,), (KNOWN_INSTANCES["mod25"],), 50),
+    "T3_mod7": _Theorem(
+        "3", 1517, (19, 33, 40, 47), (KNOWN_INSTANCES["mod7_t33"], KNOWN_INSTANCES["mod7_t47"]), 30
     ),
-    "T4_mod49": _Family((96, 292, 341), (KNOWN_INSTANCES["mod49"],), 56),
+    "T4_mod49": _Theorem("4", 3771, (96, 292, 341), (KNOWN_INSTANCES["mod49"],), 56),
+    "regression": _Theorem("regressions", 3071),
 }
+THEOREM_IDS = tuple(_THEOREMS)
 
 
 def broken_k_diamond_series(
@@ -285,7 +286,7 @@ def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofRepor
     (Z/5)[[q]]; reduction mod 5 is a ring homomorphism, so the residues, and
     every witness, are those of the exact series.
     """
-    order = _DEFAULT_ORDERS["T1_mod5"] if order is None else order
+    order = _THEOREMS["T1_mod5"].order if order is None else order
     if j < 1 or j % 2 == 0:
         raise ValueError(f"need odd positive j (2k+1 = 25j must be odd), got {j}")
     _check_order(order, least=24)
@@ -339,7 +340,7 @@ def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofRepor
     return ProofReport("T1_mod5", tuple(steps))
 
 
-def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
+def _family_report(theorem_id: str, family: _Theorem, order: int, order_cap: int) -> ProofReport:
     """Binomial lemma, congruent form, certificates, b-family scan, then one lift per residue.
 
     An `order` below the largest residue would leave a lift scan empty; it
@@ -351,7 +352,6 @@ def _family_report(theorem_id: str, order: int, order_cap: int) -> ProofReport:
     two basis steps check the lemma the reduced kernel relies on without
     using it, and check the reduced b against an independent route.
     """
-    family = _FAMILIES[theorem_id]
     _check_order(order, least=max(family.residues))
     instances = family.instances
     m, u = instances[0].m, instances[0].u
@@ -403,21 +403,22 @@ def run_theorem(
     refuses a negative order and one short of its largest scanned residue.
     """
     cap = min(order_cap, DEFAULT_ORDER_CAP)
-    if theorem_id not in _DEFAULT_ORDERS:
+    row = _THEOREMS.get(theorem_id)
+    if row is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
-    order = _DEFAULT_ORDERS[theorem_id] if order is None else order
-    family = _FAMILIES.get(theorem_id)
-    _check_order(order if family is None else max(order, family.b_order), cap)
-    if theorem_id == "regression":
-        return regression_suite(order)
+    order = row.order if order is None else order
+    if row.instances:
+        _check_order(max(order, row.b_order), cap)
+        return _family_report(theorem_id, row, order, cap)
+    _check_order(order, cap)
     if theorem_id == "T1_mod5":
         return elementary_mod5_proof(order)
-    return _family_report(theorem_id, order, cap)
+    return regression_suite(order)
 
 
 def regression_suite(order: int | None = None) -> ProofReport:
     """The previously known families: k=2 mod 5 and k=3 mod 7 congruences."""
-    order = _DEFAULT_ORDERS["regression"] if order is None else order
+    order = _THEOREMS["regression"].order if order is None else order
     steps = []
     families = (
         (2, 25, (14, 24), 5),

@@ -333,6 +333,27 @@ class TestVerifyTheorem:
         data = json.loads(proc.stdout)
         assert data["overall"] is True
 
+    # alias: theorem id and the least order that reaches its largest residue
+    ALIASES = {"1": ("T1_mod5", 24), "2": ("T2_mod25", 99), "3": ("T3_mod7", 47),
+               "4": ("T4_mod49", 341), "regressions": ("regression", 327)}
+
+    def test_aliases_are_exactly_these(self):
+        # the aliases are built from the theorem table; the contract is pinned here
+        assert cli._THEOREM_BY_ID == {alias: tid for alias, (tid, _) in self.ALIASES.items()}
+
+    @pytest.mark.parametrize("alias", sorted(ALIASES))
+    def test_alias_runs_its_theorem(self, alias):
+        theorem_id, order = self.ALIASES[alias]
+        code, out, err = _main_output("verify-theorem", alias, "--order", str(order))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["theorem"] == theorem_id
+
+    @pytest.mark.parametrize("name", ["T1_mod5", "regression", "5"])
+    def test_theorem_ids_are_not_aliases(self, name):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["verify-theorem", name])
+        assert exc.value.code == 64
+
     def test_order_below_residue_exits_64(self):
         # order 5 reaches no exponent 343n + t of the mod-49 lifts
         proc = run_cli("verify-theorem", "4", "--order", "5")

@@ -16,6 +16,7 @@ from etacert import (
     EtaQuotientSpec,
     OrderCapExceeded,
     PreconditionViolated,
+    RSInstance,
     TruncatedSeries,
     b_series,
     broken_k_diamond_series,
@@ -319,7 +320,7 @@ class TestFamilyLifts:
         if theorem_id == "T1_mod5":
             assert [call for call in expanded if call[0] == diamond] == [(diamond, 5)]
         else:
-            u = pipelines._FAMILIES[theorem_id].instances[0].u
+            u = pipelines._THEOREMS[theorem_id].instances[0].u
             assert not [call for call in expanded if call[0] == diamond]
             assert expanded.count((pipelines._B_SPEC, u)) == 1
 
@@ -339,8 +340,8 @@ class TestFamilyLifts:
 
         monkeypatch.setattr(pipelines, "_check_order", recording_gate)
         assert run_theorem(theorem_id).overall
-        family = pipelines._FAMILIES[theorem_id]
-        order = pipelines._DEFAULT_ORDERS[theorem_id]
+        family = pipelines._THEOREMS[theorem_id]
+        order = pipelines._THEOREMS[theorem_id].order
         assert checks == [
             (max(order, family.b_order), DEFAULT_ORDER_CAP, 0),
             (order, DEFAULT_ORDER_CAP, max(family.residues)),
@@ -362,7 +363,7 @@ class TestOrderAboveBOrder:
 
     @pytest.mark.parametrize("theorem_id,order", CASES)
     def test_one_b_expansion_serves_scan_and_lifts(self, theorem_id, order, monkeypatch):
-        family = pipelines._FAMILIES[theorem_id]
+        family = pipelines._THEOREMS[theorem_id]
         m, u = family.instances[0].m, family.instances[0].u
         assert order > family.b_order
         calls = []
@@ -388,7 +389,7 @@ class TestOrderAboveBOrder:
     def test_negative_control_b_perturbed_beyond_b_order(self, theorem_id, order, monkeypatch):
         # a nonzero b(m n + t) past b_order is seen by the lift scan, which
         # reads b to `order`, and by nothing that reads b only to b_order
-        family = pipelines._FAMILIES[theorem_id]
+        family = pipelines._THEOREMS[theorem_id]
         m, u = family.instances[0].m, family.instances[0].u
         t = family.residues[0]
         exponent = m * (family.b_order // m + 1) + t
@@ -415,14 +416,14 @@ class TestFamilyTable:
 
     @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
     def test_residues_are_the_union_of_instance_orbits(self, theorem_id):
-        family = pipelines._FAMILIES[theorem_id]
+        family = pipelines._THEOREMS[theorem_id]
         orbits = [compute_p_set(instance) for instance in family.instances]
         assert family.residues == tuple(sorted(set().union(*orbits)))
         assert sum(map(len, orbits)) == len(family.residues)  # the orbits are disjoint
 
     @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
     def test_instances_share_m_and_a_prime_power_u(self, theorem_id):
-        instances = pipelines._FAMILIES[theorem_id].instances
+        instances = pipelines._THEOREMS[theorem_id].instances
         assert len({(instance.m, instance.u) for instance in instances}) == 1
         m, u = instances[0].m, instances[0].u
         p = divisors(u)[1]
@@ -431,7 +432,34 @@ class TestFamilyTable:
 
     def test_rows_cover_the_certified_theorems(self):
         assert THEOREM_IDS == ("T1_mod5", "T2_mod25", "T3_mod7", "T4_mod49", "regression")
-        assert set(pipelines._FAMILIES) == set(THEOREM_IDS) - {"T1_mod5", "regression"}
+        families = {tid for tid, row in pipelines._THEOREMS.items() if row.instances}
+        assert families == set(THEOREM_IDS) - {"T1_mod5", "regression"}
+
+    # the p = 7, a = 3 rung of b's 7-adic ladder: b(343 n + 243) == 0 (mod 7)
+    P7_A3 = RSInstance(
+        m=343, M=14, N=14, t=243,
+        r=EtaQuotientSpec(14, {1: 4, 2: 1, 7: -1}),
+        r_prime=EtaQuotientSpec(14, {1: 18}),
+        u=7,
+    )
+
+    @pytest.mark.parametrize(
+        "residue,failed",
+        [(243, []), (244, ["b_family_scan_mod7", "lift_k171_m343_t244_mod7"])],
+    )
+    def test_row_added_to_the_table_alone_runs(self, residue, failed, monkeypatch):
+        # a new family is one row: no other table or dispatch names its id
+        row = pipelines._Theorem("x", 400, (residue,), (self.P7_A3,), 20)
+        monkeypatch.setitem(pipelines._THEOREMS, "p7_a3", row)
+        report = run_theorem("p7_a3")
+        assert [s.name for s in report.steps] == [
+            "binomial_lemma_mod7", "congruent_form_mod7", "certificate_m343_t243",
+            "b_family_scan_mod7", f"lift_k171_m343_t{residue}_mod7",
+        ]
+        assert [s.name for s in report.steps if not s.passed] == failed
+        for name in failed:
+            witness = report.step(name).witness
+            assert (witness["exponent"], witness["value"]) == (244, 5)
 
 
 class TestSharedBSeries:
@@ -479,7 +507,7 @@ class TestSharedBSeries:
         # quotients exactly as written: no side goes through _reduce_exponents,
         # which relies on the lemma, and b is the family's one reduced
         # expansion, so the congruent form compares two routes to b mod u
-        instance = pipelines._FAMILIES[theorem_id].instances[0]
+        instance = pipelines._THEOREMS[theorem_id].instances[0]
         u = instance.u
         p = divisors(u)[1]
         assert run_theorem(theorem_id).overall
@@ -489,12 +517,12 @@ class TestSharedBSeries:
             (instance.r, 300, u, False),
         ]
         assert [call for call in expansions if call[0] == pipelines._B_SPEC] == [
-            (pipelines._B_SPEC, pipelines._FAMILIES[theorem_id].b_order, u)
+            (pipelines._B_SPEC, pipelines._THEOREMS[theorem_id].b_order, u)
         ]
 
     @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
     def test_perturbed_unreduced_r_fails_congruent_form(self, theorem_id, monkeypatch):
-        instance = pipelines._FAMILIES[theorem_id].instances[0]
+        instance = pipelines._THEOREMS[theorem_id].instances[0]
         u = instance.u
         expand = pipelines._expand
 
@@ -516,7 +544,7 @@ class TestSharedBSeries:
 
     @pytest.mark.parametrize("theorem_id", ["T2_mod25", "T3_mod7", "T4_mod49"])
     def test_b_order_covers_every_certificate(self, theorem_id):
-        family = pipelines._FAMILIES[theorem_id]
+        family = pipelines._THEOREMS[theorem_id]
         for instance in family.instances:
             _, v_floor = v_bound(instance)
             required = instance.m * max(v_floor, 0) + max(compute_p_set(instance))
@@ -528,7 +556,7 @@ class TestSharedBSeries:
         # has the bytes of the one that expands the instance's own r
         instance = KNOWN_INSTANCES[key]
         theorem_id = next(
-            tid for tid, family in pipelines._FAMILIES.items() if instance in family.instances
+            tid for tid, family in pipelines._THEOREMS.items() if instance in family.instances
         )
         shared = next(c for c in run_theorem(theorem_id).certificates if c.instance == instance)
         assert shared.to_json() == verify_instance(instance).to_json()
@@ -539,7 +567,7 @@ class TestSharedBSeries:
             KNOWN_INSTANCES["mod7_t33"], r=EtaQuotientSpec(14, {1: 4, 2: 1})
         )
         with pytest.raises(ValueError, match="is not b mod 7"):
-            pipelines._Family((19, 33, 40, 47), (instance,), 30)
+            pipelines._Theorem("3", 1517, (19, 33, 40, 47), (instance,), 30)
 
 
 class TestResidueOnlySteps:
