@@ -5,14 +5,40 @@ and finite coefficient checks that certify infinite congruence families for
 broken k-diamond partition counts (mod 5, 25, 7 and 49), with
 machine-readable certificates.  The package exports each layer module's
 own `__all__`; `oracle` stays unexported.
-"""
 
-from . import finite_check, pipelines, series, theta
-from .series import *  # noqa: F403
-from .theta import *  # noqa: F403
-from .finite_check import *  # noqa: F403
-from .pipelines import *  # noqa: F403
+`import etacert` loads no layer: a layer is loaded on first use of one of
+its names, and with it the layers below, so a script that only expands
+series never builds the certifier.  Its whole `__all__` is then bound here,
+as a star import would bind it.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *series.__all__, *theta.__all__, *finite_check.__all__, *pipelines.__all__]
+_LAYERS = ("series", "theta", "finite_check", "pipelines")
+
+
+def _load(layer):
+    # the builtin import, unlike importlib's, shows in python -X importtime
+    module = __import__(f"{__name__}.{layer}", fromlist=["__all__"])
+    for name in module.__all__:
+        globals().setdefault(name, getattr(module, name))
+    return module
+
+
+def __getattr__(name):
+    if name == "__all__":
+        exports = ["__version__"]
+        for layer in _LAYERS:
+            exports += _load(layer).__all__
+        globals()["__all__"] = exports
+        return exports
+    for layer in _LAYERS:
+        _load(layer)
+        if name in globals():  # an exported name, or the layer module itself
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    exports = globals().get("__all__") or __getattr__("__all__")
+    return sorted({*globals(), *exports})

@@ -8,6 +8,7 @@ previously known congruences.
 """
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .finite_check import (
     DEFAULT_ORDER_CAP,
@@ -153,8 +154,10 @@ class _Theorem:
     share them; the lift takes k = (m - 1) / 2, the least k with m | 2k + 1.
     The residues are literal data rather than the certificates' P-sets, so a
     fault in the orbit computation changes a step name or a digest.  Every
-    certificate reads f_r mod u off a truncation of b mod u, so a row with an
-    instance whose r does not reduce to b mod u is refused here.
+    certificate reads f_r mod u off a truncation of b mod u, so a row is
+    refused here unless each instance's r is b mod u: the quotient r / b
+    must reduce mod u to the empty one, which by the binomial lemma proves
+    f_r == f_b (mod u).  A reduction that leaves factors only refuses.
     """
 
     alias: str
@@ -165,8 +168,11 @@ class _Theorem:
 
     def __post_init__(self):
         for instance in self.instances:
-            reduced = _reduce_exponents(instance.r, instance.u, self.b_order)
-            if reduced.exponents != _B_SPEC.exponents:
+            exponents = dict(instance.r.exponents)
+            for delta, exponent in _B_SPEC.exponents:
+                exponents[delta] = exponents.get(delta, 0) - exponent
+            quotient = EtaQuotientSpec(lcm(instance.r.level, _B_SPEC.level), exponents)
+            if _reduce_exponents(quotient, instance.u, self.b_order).exponents:
                 raise ValueError(f"r = {instance.r.to_spec_string()} is not b mod {instance.u}")
 
     @property

@@ -2,10 +2,16 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import etacert
 
 LAYERS = ("series", "theta", "finite_check", "pipelines")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _layer(name):
@@ -51,3 +57,51 @@ def test_star_import_binds_exactly_the_exports():
 def test_oracle_stays_unexported():
     assert "oracle" not in etacert.__all__
     assert not [name for name in etacert.__all__ if name.startswith("naive_")]
+
+
+def _fresh_interpreter(script):
+    """Run `script` in a new interpreter that imports etacert from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_layers_load_on_first_use():
+    # a layer is imported the first time one of its names is used, with the
+    # layers below it and no layer above
+    _fresh_interpreter("""
+        import sys
+        import etacert
+
+        def loaded():
+            return {name for name in sys.modules if name.startswith("etacert.")}
+
+        assert loaded() == set(), loaded()
+        etacert.expand_eta_quotient
+        assert loaded() == {"etacert.series"}, loaded()
+        etacert.RSInstance
+        assert loaded() == {"etacert.series", "etacert.theta", "etacert.finite_check"}, loaded()
+        etacert.KNOWN_INSTANCES
+        assert "etacert.pipelines" in loaded()
+    """)
+
+
+def test_layer_module_resolves_as_the_first_access():
+    _fresh_interpreter("""
+        import etacert
+        pipelines = etacert.pipelines
+        import etacert.pipelines as module
+        assert pipelines is module
+        assert etacert.run_theorem is module.run_theorem
+    """)
+
+
+def test_dir_lists_the_exports_before_any_layer_loads():
+    _fresh_interpreter("""
+        import etacert
+        names = dir(etacert)
+        assert set(etacert.__all__) <= set(names)
+        assert names == sorted(names)
+    """)

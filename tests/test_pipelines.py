@@ -569,6 +569,31 @@ class TestSharedBSeries:
         with pytest.raises(ValueError, match="is not b mod 7"):
             pipelines._Theorem("3", 1517, (19, 33, 40, 47), (instance,), 30)
 
+    def test_row_whose_r_is_b_mod_25_only_is_refused_at_125(self):
+        # r / b = f1^25 / f5^5 reduces mod 125 to f1^25 / f5^5, not to 1
+        instance = dataclasses.replace(KNOWN_INSTANCES["mod25"], u=125)
+        with pytest.raises(ValueError, match="is not b mod 125"):
+            pipelines._Theorem("2", 1349, (99,), (instance,), 50)
+
+    def test_row_whose_r_reduces_to_b_only_through_r_over_b_runs(self, monkeypatch):
+        # the p = 5, a = 2 rung: b(25 n + 24) == 0 (mod 5).  r = f1^2 f2 / f5
+        # has no exponent above u/2 to move, so only r / b = f1^5 / f5,
+        # which is 1 mod 5, shows that r is b mod 5
+        rung = RSInstance(
+            m=25, M=10, N=10, t=24,
+            r=EtaQuotientSpec(10, {1: 2, 2: 1, 5: -1}),
+            r_prime=EtaQuotientSpec(10, {1: 3}),
+            u=5,
+        )
+        row = pipelines._Theorem("x", 400, (24,), (rung,), 20)
+        monkeypatch.setitem(pipelines._THEOREMS, "p5_a2", row)
+        report = run_theorem("p5_a2")
+        assert [s.name for s in report.steps] == [
+            "binomial_lemma_mod5", "congruent_form_mod5", "certificate_m25_t24",
+            "b_family_scan_mod5", "lift_k12_m25_t24_mod5",
+        ]
+        assert report.overall
+
 
 class TestResidueOnlySteps:
     """T1-T4 check residues only, so no step forms a long exact product."""
