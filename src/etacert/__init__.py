@@ -9,8 +9,12 @@ own `__all__`; `oracle` stays unexported.
 `import etacert` loads no layer: a layer is loaded on first use of one of
 its names, and with it the layers below, so a script that only expands
 series never builds the certifier.  Its whole `__all__` is then bound here,
-as a star import would bind it.
+as a star import would bind it.  A module that is no layer, `oracle` or
+`cli`, loads only what it imports itself: `from etacert import oracle`
+loads `series` and no other layer.
 """
+
+import os
 
 __version__ = "0.1.0"
 
@@ -32,10 +36,13 @@ def __getattr__(name):
             exports += _load(layer).__all__
         globals()["__all__"] = exports
         return exports
-    for layer in _LAYERS:
-        _load(layer)
-        if name in globals():  # an exported name, or the layer module itself
-            return globals()[name]
+    # `from etacert import oracle` asks here before it imports the module; a
+    # module of the package that is not a layer loads no layer
+    if name in _LAYERS or not os.path.isfile(os.path.join(__path__[0], f"{name}.py")):
+        for layer in _LAYERS:
+            _load(layer)
+            if name in globals():  # an exported name, or the layer module itself
+                return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

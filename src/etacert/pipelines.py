@@ -8,7 +8,6 @@ previously known congruences.
 """
 
 from dataclasses import dataclass, field
-from math import lcm
 
 from .finite_check import (
     DEFAULT_ORDER_CAP,
@@ -155,9 +154,10 @@ class _Theorem:
     The residues are literal data rather than the certificates' P-sets, so a
     fault in the orbit computation changes a step name or a digest.  Every
     certificate reads f_r mod u off a truncation of b mod u, so a row is
-    refused here unless each instance's r is b mod u: the quotient r / b
-    must reduce mod u to the empty one, which by the binomial lemma proves
-    f_r == f_b (mod u).  A reduction that leaves factors only refuses.
+    refused here unless each instance's r is b mod u: r and b must reduce
+    mod u to the same quotient, which by the binomial lemma proves
+    f_r == f_b (mod u).  For odd u a quotient has one reduced form however
+    it is written; forms that differ only refuse, never admit.
     """
 
     alias: str
@@ -168,11 +168,8 @@ class _Theorem:
 
     def __post_init__(self):
         for instance in self.instances:
-            exponents = dict(instance.r.exponents)
-            for delta, exponent in _B_SPEC.exponents:
-                exponents[delta] = exponents.get(delta, 0) - exponent
-            quotient = EtaQuotientSpec(lcm(instance.r.level, _B_SPEC.level), exponents)
-            if _reduce_exponents(quotient, instance.u, self.b_order).exponents:
+            r, b = (_reduce_exponents(s, instance.u, self.b_order) for s in (instance.r, _B_SPEC))
+            if r.exponents != b.exponents:
                 raise ValueError(f"r = {instance.r.to_spec_string()} is not b mod {instance.u}")
 
     @property

@@ -48,9 +48,11 @@ formed.  Its every product goes through `_product`, even by the numerator
 multiplies, `series_pow` reduces no base up front, only a first power.
 
 When u is a prime power p**a, the modulus path first reduces the quotient's
-exponents by the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u), so
-that, for instance, the mod-49 quotient {1:46, 2:1, 7:-7} is expanded as
-{1:-3, 2:1}.  Other moduli (see `_reduce_exponents`) and the exact path
+exponents by the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u), in
+one ascending pass that carries each exponent's excess up its chain delta,
+p delta, p**2 delta, ... and settles every divisor once, so that, for
+instance, the mod-49 quotient {1:46, 2:1, 7:-7} is expanded as {1:-3, 2:1}.
+Other moduli (see `_reduce_exponents`) and the exact path
 expand the quotient as given.  So does the private `_expand(spec, order,
 modulus, reduce=False)` for any modulus: its residues are those of the
 exact expansion by the same homomorphism, and unlike the reduced route they
@@ -813,14 +815,23 @@ def _eta_power(r: int, order: int, modulus: int | None) -> TruncatedSeries:
 def _reduce_exponents(spec: EtaQuotientSpec, u: int, order: int) -> EtaQuotientSpec:
     """A quotient congruent to `spec` mod u = p**a, every exponent at most u/2 in size.
 
-    By the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u).  Each
-    exponent r = c u + s, with s the balanced residue -u/2 < s <= u/2,
-    keeps f_delta**s and adds c u/p to the exponent of f_(p delta), until
-    nothing moves.  An exponent moves only when |s| < |r|: for u = 2 the
-    balanced residue of -1 is 1, and moving it would pass -1 on to f_2,
-    f_4, f_8, ... without end.  Other moduli give `spec` back unchanged, as
-    does a u that trial division up to order + 1 leaves unfactored: skipping
-    the reduction changes the cost of expanding to `order`, never the residues.
+    By the binomial lemma f_delta**u == f_(p delta)**(u/p) (mod u).  An
+    exponent r = c u + s, with s the balanced residue -u/2 < s <= u/2, moves:
+    it keeps f_delta**s and adds c u/p = (r - s)/p to the exponent of
+    f_(p delta).  One ascending pass settles every divisor: from each delta
+    the carry walks up the chain delta, p delta, p**2 delta, ... while an
+    exponent moves, and since f_(p delta) takes inflow from f_delta alone,
+    no settled divisor is touched again.  Each chain ends: the carried
+    exponent shrinks by about a factor p per step, as |s| <= u/2, so past
+    the last divisor of `spec` on it, where the exponent is r, a chain makes
+    at most 1 + log_p(2|r|) more moves.  For odd u the result is the one
+    quotient with every exponent balanced that such moves reach, so two
+    quotients the lemma carries into each other reduce alike.  An exponent
+    moves only when |s| < |r|: for u = 2 the balanced residue of -1 is 1,
+    and moving it would pass -1 on to f_2, f_4, f_8, ... without end.
+    Other moduli give `spec` back unchanged, as does a u that trial division
+    up to order + 1 leaves unfactored: skipping the reduction changes the
+    cost of expanding to `order`, never the residues.
     """
     exps = dict(spec.exponents)
     if all(2 * abs(r) <= u for r in exps.values()):
@@ -834,18 +845,13 @@ def _reduce_exponents(spec: EtaQuotientSpec, u: int, order: int) -> EtaQuotientS
         rest //= p
     if rest != 1:
         return spec
-    moved = True
-    while moved:
-        moved = False
-        for delta in sorted(exps):
-            r = exps[delta]
-            s = r % u
-            if 2 * s > u:
-                s -= u
-            if abs(s) < abs(r):
-                exps[delta] = s
-                exps[p * delta] = exps.get(p * delta, 0) + (r - s) // u * (u // p)
-                moved = True
+    half = (u - 1) // 2  # s = (r + half) % u - half is the balanced residue
+    for delta in sorted(exps):
+        r = exps[delta]
+        while abs(s := (r + half) % u - half) < abs(r):
+            exps[delta] = s
+            delta *= p
+            r = exps[delta] = exps.get(delta, 0) + (r - s) // p
     return EtaQuotientSpec(lcm(spec.level, *exps), exps)
 
 

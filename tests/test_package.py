@@ -105,3 +105,15 @@ def test_dir_lists_the_exports_before_any_layer_loads():
         assert set(etacert.__all__) <= set(names)
         assert names == sorted(names)
     """)
+
+
+def test_unexported_module_loads_no_other_layer():
+    # `from etacert import oracle` looks the name up on the package first; that
+    # lookup must not walk the layers before the import system loads the module
+    _fresh_interpreter("""
+        import sys
+        from etacert import oracle
+
+        loaded = {name for name in sys.modules if name.split(".")[0] == "etacert"}
+        assert loaded == {"etacert", "etacert.series", "etacert.oracle"}, loaded
+    """)

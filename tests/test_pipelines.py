@@ -570,15 +570,16 @@ class TestSharedBSeries:
             pipelines._Theorem("3", 1517, (19, 33, 40, 47), (instance,), 30)
 
     def test_row_whose_r_is_b_mod_25_only_is_refused_at_125(self):
-        # r / b = f1^25 / f5^5 reduces mod 125 to f1^25 / f5^5, not to 1
+        # mod 125 r = f1^22 f2 / f5^5 has no exponent above u/2 to move, and
+        # b = f2 / f1^3 has none either: the two reduced forms differ
         instance = dataclasses.replace(KNOWN_INSTANCES["mod25"], u=125)
         with pytest.raises(ValueError, match="is not b mod 125"):
             pipelines._Theorem("2", 1349, (99,), (instance,), 50)
 
-    def test_row_whose_r_reduces_to_b_only_through_r_over_b_runs(self, monkeypatch):
+    def test_row_whose_b_reduces_to_its_r_runs(self, monkeypatch):
         # the p = 5, a = 2 rung: b(25 n + 24) == 0 (mod 5).  r = f1^2 f2 / f5
-        # has no exponent above u/2 to move, so only r / b = f1^5 / f5,
-        # which is 1 mod 5, shows that r is b mod 5
+        # has no exponent above u/2 to move, while b = f2 / f1^3 reduces
+        # mod 5 to f1^2 f2 / f5, so the two reduced forms agree
         rung = RSInstance(
             m=25, M=10, N=10, t=24,
             r=EtaQuotientSpec(10, {1: 2, 2: 1, 5: -1}),

@@ -2,6 +2,7 @@
 and agreement of the residue-ring (modulus) path with exact-then-reduce."""
 
 import functools
+import math
 import random
 import subprocess
 import sys
@@ -1082,6 +1083,39 @@ reduction_moduli = st.sampled_from((2, 4, 8, 9, 25, 49, 125, 10))
 wide_specs = st.dictionaries(
     st.sampled_from((1, 2, 3, 4, 6, 12)), st.integers(-150, 150), min_size=1, max_size=4
 ).map(lambda exps: EtaQuotientSpec(12, exps))
+# divisors that share chains delta, p delta, p**2 delta for p = 2, 3, 5 and 7
+chain_specs = st.dictionaries(
+    st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 14, 15, 25, 27, 49)),
+    st.one_of(st.integers(-3000, 3000), st.integers(-(10**12), 10**12)),
+    min_size=1, max_size=5,
+).map(lambda exps: EtaQuotientSpec(math.lcm(*exps), exps))
+ODD_PRIME_POWERS = ((3, 3), (9, 3), (27, 3), (5, 5), (25, 5), (125, 5), (7, 7), (49, 7), (343, 7))
+
+
+def _reduce_by_passes(spec: EtaQuotientSpec, u: int, p: int) -> EtaQuotientSpec:
+    """The reduction as a fixed-point loop: sweep every divisor until none moves.
+
+    The reference for `_reduce_exponents`'s one pass; a sweep moves each
+    exponent once, so a carry climbs one step of its chain per sweep.
+    """
+    exps = dict(spec.exponents)
+    moved = True
+    while moved:
+        moved = False
+        for delta in sorted(exps):
+            r = exps[delta]
+            s = r % u
+            if 2 * s > u:
+                s -= u
+            if abs(s) < abs(r):
+                exps[delta] = s
+                exps[p * delta] = exps.get(p * delta, 0) + (r - s) // u * (u // p)
+                moved = True
+    return EtaQuotientSpec(math.lcm(spec.level, *exps), exps)
+
+
+def _balanced(spec: EtaQuotientSpec, u: int) -> bool:
+    return all(2 * abs(r) <= u for _, r in spec.exponents)
 
 
 class TestExponentReduction:
@@ -1094,12 +1128,48 @@ class TestExponentReduction:
     def test_reduced_route_matches_per_factor_route(self, spec, order, u):
         assert expand_eta_quotient(spec, order, modulus=u) == _expand_per_factor(spec, order, u)
 
-    @pytest.mark.parametrize("key", sorted(KNOWN_INSTANCES))
-    def test_known_instances_reduce_to_b(self, key):
-        instance = KNOWN_INSTANCES[key]
-        reduced = _reduce_exponents(instance.r, instance.u, 20000)
+    @pytest.mark.parametrize(
+        "r, u",
+        [*(pytest.param(KNOWN_INSTANCES[key].r, KNOWN_INSTANCES[key].u, id=key)
+           for key in sorted(KNOWN_INSTANCES)),
+         # the X2 quotient, whose expansion the extension-order CI steps check
+         pytest.param(EtaQuotientSpec(10, {1: 122, 2: 1, 5: -25}), 125, id="x2_mod125")],
+    )
+    def test_known_instances_reduce_to_b(self, r, u):
+        reduced = _reduce_exponents(r, u, 20000)
         assert reduced.exponents == ((1, -3), (2, 1))
-        assert reduced.level % instance.r.level == 0
+        assert reduced.level % r.level == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=chain_specs, modulus=st.sampled_from(ODD_PRIME_POWERS))
+    def test_one_pass_matches_passes_for_odd_prime_powers(self, spec, modulus):
+        u, p = modulus
+        assert _reduce_exponents(spec, u, 100) == _reduce_by_passes(spec, u, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=chain_specs, u=st.sampled_from((2, 4, 8)))
+    def test_one_pass_is_balanced_and_congruent_for_powers_of_2(self, spec, u):
+        # the two may keep -u/2 and u/2 at different divisors, a congruent form
+        one_pass, passes = _reduce_exponents(spec, u, 100), _reduce_by_passes(spec, u, 2)
+        assert _balanced(one_pass, u)
+        expand = functools.partial(series_module._expand, order=24, modulus=u, reduce=False)
+        assert expand(one_pass) == expand(passes)
+
+    @pytest.mark.parametrize(
+        "r, u, p", [(7**60, 49, 7), (-(2**70), 8, 2)], ids=["7**60_mod49", "-2**70_mod8"]
+    )
+    def test_huge_exponent_settles_in_one_pass(self, r, u, p):
+        spec = EtaQuotientSpec(1, {1: r})
+        reduced = _reduce_exponents(spec, u, 100)
+        assert _balanced(reduced, u)
+        assert _reduce_exponents(reduced, u, 100) == reduced  # nothing left to move
+        # a chain from f_1**r makes at most 1 + log_p(2|r|) moves, one divisor
+        # p**j each; the level is the lcm of every divisor the chain reached
+        moves = 1 + math.log(2 * abs(r), p)
+        assert len(reduced.exponents) <= 1 + moves
+        assert reduced.level <= p**moves
+        expand = functools.partial(series_module._expand, order=24, modulus=u, reduce=False)
+        assert expand(reduced) == expand(_reduce_by_passes(spec, u, p))
 
     def test_mod2_stops_at_exponent_minus_one(self):
         # the balanced residue of -1 mod 2 is 1: moving it would never end
