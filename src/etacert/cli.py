@@ -33,10 +33,8 @@ from .series import (
     EtaQuotientSpec,
     _check_modulus,
     expand_eta_quotient,
-    reduce_mod,
     tracing,
 )
-from .theta import extract_arithmetic_progression
 from .pipelines import _THEOREMS, run_theorem
 
 __all__ = ["main"]
@@ -166,22 +164,22 @@ def _cmd_dissect(args) -> int:
     # one summary line per class: m is bounded by the cap, as the order is
     if not 1 <= args.m <= cap:
         raise ValueError(f"dissection modulus must be in 1..{cap}, got {args.m}")
-    _check_modulus(args.mod)  # reduce_mod would refuse it only after the expansion
+    _check_modulus(args.mod)  # below, a modulus of 1 would find every class zero
     spec = EtaQuotientSpec.from_string(args.spec)
     series = expand_eta_quotient(spec, args.order)
-    # each class is read off its own progression, never held at full length;
-    # classes past the order are empty
+    # each class is a slice of the coefficients, never held at full length;
+    # classes past the order are empty slices
     classes = []
     for i in range(args.m):
-        cls = extract_arithmetic_progression(series, args.m, i) if i <= args.order else None
-        support = cls.support() if cls is not None else ()
+        values = series.coeffs[i::args.m]
+        support = [n for n, c in enumerate(values) if c]
         entry = {
             "residue": i,
             "nonzero_terms": len(support),
             "first_exponent": args.m * support[0] + i if support else None,
         }
         if args.mod is not None:
-            entry["zero_mod"] = reduce_mod(cls, args.mod).is_zero() if support else True
+            entry["zero_mod"] = not any(c % args.mod for c in values)
         classes.append(entry)
     if args.format == "json":
         payload = {

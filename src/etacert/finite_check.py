@@ -51,7 +51,7 @@ STATUS_DELTA_STAR_UNVERIFIED = "delta_star_unverified"
 
 
 class InternalAssertionFailure(RuntimeError):
-    """An enumerated square unit failed the s = 1 (mod 24) sanity check."""
+    """The orbit P did not have the n * prod (p - 1) / (2p) residues its closed form counts."""
 
 
 class OrderCapExceeded(RuntimeError):
@@ -218,28 +218,34 @@ def kappa(m: int) -> int:
     return gcd(m * m - 1, 24)
 
 
-def compute_p_set(instance: RSInstance) -> tuple[int, ...]:
-    """Orbit of t under t -> t*s + (s-1)/24 * sum(delta r_delta), s a square unit mod 24m.
+def _primes(n: int) -> list[int]:
+    """The primes dividing n, in increasing order."""
+    return [p for p in divisors(n)[1:] if divisors(p)[1] == p]
 
-    Every square of a unit mod 24m is 1 mod 24, which keeps (s-1)/24
-    integral; that is asserted during enumeration rather than trusted.
-    x and 24m - x have the same square and are units together, so x runs
-    over 1..12m - 1 only.
+
+def compute_p_set(instance: RSInstance) -> tuple[int, ...]:
+    """Orbit of t under t -> t*s + (s-1)/24 * sigma (mod m), s a square unit mod 24m.
+
+    Here sigma = sum(delta r_delta).  Every square unit is 1 mod 24, so
+    s = 1 + 24k with k mod m, and the image is t + k*T (mod m) with
+    T = 24t + sigma.  It depends only on k mod n, n = m / gcd(T, m), and
+    k -> t + k*T is one-to-one there.  The squares mod 24m reduce onto the
+    squares mod 24n, and an s = 1 (mod 24) is one of those exactly when
+    s is a nonzero quadratic residue mod every prime p >= 5 dividing n
+    (Euler's criterion; mod 8 and mod 3, s = 1 is already a square).  So
+    P is {t + k*T : 0 <= k < n, k passing that test}, and it has
+    n * prod (p - 1) / (2p) elements, which is asserted rather than trusted.
     """
-    m = instance.m
-    modulus = 24 * m
-    sigma = instance.r.weighted_sum()
-    squares = set()
-    for x in range(1, 12 * m):
-        if gcd(x, modulus) == 1:
-            squares.add(x * x % modulus)
-    out = set()
-    for s in squares:
-        if s % 24 != 1:
-            raise InternalAssertionFailure(
-                f"square unit {s} mod {modulus} is not 1 mod 24"
-            )
-        out.add((instance.t * s + (s - 1) // 24 * sigma) % m)
+    m, t = instance.m, instance.t
+    step = 24 * t + instance.r.weighted_sum()
+    n = m // gcd(step, m)
+    primes = [p for p in _primes(n) if p > 3]
+    out = {(t + k * step) % m for k in range(n)
+           if all(pow(1 + 24 * k, (p - 1) // 2, p) == 1 for p in primes)}
+    count = n * math.prod(p - 1 for p in primes) // math.prod(2 * p for p in primes)
+    if len(out) != count:
+        raise InternalAssertionFailure(f"orbit of {t} mod {m} has {len(out)} residues, "
+                                       f"expected {count}")
     return tuple(sorted(out))
 
 
@@ -247,7 +253,7 @@ def index_gamma0(N: int) -> int:
     """Index of the level-N congruence subgroup: N * prod over p | N of (1 + 1/p)."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    primes = [p for p in divisors(N)[1:] if divisors(p)[1] == p]
+    primes = _primes(N)
     return N * math.prod(p + 1 for p in primes) // math.prod(primes)
 
 
@@ -278,11 +284,17 @@ def _check_lower_left(c: int) -> None:
 
 def p_min(instance: RSInstance, c: int) -> Fraction:
     """Cusp sum of r at (1 0; c 1), c >= 1: the min over lambda in 0..m-1 of
-    (1/24) sum_delta r_delta gcd^2(delta(1 + kappa lambda c), mc) / (delta m)."""
+    (1/24) sum_delta r_delta gcd^2(delta x, mc) / (delta m), x = 1 + kappa lambda c.
+
+    x = 1 (mod c), so gcd(x, mc) = gcd(x, m).  kappa = gcd(m^2 - 1, 24) is
+    prime to m, so x runs over the residues 1 (mod gcd(c, m)) mod m, and
+    gcd(x, m) over exactly the divisors d of m prime to c (by CRT, one
+    prime power of m at a time).  As gcd(d, mc) = d, those divisors stand
+    in for x in the cusp sum.
+    """
     _check_lower_left(c)
     m = instance.m
-    kap = kappa(m)
-    xs = (1 + kap * lam * c for lam in range(m))
+    xs = [d for d in divisors(m) if gcd(d, c) == 1]
     return _cusp_sum(instance.r, xs, m * c, m)
 
 
@@ -362,9 +374,13 @@ def verify_instance(
     Before P and the cusp table are built, f = max(floor(v) at t, 0) (at most
     the default, as t_min <= t) refuses a check_upto below f, then an order
     bound m * (check_upto or f) + t above order_cap, and then an m above
-    order_cap, since P and the cusp table take O(m) steps.  The exact checks
-    follow once P is known, so a check_upto in f..floor(v) - 1 whose order
-    bound exceeds the cap is refused by the cap, not as an undercut.
+    order_cap, since building P takes m / gcd(24t + sigma, m) steps.  The
+    exact checks follow once P is known, so a check_upto in f..floor(v) - 1
+    whose order bound exceeds the cap is refused by the cap, not as an
+    undercut.
+
+    P is built from its closed form (`compute_p_set`), and each cusp minimum
+    from the divisors of m prime to the cusp's c (`p_min`).
     """
     return _verify_instance(
         instance, partial(expand_eta_quotient, instance.r, modulus=instance.u),
@@ -400,7 +416,8 @@ def _verify_instance(
     least_order = instance.m * (least_upto if check_upto is None else check_upto) + instance.t
     if least_order > order_cap:
         raise OrderCapExceeded(f"required order at least {least_order} exceeds cap {order_cap}")
-    # P and the cusp table take O(m) steps, even where least_upto = 0 keeps the bound small
+    # only P still grows with m, as m / gcd(24t + sigma, m), even where
+    # least_upto = 0 keeps the order bound small
     if instance.m > order_cap:
         raise OrderCapExceeded(f"m = {instance.m} exceeds cap {order_cap}")
     kap = kappa(instance.m)

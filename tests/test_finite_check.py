@@ -181,6 +181,9 @@ def _eta_spec(draw, levels):
     return EtaQuotientSpec(level, {d: draw(st.integers(-30, 30)) for d in deltas})
 
 
+_R70 = EtaQuotientSpec(70, {1: -4, 2: 3, 5: 5, 7: -6, 35: 2})
+
+
 class TestCuspSumsAgainstReference:
     """p_min and p_star against the term-by-term Fraction sums they replaced."""
 
@@ -194,6 +197,11 @@ class TestCuspSumsAgainstReference:
     @example(m=24, r=EtaQuotientSpec(6, {1: 5, 2: -3, 3: 1, 6: -7}),
              r_prime=EtaQuotientSpec(6, {1: -2, 6: 3}), c=3)
     @example(m=49, r=EtaQuotientSpec(14, {}), r_prime=EtaQuotientSpec(14, {}), c=7)
+    # m = 2 * 3 * 5 * 7 * 11: each c leaves a different set of divisors prime to it
+    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=6)
+    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=10)
+    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=14)
+    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=35)
     def test_p_min_and_p_star(self, m, r, r_prime, c):
         inst = RSInstance(m=m, M=r.level, N=r_prime.level, t=0, r=r, r_prime=r_prime, u=2)
         assert p_min(inst, c) == _reference_p_min(inst, c)
@@ -230,18 +238,48 @@ class TestCuspSumsAgainstReference:
                 cusp_sum(inst, c)
 
 
+def _reference_p_set(instance: RSInstance) -> tuple[int, ...]:
+    """The orbit of t under t*s + (s - 1)/24 * sigma, squaring every unit x in 1..24m - 1."""
+    m, modulus = instance.m, 24 * instance.m
+    sigma = instance.r.weighted_sum()
+    squares = {x * x % modulus for x in range(1, modulus) if math.gcd(x, modulus) == 1}
+    return tuple(sorted({(instance.t * s + (s - 1) // 24 * sigma) % m for s in squares}))
+
+
+_ETA_1 = EtaQuotientSpec(1, {1: 1})
+_MOD49_R = EtaQuotientSpec(14, {1: 46, 2: 1, 7: -7})
+_MOD125_R = EtaQuotientSpec(10, {1: 122, 2: 1, 5: -25})
+
+
 class TestPSetAgainstReference:
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 400), t=st.integers(0, 10**6), r=_eta_spec(list(range(1, 61))))
-    def test_half_range_matches_every_unit(self, m, t, r):
-        # the reference squares every unit x in 1..24m - 1
+    @example(m=385, t=3, r=_ETA_1)  # 24t + sigma = 73 is prime to m: n = m = 5 * 7 * 11
+    @example(m=2275, t=3, r=_ETA_1)  # n = m = 5^2 * 7 * 13
+    @example(m=144, t=3, r=_ETA_1)  # no prime >= 5: every k < n = 144 passes
+    @example(m=343, t=96, r=_MOD49_R)  # mod49: 24t + sigma = 49 * 47, so n = 7
+    @example(m=3125, t=2474, r=_MOD125_R)  # X2: 24t + sigma = 19 * 3125, so n = 1
+    def test_closed_form_matches_every_unit(self, m, t, r):
         t %= m
-        modulus = 24 * m
-        sigma = r.weighted_sum()
-        squares = {x * x % modulus for x in range(1, modulus) if math.gcd(x, modulus) == 1}
-        orbit = {(t * s + (s - 1) // 24 * sigma) % m for s in squares}
         inst = RSInstance(m=m, M=r.level, N=1, t=t, r=r, r_prime=EtaQuotientSpec(1, {}), u=2)
-        assert compute_p_set(inst) == tuple(sorted(orbit))
+        assert compute_p_set(inst) == _reference_p_set(inst)
+
+    def test_p5_a6_rung_by_hand(self):
+        # 24 * 14974 - 1 = 359375 = 23 * 15625: T = 0 (mod m), so n = 1 and
+        # every square unit fixes t
+        inst = RSInstance(m=15625, M=10, N=1, t=14974, r=_MOD125_R,
+                          r_prime=EtaQuotientSpec(1, {}), u=125)
+        assert 24 * inst.t + inst.r.weighted_sum() == 23 * inst.m
+        assert compute_p_set(inst) == (14974,) == _reference_p_set(inst)
+
+    def test_orbit_count_checked(self, monkeypatch):
+        # a prime list that does not match n = 385 leaves 21 residues where the
+        # count n * prod (p - 1) / (2p) says 13
+        primes = finite_check._primes
+        monkeypatch.setattr(finite_check, "_primes", lambda n: primes(n) + [13])
+        inst = RSInstance(m=385, M=1, N=1, t=3, r=_ETA_1, r_prime=EtaQuotientSpec(1, {}), u=2)
+        with pytest.raises(finite_check.InternalAssertionFailure, match="21 residues, expected 13$"):
+            compute_p_set(inst)
 
 
 class TestVBound:
