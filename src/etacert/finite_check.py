@@ -266,14 +266,11 @@ def _cusp_sum(r: EtaQuotientSpec, xs: Iterable[int], y: int, m: int) -> Fraction
     """min over x in xs of S(r; x, y, m) = (1/24) sum_delta r_delta gcd^2(delta x, y) / (delta m).
 
     Summed in integers over the common denominator 24 m L, L = lcm of the
-    deltas.  gcd(delta x, y) = gcd(delta gcd(x, y), y), as the exponents of
-    each prime show, so S depends on x only through gcd(x, y): the sum is
-    taken once per distinct gcd, not once per x.
+    deltas.
     """
     lcm = math.lcm(*(delta for delta, _ in r.exponents))
     weights = [(delta, r_delta * (lcm // delta)) for delta, r_delta in r.exponents]
-    gcds = {gcd(x, y) for x in xs}
-    num = min(sum(w * gcd(delta * g, y) ** 2 for delta, w in weights) for g in gcds)
+    num = min(sum(w * gcd(delta * x, y) ** 2 for delta, w in weights) for x in xs)
     return Fraction(num, 24 * m * lcm)
 
 
@@ -289,8 +286,9 @@ def p_min(instance: RSInstance, c: int) -> Fraction:
     x = 1 (mod c), so gcd(x, mc) = gcd(x, m).  kappa = gcd(m^2 - 1, 24) is
     prime to m, so x runs over the residues 1 (mod gcd(c, m)) mod m, and
     gcd(x, m) over exactly the divisors d of m prime to c (by CRT, one
-    prime power of m at a time).  As gcd(d, mc) = d, those divisors stand
-    in for x in the cusp sum.
+    prime power of m at a time).  gcd(delta x, mc) = gcd(delta gcd(x, mc), mc),
+    as the exponents of each prime show, and gcd(d, mc) = d, so those
+    divisors stand in for x in the cusp sum.
     """
     _check_lower_left(c)
     m = instance.m

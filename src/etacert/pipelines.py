@@ -7,6 +7,7 @@ the mod-25, mod-7 and mod-49 families, plus a regression suite of the
 previously known congruences.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .finite_check import (
@@ -15,7 +16,9 @@ from .finite_check import (
     RSInstance,
     _check_order,
     _progression_witness,
+    _v_exact,
     _verify_instance,
+    compute_p_set,
     divisors,
 )
 from .series import (
@@ -157,7 +160,9 @@ class _Theorem:
     refused here unless each instance's r is b mod u: r and b must reduce
     mod u to the same quotient, which by the binomial lemma proves
     f_r == f_b (mod u).  For odd u a quotient has one reduced form however
-    it is written; forms that differ only refuse, never admit.
+    it is written; forms that differ only refuse, never admit.  b is
+    expanded to the b-scan order, so a row is refused too if that is short
+    of a certificate's order m max(floor(v), 0) + max(P).
     """
 
     alias: str
@@ -171,6 +176,12 @@ class _Theorem:
             r, b = (_reduce_exponents(s, instance.u, self.b_order) for s in (instance.r, _B_SPEC))
             if r.exponents != b.exponents:
                 raise ValueError(f"r = {instance.r.to_spec_string()} is not b mod {instance.u}")
+            p_set = compute_p_set(instance)
+            upto = max(math.floor(_v_exact(instance, min(p_set))), 0)
+            cert_order = instance.m * upto + max(p_set)
+            if self.b_order < cert_order:
+                raise ValueError(f"b-scan order {self.b_order} is short of the certificate order "
+                                 f"{cert_order} of t = {instance.t}")
 
     @property
     def b_order(self) -> int:

@@ -435,6 +435,14 @@ class TestFamilyTable:
         families = {tid for tid, row in pipelines._THEOREMS.items() if row.instances}
         assert families == set(THEOREM_IDS) - {"T1_mod5", "regression"}
 
+    def test_row_whose_b_scan_is_short_of_a_certificate_is_refused(self):
+        # the mod-25 certificate reads b to 125 * 21 + 99 = 2724; depth 10
+        # would expand b to 1349 only, and the report would fail partway
+        mod25 = (KNOWN_INSTANCES["mod25"],)
+        assert pipelines._Theorem("x", 1349, (99,), mod25, 21).b_order == 2724
+        with pytest.raises(ValueError, match="1349 is short of the certificate order 2724 "):
+            pipelines._Theorem("x", 1349, (99,), mod25, 10)
+
     # the p = 7, a = 3 rung of b's 7-adic ladder: b(343 n + 243) == 0 (mod 7)
     P7_A3 = RSInstance(
         m=343, M=14, N=14, t=243,
