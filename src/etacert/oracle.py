@@ -6,9 +6,9 @@ the literal double loop, eta factors come from the literal finite product
 term by term.  Slow on purpose; the only value is independence.
 """
 
-from .series import TruncatedSeries
+from .series import EtaQuotientSpec, TruncatedSeries
 
-__all__ = ["naive_mul", "naive_eta", "naive_invert", "naive_delta_k"]
+__all__ = ["naive_mul", "naive_eta", "naive_invert", "naive_expand", "naive_delta_k"]
 
 
 def naive_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -49,16 +49,21 @@ def naive_invert(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.order, tuple(out))
 
 
-def naive_delta_k(k: int, order: int) -> TruncatedSeries:
-    """Reference expansion of the broken k-diamond counting series.
+def naive_expand(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
+    """Expand an eta quotient factor by factor: each f_delta^r is |r| products."""
+    result = TruncatedSeries.one(order)
+    for delta, r in spec.exponents:
+        base = naive_eta(delta, order)
+        if r < 0:
+            base = naive_invert(base)
+        for _ in range(abs(r)):
+            result = naive_mul(result, base)
+    return result
 
-    Literal left-to-right product: f2 * f_(2k+1) * (1/f1)^3 * (1/f_(4k+2)).
-    """
+
+def naive_delta_k(k: int, order: int) -> TruncatedSeries:
+    """Reference expansion of the broken k-diamond series f2 f_(2k+1) / (f1^3 f_(4k+2))."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     ell = 2 * k + 1
-    inv1 = naive_invert(naive_eta(1, order))
-    result = naive_mul(naive_eta(2, order), naive_eta(ell, order))
-    for _ in range(3):
-        result = naive_mul(result, inv1)
-    return naive_mul(result, naive_invert(naive_eta(2 * ell, order)))
+    return naive_expand(EtaQuotientSpec(2 * ell, {1: -3, 2: 1, ell: 1, 2 * ell: -1}), order)

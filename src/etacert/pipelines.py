@@ -154,8 +154,10 @@ class _Theorem:
     A row with instances is a certified b-family b(m n + t) == 0 (mod u),
     lifted to Delta_k.  m and u are those of its certificate instances, which
     share them; the lift takes k = (m - 1) / 2, the least k with m | 2k + 1.
-    The residues are literal data rather than the certificates' P-sets, so a
-    fault in the orbit computation changes a step name or a digest.  Every
+    The residues are literal data rather than the certificates' P-sets, but
+    a row is refused unless each lies in one of them: no residue passes on
+    its scans alone, and a fault in the orbit computation stops the table at
+    import.  Every
     certificate reads f_r mod u off a truncation of b mod u, so a row is
     refused here unless each instance's r is b mod u: r and b must reduce
     mod u to the same quotient, which by the binomial lemma proves
@@ -172,6 +174,7 @@ class _Theorem:
     b_scan_depth: int = 0  # empirical depth n of the b(m n + t) scan
 
     def __post_init__(self):
+        covered = set()
         for instance in self.instances:
             r, b = (_reduce_exponents(s, instance.u, self.b_order) for s in (instance.r, _B_SPEC))
             if r.exponents != b.exponents:
@@ -182,6 +185,10 @@ class _Theorem:
             if self.b_order < cert_order:
                 raise ValueError(f"b-scan order {self.b_order} is short of the certificate order "
                                  f"{cert_order} of t = {instance.t}")
+            covered.update(p_set)
+        uncovered = sorted(set(self.residues) - covered)
+        if uncovered:
+            raise ValueError(f"no certificate's P-set covers residue(s) {uncovered}")
 
     @property
     def b_order(self) -> int:

@@ -242,12 +242,6 @@ class TestCertify:
         assert data["v"]["floor"] == 21
         assert data["p_set"] == [99]
 
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run_cli(*self.MOD25, "--output", str(a)).returncode == 0
-        assert run_cli(*self.MOD25, "--output", str(b)).returncode == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_t47_instance(self):
         proc = run_cli("certify", "--m", "49", "--M", "14", "--N", "14", "--t", "47",
                        "--r", "1:4,2:1,7:-1", "--rprime", "1:3", "--mod", "7")

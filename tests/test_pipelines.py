@@ -451,23 +451,39 @@ class TestFamilyTable:
         u=7,
     )
 
-    @pytest.mark.parametrize(
-        "residue,failed",
-        [(243, []), (244, ["b_family_scan_mod7", "lift_k171_m343_t244_mod7"])],
-    )
-    def test_row_added_to_the_table_alone_runs(self, residue, failed, monkeypatch):
+    def _run_added_row(self, monkeypatch):
         # a new family is one row: no other table or dispatch names its id
-        row = pipelines._Theorem("x", 400, (residue,), (self.P7_A3,), 20)
+        row = pipelines._Theorem("x", 400, (243,), (self.P7_A3,), 20)
         monkeypatch.setitem(pipelines._THEOREMS, "p7_a3", row)
         report = run_theorem("p7_a3")
         assert [s.name for s in report.steps] == [
             "binomial_lemma_mod7", "congruent_form_mod7", "certificate_m343_t243",
-            "b_family_scan_mod7", f"lift_k171_m343_t{residue}_mod7",
+            "b_family_scan_mod7", "lift_k171_m343_t243_mod7",
         ]
-        assert [s.name for s in report.steps if not s.passed] == failed
-        for name in failed:
-            witness = report.step(name).witness
-            assert (witness["exponent"], witness["value"]) == (244, 5)
+        return report
+
+    def test_row_added_to_the_table_alone_runs(self, monkeypatch):
+        assert self._run_added_row(monkeypatch).overall
+
+    def test_row_with_a_residue_no_certificate_covers_is_refused(self):
+        # P(243) = (243,) at m = 343, and 47 is the orbit of mod7_t47, not of mod7_t33
+        with pytest.raises(ValueError, match=r"covers residue\(s\) \[244\]"):
+            pipelines._Theorem("x", 400, (244,), (self.P7_A3,), 20)
+        with pytest.raises(ValueError, match=r"covers residue\(s\) \[47\]"):
+            pipelines._Theorem("x", 1517, (19, 33, 40, 47), (KNOWN_INSTANCES["mod7_t33"],), 30)
+
+    def test_negative_control_b_perturbed_at_the_added_residue(self, monkeypatch):
+        # b(243) + 1 (mod 7): each step that reads b there has a witness at 243
+        real = pipelines.b_series
+        monkeypatch.setattr(pipelines, "b_series", lambda order, modulus: reduce_mod(
+            real(order, modulus) + TruncatedSeries.monomial(243, order), modulus))
+        failed = [s for s in self._run_added_row(monkeypatch).steps if not s.passed]
+        assert [s.name for s in failed] == [
+            "congruent_form_mod7", "certificate_m343_t243", "b_family_scan_mod7",
+            "lift_k171_m343_t243_mod7",
+        ]
+        assert failed[0].witness == {"exponent": 243, "lhs": 1, "rhs": 0}
+        assert {(s.witness["exponent"], s.witness["value"]) for s in failed[1:]} == {(243, 1)}
 
 
 class TestSharedBSeries:

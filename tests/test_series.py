@@ -28,7 +28,7 @@ from etacert import (
     substitute_q_power,
 )
 from etacert import series as series_module
-from etacert.oracle import naive_eta, naive_invert, naive_mul
+from etacert.oracle import naive_eta, naive_expand, naive_invert, naive_mul
 from etacert.series import _divide_recurrence, _product, _reduce_exponents
 
 
@@ -235,18 +235,6 @@ class TestEtaQuotientSpec:
 
 # --- expansion ---------------------------------------------------------------
 
-def _naive_expand(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
-    """Independent expansion from oracle primitives only."""
-    result = TruncatedSeries.one(order)
-    for delta, r in spec.exponents:
-        base = naive_eta(delta, order)
-        if r < 0:
-            base = naive_invert(base)
-        for _ in range(abs(r)):
-            result = naive_mul(result, base)
-    return result
-
-
 def _expand_per_factor(
     spec: EtaQuotientSpec, order: int, modulus: int | None = None
 ) -> TruncatedSeries:
@@ -266,7 +254,7 @@ def _expand_per_factor(
 class TestExpandEtaQuotient:
     def test_b_sequence(self):
         got = expand_eta_quotient(EtaQuotientSpec(2, {1: -3, 2: 1}), 6)
-        assert got == _naive_expand(EtaQuotientSpec(2, {1: -3, 2: 1}), 6)
+        assert got == naive_expand(EtaQuotientSpec(2, {1: -3, 2: 1}), 6)
 
     def test_congruent_form_mod25(self):
         lhs = expand_eta_quotient(EtaQuotientSpec(10, {1: 22, 2: 1, 5: -5}), 100)
@@ -293,7 +281,7 @@ class TestExpandEtaQuotient:
     )
     def test_matches_oracle_to_300(self, level, exps):
         spec = EtaQuotientSpec(level, exps)
-        assert expand_eta_quotient(spec, 300) == _naive_expand(spec, 300)
+        assert expand_eta_quotient(spec, 300) == naive_expand(spec, 300)
 
     @pytest.mark.parametrize("r", [r for r in range(-10, 11) if r])
     def test_jacobi_route_matches_per_factor_route(self, r):
