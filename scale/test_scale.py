@@ -1,9 +1,10 @@
 """The kernel, the exact path and the certifier at sizes no tier-1 test reaches.
 
 Products of a million slots, exact products by a sparse operand with
-hundreds of terms, and an orbit of 400,000 residues.  Outside tier-1's
-testpaths; run with `PYTHONPATH=src python -m pytest -q -s scale/`.  Each
-check prints its wall time and what it observed; no time is gated.
+hundreds of terms, an orbit of 400,000 residues, and a soundness corpus of
+3000 tuples.  Outside tier-1's testpaths; run with
+`PYTHONPATH=src python -m pytest -q -s scale/`.  Each check prints its wall
+time and what it observed; no time is gated.
 """
 
 import functools
@@ -16,6 +17,7 @@ import time
 
 import pytest
 
+from corpus import sweep
 from etacert import EtaQuotientSpec, b_series, expand_eta_quotient
 from etacert.series import _expand, tracing
 
@@ -159,3 +161,14 @@ def test_certify_at_the_order_cap():
     print(f"\nexit {proc.returncode}, status {cert.get('status')}, {residues} residues "
           f"in p_set, in {seconds:.2f} s")
     assert (proc.returncode, cert.get("status"), residues) == (2, "hypothesis_violation", 400000)
+
+
+def test_soundness_corpus():
+    """ROADMAP item 15, property B, on 3000 seeded tuples that pass Delta*'s six
+    conditions (tests/corpus.py): no `verified` one has a nonzero residue up to
+    n = 400.  Tier-1 sweeps 300 tuples of another seed."""
+    start = time.perf_counter()
+    result = sweep(seed=7, size=3000)
+    print(f"\nsoundness corpus, seed 7: {result.summary()} in {time.perf_counter() - start:.2f} s")
+    assert result.false_verified == []
+    assert dict(result.statuses) == {"counterexample": 2764, "verified": 236}

@@ -95,30 +95,34 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-_TRACE_HELP = "write the series kernel's expansion and product counts to FILE as JSON"
-
-
 @functools.cache  # set-up costs about 0.6 ms: built on the first main call, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="etacert", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_expand = sub.add_parser("expand", help="expand an eta quotient")
-    p_expand.add_argument("--spec", required=True, help="exponents as delta:exp,delta:exp,...")
-    p_expand.add_argument("--order", required=True, type=int)
-    p_expand.add_argument("--mod", type=int, default=None, help="reduce coefficients mod u")
-    p_expand.add_argument("--format", choices=("text", "json"), default="text")
-    p_expand.add_argument("--output", default=None)
+    # options that several commands share, each declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None)
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("--trace", default=None, metavar="FILE", help=(
+        "write the series kernel's expansion and product counts to FILE as JSON"))
+    quotient = argparse.ArgumentParser(add_help=False)
+    quotient.add_argument("--spec", required=True, help="exponents as delta:exp,delta:exp,...")
+    quotient.add_argument("--order", required=True, type=int)
+    quotient.add_argument("--mod", type=int, default=None, help="reduce coefficients mod u")
+    quotient.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_dissect = sub.add_parser("dissect", help="split an eta quotient by exponent class")
-    p_dissect.add_argument("--spec", required=True)
+    p_expand = sub.add_parser("expand", parents=[quotient, output], help="expand an eta quotient")
+    p_expand.set_defaults(handler=_cmd_expand)
+
+    p_dissect = sub.add_parser("dissect", parents=[quotient, output],
+                               help="split an eta quotient by exponent class")
+    p_dissect.set_defaults(handler=_cmd_dissect)
     p_dissect.add_argument("--m", required=True, type=int, help="dissection modulus")
-    p_dissect.add_argument("--order", required=True, type=int)
-    p_dissect.add_argument("--mod", type=int, default=None)
-    p_dissect.add_argument("--format", choices=("text", "json"), default="text")
-    p_dissect.add_argument("--output", default=None)
 
-    p_cert = sub.add_parser("certify", help="run one finite check and emit a certificate")
+    p_cert = sub.add_parser("certify", parents=[output, trace],
+                            help="run one finite check and emit a certificate")
+    p_cert.set_defaults(handler=_cmd_certify)
     p_cert.add_argument("--m", required=True, type=int)
     p_cert.add_argument("--M", required=True, type=int)
     p_cert.add_argument("--N", required=True, type=int)
@@ -131,14 +135,12 @@ def _build_parser() -> _Parser:
     p_cert.add_argument("--strict", action="store_true",
                         help="do not assume admissibility of the instance tuple")
     p_cert.add_argument("--order-cap", type=int, default=None)
-    p_cert.add_argument("--output", default=None)
-    p_cert.add_argument("--trace", default=None, metavar="FILE", help=_TRACE_HELP)
 
-    p_thm = sub.add_parser("verify-theorem", help="run a theorem pipeline")
+    p_thm = sub.add_parser("verify-theorem", parents=[output, trace],
+                           help="run a theorem pipeline")
+    p_thm.set_defaults(handler=_cmd_verify_theorem)
     p_thm.add_argument("id", choices=sorted(_THEOREM_BY_ID))
     p_thm.add_argument("--order", type=int, default=None)
-    p_thm.add_argument("--output", default=None)
-    p_thm.add_argument("--trace", default=None, metavar="FILE", help=_TRACE_HELP)
 
     return parser
 
@@ -237,20 +239,16 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "expand": _cmd_expand,
-        "dissect": _cmd_dissect,
-        "certify": _cmd_certify,
-        "verify-theorem": _cmd_verify_theorem,
-    }
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's exit: usage errors (64) and --help (0)
+        return exc.code
     trace = getattr(args, "trace", None)
     written = args.output or "stdout"
     try:
         # the counters are written beside the output, never into it
         with tracing() if trace else contextlib.nullcontext() as counters:
-            code = handlers[args.command](args)
+            code = args.handler(args)
         if trace:
             written = trace
             _write_output(json.dumps(counters, sort_keys=True) + "\n", trace)

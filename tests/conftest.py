@@ -1,10 +1,14 @@
-"""Shared fixtures: each theorem pipeline runs once per session, timed."""
+"""Shared fixtures: each theorem pipeline runs once per session, timed, and
+the in-process command line."""
 
+import contextlib
+import io
 import time
+from typing import NamedTuple
 
 import pytest
 
-from etacert import regression_suite, run_theorem
+from etacert import cli, regression_suite, run_theorem
 
 
 def _timed(fn, *args):
@@ -36,3 +40,29 @@ def t4_report():
 @pytest.fixture(scope="session")
 def regression_report():
     return _timed(regression_suite)
+
+
+class CliRun(NamedTuple):
+    code: int
+    out: str
+    err: str
+
+
+@pytest.fixture
+def run_cli(monkeypatch):
+    """`etacert <argv>` in-process: `run_cli(*argv)` gives its exit code, stdout and stderr.
+
+    `cli.main` returns every exit code, argparse's included, so no run needs
+    a subprocess.  The run starts at the default order cap; a test sets
+    another with `monkeypatch.setenv("ETA_CERT_ORDER_CAP", ...)`.  Arguments
+    are passed through `str`, so numbers and paths can be given as they are.
+    """
+    monkeypatch.delenv("ETA_CERT_ORDER_CAP", raising=False)
+
+    def run(*argv) -> CliRun:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(arg) for arg in argv])
+        return CliRun(code, out.getvalue(), err.getvalue())
+
+    return run

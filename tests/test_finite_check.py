@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from etacert import finite_check
+from corpus import delta_star_conditions, sweep
+from etacert import finite_check, oracle
 from etacert import (
     EtaQuotientSpec,
     KNOWN_INSTANCES,
@@ -425,6 +426,16 @@ class TestVerifyInstance:
         assert cert.witness == {"delta": 1, "p_min": "-1/24", "p_star": "0"}
         assert cert.residues_ok == ()
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: membership in Delta* is assumed, "
+                       "not checked, so this tuple outside it is certified")
+    def test_false_congruence_is_not_verified(self):
+        # f7^2 has c(7) = -2, so c(2n + 1) == 0 (mod 3) fails at n = 3; the tuple
+        # fails conditions 1, 3, 4 and 5 of Delta*, and its check bound is 0
+        assert oracle.naive_expand(EtaQuotientSpec(7, {7: 2}), 7).coeffs[7] == -2
+        inst = RSInstance(m=2, M=7, N=7, t=1, r=EtaQuotientSpec(7, {7: 2}),
+                          r_prime=EtaQuotientSpec(7, {1: 0}), u=3)
+        assert verify_instance(inst).status != "verified"
+
     def test_order_cap_fails_fast(self):
         with pytest.raises(OrderCapExceeded):
             verify_instance(KNOWN_INSTANCES["mod25"], order_cap=100)
@@ -627,3 +638,26 @@ class TestCertificateSerialization:
         data = json.loads(cert.to_json())
         data["note"] = {1, 2}  # does not serialize; refuse, not crash
         assert not revalidate_certificate(data)
+
+
+class TestSoundnessCorpus:
+    """ROADMAP item 15, property B: no `verified` certificate of a seeded tuple
+    that passes item 4's six conditions has a nonzero residue up to n = 400.
+    The corpus lives in tests/corpus.py; scale/test_scale.py sweeps 3000."""
+
+    def test_conditions_by_hand(self):
+        for instance in KNOWN_INSTANCES.values():
+            assert instance.M == instance.N
+            r = dict(instance.r.exponents)
+            assert delta_star_conditions(instance.m, instance.N, instance.t, r) == [True] * 6
+        # f7^2 with (m, t) = (2, 1), and Delta_1(2n + 1) mod 3 at N = 6 and N = 12
+        assert delta_star_conditions(2, 7, 1, {7: 2}) == [False, True, False, False, False, True]
+        delta_1 = {1: -3, 2: 1, 3: 1, 6: -1}
+        assert delta_star_conditions(2, 6, 1, delta_1) == [True, True, True, False, False, True]
+        assert delta_star_conditions(2, 12, 1, delta_1) == [True] * 6
+
+    def test_no_false_verified(self):
+        result = sweep(seed=1, size=300)
+        print(result.summary())
+        assert result.false_verified == []
+        assert dict(result.statuses) == {"counterexample": 275, "verified": 25}

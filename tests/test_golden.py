@@ -2,18 +2,18 @@
 
 The digests are of the exact bytes `etacert verify-theorem` and
 `etacert certify` write, so any change to a step, a witness, a residue or
-the JSON layout shows up here.  Each test runs `cli.main` with `--output`
-and hashes the file it writes.  CI runs this module under two fixed hash
-seeds, PYTHONHASHSEED=0 and 1, so the bytes cannot depend on set or dict
-iteration order.  Regenerate the digests only for a change that is meant to
-alter those bytes.
+the JSON layout shows up here.  Each test runs `cli.main` in-process (the
+`run_cli` fixture) with `--output` and hashes the file it writes.  CI runs
+this module under two fixed hash seeds, PYTHONHASHSEED=0 and 1, so the
+bytes cannot depend on set or dict iteration order.  Regenerate the
+digests only for a change that is meant to alter those bytes.
 """
 
 import hashlib
 
 import pytest
 
-from etacert import KNOWN_INSTANCES, cli, pipelines
+from etacert import KNOWN_INSTANCES, pipelines
 
 REPORT_SHA256 = {
     "T1_mod5": "5c06e0ee88c6675a40473f5114490306d51a2d8f28598f6a25dd3c00b5519788",
@@ -33,10 +33,9 @@ CERTIFICATE_SHA256 = {
 }
 
 
-def _written_sha256(argv, path, monkeypatch) -> str:
+def _written_sha256(run_cli, argv, path) -> str:
     """sha256 of the file `etacert <argv> --output path` writes, at the default order cap."""
-    monkeypatch.delenv("ETA_CERT_ORDER_CAP", raising=False)
-    assert cli.main([*argv, "--output", str(path)]) == 0
+    assert run_cli(*argv, "--output", path) == (0, "", "")
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -44,14 +43,14 @@ def _written_sha256(argv, path, monkeypatch) -> str:
     ("T1_mod5", "t1_report"), ("T2_mod25", "t2_report"), ("T3_mod7", "t3_report"),
     ("T4_mod49", "t4_report"), ("regression", "regression_report"),
 ])
-def test_report_bytes(theorem_id, output, tmp_path, monkeypatch):
+def test_report_bytes(theorem_id, output, tmp_path, run_cli):
     argv = ["verify-theorem", pipelines._THEOREMS[theorem_id].alias]  # 1, 2, 3, 4, regressions
-    digest = _written_sha256(argv, tmp_path / f"{output}.json", monkeypatch)
+    digest = _written_sha256(run_cli, argv, tmp_path / f"{output}.json")
     assert digest == REPORT_SHA256[theorem_id]
 
 
 @pytest.mark.parametrize("key", sorted(CERTIFICATE_SHA256), ids=lambda key: key.replace(" ", ""))
-def test_certificate_bytes(key, tmp_path, monkeypatch):
+def test_certificate_bytes(key, tmp_path, run_cli):
     name, *extra = key.split()
     instance = KNOWN_INSTANCES[name]
     argv = [
@@ -59,5 +58,5 @@ def test_certificate_bytes(key, tmp_path, monkeypatch):
         "--t", str(instance.t), "--r", instance.r.to_spec_string(),
         "--rprime", instance.r_prime.to_spec_string(), "--mod", str(instance.u), *extra,
     ]
-    digest = _written_sha256(argv, tmp_path / "certificate.json", monkeypatch)
+    digest = _written_sha256(run_cli, argv, tmp_path / "certificate.json")
     assert digest == CERTIFICATE_SHA256[key]
