@@ -1,8 +1,8 @@
 """The kernel, the exact path and the certifier at sizes no tier-1 test reaches.
 
 Products of a million slots, exact products by a sparse operand with
-hundreds of terms, an orbit of 400,000 residues, and a soundness corpus of
-3000 tuples.  Outside tier-1's testpaths; run with
+hundreds of terms, an orbit of 400,000 residues, and soundness corpora of
+1000 and 3000 tuples.  Outside tier-1's testpaths; run with
 `PYTHONPATH=src python -m pytest -q -s scale/`.  Each check prints its wall
 time and what it observed; no time is gated.
 """
@@ -139,7 +139,7 @@ def test_exact_path_matches_miller(text, reference):
     start = time.perf_counter()
     want = reference()
     reference_seconds = time.perf_counter() - start
-    routes = {route: [k for _, _, k in counters["product"][route]["exact"]]
+    routes = {route: [entry[2] for entry in counters["product"][route]["exact"]]
               for route in ("packed", "shift_add")}
     print(f"\n{{{text}}} to {ORDER}: etacert {seconds:.2f} s, reference "
           f"{reference_seconds:.2f} s; exact products by K: {routes}")
@@ -172,3 +172,16 @@ def test_soundness_corpus():
     print(f"\nsoundness corpus, seed 7: {result.summary()} in {time.perf_counter() - start:.2f} s")
     assert result.false_verified == []
     assert dict(result.statuses) == {"counterexample": 2764, "verified": 236}
+
+
+def test_soundness_corpus_unfiltered():
+    """ROADMAP item 15, property A, on 1000 seeded tuples certified whatever their
+    Delta* conditions: the certifier's own check of them must refuse every false
+    congruence whose scan is clean.  Tier-1 sweeps 100 tuples of another seed."""
+    start = time.perf_counter()
+    result = sweep(seed=3, size=1000, filtered=False)
+    print(f"\nunfiltered soundness corpus, seed 3: {result.summary()} in "
+          f"{time.perf_counter() - start:.2f} s")
+    assert result.false_verified == []
+    assert dict(result.statuses) == {
+        "counterexample": 945, "hypothesis_violation": 53, "verified": 2}

@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
   0   success / verified
   1   a theorem pipeline step failed
-  2   cusp-sum hypothesis violated (certificate cannot apply)
+  2   a hypothesis of the finite check fails: a cusp sum is negative, or
+      the tuple fails a checked Delta* condition (certificate cannot apply)
   3   a checked coefficient was nonzero (counterexample witness emitted)
   4   strict mode: admissibility of the instance tuple was not verifiable
   64  usage or parse error, or an output that cannot be written

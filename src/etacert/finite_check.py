@@ -302,6 +302,38 @@ def p_star(instance: RSInstance, c: int) -> Fraction:
     return _cusp_sum(instance.r_prime, (1,), c, 1)
 
 
+def _delta_star_failures(instance: RSInstance) -> list[int]:
+    """The numbers of the conditions for membership in Radu's admissible set
+    Delta* that the instance fails, in increasing order; [] when it passes all six.
+
+    With kappa = gcd(m^2 - 1, 24), sigma = sum delta r_delta and
+    prod delta^|r_delta| = 2^s j, j odd, over the delta with r_delta != 0:
+      1. every prime dividing m divides N;
+      2. delta | mN for every such delta;
+      3. kappa N sum r_delta mN / delta == 0 (mod 24);
+      4. kappa N sum r_delta == 0 (mod 8);
+      5. 24m / gcd(kappa (24t + sigma), 24m) divides N;
+      6. if 2 | m: 4 | kappa N and 8 | sN, or 2 | s and 8 | (1 - j) N.
+    Recalled from Radu (Ramanujan J. 20, 2009) and Smoot (J. Symbolic
+    Comput. 104, 2021); not yet checked against the source text.
+    """
+    m, N, t = instance.m, instance.N, instance.t
+    k = kappa(m)
+    r = dict(instance.r.exponents)  # EtaQuotientSpec keeps no zero exponent
+    product = math.prod(delta ** abs(e) for delta, e in r.items())
+    s = (product & -product).bit_length() - 1
+    j = product >> s
+    holds = [
+        all(N % p == 0 for p in _primes(m)),
+        all(m * N % delta == 0 for delta in r),
+        k * N * sum(e * m * N // delta for delta, e in r.items()) % 24 == 0,
+        k * N * sum(r.values()) % 8 == 0,
+        N % (24 * m // gcd(k * (24 * t + instance.r.weighted_sum()), 24 * m)) == 0,
+        m % 2 == 1 or (k * N % 4 == 0 and s * N % 8 == 0) or (s % 2 == 0 and (1 - j) * N % 8 == 0),
+    ]
+    return [number for number, ok in enumerate(holds, 1) if not ok]
+
+
 def _v_exact(instance: RSInstance, t_min: int) -> Fraction:
     idx = index_gamma0(instance.N)
     head = (instance.r.exponent_sum() + instance.r_prime.exponent_sum()) * idx
@@ -361,10 +393,13 @@ def verify_instance(
     exact expansion reduced afterwards) to order m*checked_upto + max(P) and
     scans every progression in the orbit.  The certificate status is
     "verified" only when the cusp-sum hypothesis holds, every scanned residue
-    vanishes, and membership of the instance tuple in the admissible set was
-    asserted (assume_delta_star=True; the membership conditions live in an
-    external source and are not checked here).  With assume_delta_star=False
-    the same checks run but the status stays "delta_star_unverified".
+    vanishes, and the tuple passes the six conditions for membership in the
+    admissible set Delta* that `_delta_star_failures` checks.  A counterexample
+    wins over them; a tuple that scans clean but fails a condition is a
+    "hypothesis_violation" whose witness lists the failed conditions, as in
+    {"delta_star_conditions": [1, 3]}.  With assume_delta_star=False the
+    conditions are not consulted, and a clean scan stays
+    "delta_star_unverified".
 
     checked_upto defaults to floor(v), raised to 0 when floor(v) < 0 so that
     n = 0 is always scanned (v itself stays exact).  It may exceed floor(v)
@@ -456,6 +491,9 @@ def _verify_instance(
             status = STATUS_COUNTEREXAMPLE
         elif not assume_delta_star:
             status = STATUS_DELTA_STAR_UNVERIFIED
+        elif failures := _delta_star_failures(instance):
+            status = STATUS_HYPOTHESIS_VIOLATION
+            witness = {"delta_star_conditions": failures}
         else:
             status = STATUS_VERIFIED
 

@@ -68,8 +68,8 @@ product of the other factors is divided by the sparse base (see
 `expand_eta_quotient`), which saves the full-length product with the inverse.
 
 Inside a `tracing()` block the kernel counts its expansions by route and
-its products by route and ring, with their sizes; outside one it counts
-nothing.
+its products by route and ring, with their sizes, windows and slot widths;
+outside one it counts nothing.
 """
 
 import sys
@@ -247,9 +247,12 @@ def tracing() -> Iterator[dict]:
       expansion, exact, mod u on the quotient `_reduce_exponents` gives, or
       mod u on the quotient as given;
     - "product": {"packed", "shift_add"} -> {"exact", "modular"}: one
-      [len(a), len(b), K] per product `_product` forms, K the smaller
-      nonzero count of its operands as passed in; a product with an
-      all-zero operand is not formed and not counted.
+      [len(a), len(b), K, lo, hi, width] per product `_product` forms, K
+      the smaller nonzero count of its operands as passed in, lo..hi-1 the
+      window it keeps, and width the lane bytes of shift-and-add (1, 2, 4
+      or 8) or the slot digits of the packed multiply (1, 2, 4 or 8 when
+      decoded word-parallel, the exact digit count above _LANE_DIGITS); a
+      product with an all-zero operand is not formed and not counted.
 
     Entries come in call order, so the same calls give the same dict.  The
     counters reach no result: series, certificates and reports have the
@@ -367,30 +370,29 @@ def _lanes(x: int, count: int, width: int) -> array:
 
 
 def _convolve_packed(
-    a: Sequence[int], b: Sequence[int], lo: int, hi: int, bound: int, top: int,
+    a: Sequence[int], b: Sequence[int], lo: int, hi: int, w: int, top: int,
     signs: tuple[bool, bool],
 ) -> Iterable[int]:
     """Coefficients lo..hi-1 of a * b in Z, by one multiply of big decimals.
 
     `_product` calls it for every product that `_shift_add` would not make
-    cheaper, with what it has already found: every |coefficient| of a * b
-    is at most `bound` and every |entry| of a and b at most `top`, and
-    `signs` says whether a and b have a negative entry.
+    cheaper, with what it has already found: every coefficient of a * b
+    fits a slot of `w` decimal digits, every |entry| of a and b is at most
+    `top`, and `signs` says whether a and b have a negative entry.
 
-    Each coefficient occupies a slot of w decimal digits, w the digit count
-    of `bound`, or of twice it when an operand is signed; adding the
-    half-slot 5 * 10**(w - 1) to every slot of the product then makes all
-    slots nonnegative, so they are read back from its digit string without
+    Each coefficient occupies one slot.  When an operand is signed, w holds
+    twice the bound on |coefficient|, and adding the half-slot
+    5 * 10**(w - 1) to every slot of the product makes all slots
+    nonnegative, so they are read back from its digit string without
     borrow propagation.  The carrier is `decimal.Decimal` because CPython's
     C decimal module (libmpdec) multiplies long operands by number-theoretic
     transform, where `int` multiplication is Karatsuba.  An operand with no
     negative entry is packed through a table of w-digit strings when `top`
     is below the number of entries to pack, as for residues mod a small u.
 
-    Slots of up to _LANE_DIGITS digits are widened to 1, 2, 4 or 8 digits
-    and decoded word-parallel by `_read_lanes`; wider slots are read one
-    `int` per slot, through `Decimal` above the 640 digits CPython may
-    refuse to convert directly.
+    Slots of 1, 2, 4 or 8 digits are decoded word-parallel by `_read_lanes`;
+    wider slots are read one `int` per slot, through `Decimal` above the 640
+    digits CPython may refuse to convert directly.
 
     The result is exact: the multiply runs at the maximal precision with
     `Inexact` and `Rounded` trapped, so any rounding would raise.  Operands
@@ -399,12 +401,6 @@ def _convolve_packed(
     `Decimal`, which would be quadratic.
     """
     signed = signs[0] or signs[1]
-    span = bound << signed
-    w = span.bit_length() * 30103 // 100000 + 1  # the digit count, or one more
-    if span < 10 ** (w - 1):
-        w -= 1
-    if w <= _LANE_DIGITS:
-        w = 1 << (w - 1).bit_length()
     if w > _INT_STR_SAFE_DIGITS:
         to_str, to_int = (lambda c: str(Decimal(c))), (lambda s: int(Decimal(s)))
     else:
@@ -469,12 +465,15 @@ def _product(
     function that knows the ring: both carriers compute in Z.  It counts
     the K nonzero entries of the sparser operand once, and from the scans
     it makes anyway bounds every coefficient by K * (u - 1)**2 mod u, or by
-    K * max|sparse| * max|dense| exactly.  When a lane of 1, 2, 4 or 8 bytes
-    holds the bound and `_shift_add_pays`, the product goes to `_shift_add`,
-    with the dense operand as residues and only the sparse one's nonzero
-    terms, reduced and grouped by value; any other goes to
-    `_convolve_packed` with both operands as residues.  The window comes
-    back in Z and is reduced once, as it is collected.
+    K * max|sparse| * max|dense| exactly.  It turns the bound into the width
+    of either carrier.  When a lane of 1, 2, 4 or 8 bytes holds the bound
+    and `_shift_add_pays`, the product goes to `_shift_add`, with the dense
+    operand as residues and only the sparse one's nonzero terms, reduced
+    and grouped by value.  Any other goes to `_convolve_packed` with both
+    operands as residues, in slots of the bound's digit count, or of twice
+    the bound's when an operand is signed; a slot of at most _LANE_DIGITS
+    digits is widened to 1, 2, 4 or 8.  The window comes back in Z and is
+    reduced once, as it is collected.
     """
     if hi <= lo:
         return []
@@ -494,7 +493,7 @@ def _product(
     bound = terms * tops[0] * tops[1]
     slot = next((s for s in (1, 2, 4, 8) if bound < 1 << 8 * s), None)
     if slot is not None and _shift_add_pays(terms, slot, hi - lo, hi):
-        route = "shift_add"
+        route, width = "shift_add", slot
         groups: dict[int, list[int]] = {}
         for k in compress(range(min(len(sparse), hi)), sparse):
             r = sparse[k] if modulus is None else sparse[k] % modulus
@@ -503,12 +502,18 @@ def _product(
         out = _shift_add(groups, dense, lo, hi, slot, signs[1])
     else:
         route = "packed"
+        span = bound << (signs[0] or signs[1])
+        width = span.bit_length() * 30103 // 100000 + 1  # the digit count, or one more
+        if span < 10 ** (width - 1):
+            width -= 1
+        if width <= _LANE_DIGITS:
+            width = 1 << (width - 1).bit_length()
         if modulus is not None:
             sparse = dense if aliased else _residues(sparse, modulus)
-        out = _convolve_packed(sparse, dense, lo, hi, bound, max(tops), signs)
+        out = _convolve_packed(sparse, dense, lo, hi, width, max(tops), signs)
     if _trace is not None:
         _trace["product"][route]["exact" if modulus is None else "modular"].append(
-            [len(a), len(b), terms])
+            [len(a), len(b), terms, lo, hi, width])
     return list(out) if modulus is None else [c % modulus for c in out]
 
 

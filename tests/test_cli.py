@@ -226,6 +226,16 @@ class TestCertify:
         assert code == 2
         assert json.loads(out)["status"] == "hypothesis_violation"
 
+    def test_delta_star_violation_exit_2(self, run_cli):
+        # f7^2 has c(7) = -2, so c(2n + 1) == 0 (mod 3) is false; its scan to
+        # n = 0 is clean, and the tuple fails conditions 1, 3, 4 and 5 of Delta*
+        code, out, err = run_cli("certify", "--m", "2", "--M", "7", "--N", "7", "--t", "1",
+                                 "--r", "7:2", "--rprime", "1:0", "--mod", "3")
+        assert (code, err) == (2, "")
+        data = json.loads(out)
+        assert (data["status"], data["checked_upto"]) == ("hypothesis_violation", 0)
+        assert data["witness"] == {"delta_star_conditions": [1, 3, 4, 5]}
+
     def test_negative_v_floor_exit_3_and_negative_check_upto_exit_64(self, run_cli):
         # v = -1/24: n = 0 is scanned and f_r = 1/f1^2 has coefficient 1 there
         argv = ["certify", "--m", "2", "--M", "1", "--N", "1", "--t", "0",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import delta_star_conditions, sweep
+from corpus import sweep
 from etacert import finite_check, oracle
 from etacert import (
     EtaQuotientSpec,
@@ -426,15 +426,51 @@ class TestVerifyInstance:
         assert cert.witness == {"delta": 1, "p_min": "-1/24", "p_star": "0"}
         assert cert.residues_ok == ()
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: membership in Delta* is assumed, "
-                       "not checked, so this tuple outside it is certified")
     def test_false_congruence_is_not_verified(self):
         # f7^2 has c(7) = -2, so c(2n + 1) == 0 (mod 3) fails at n = 3; the tuple
         # fails conditions 1, 3, 4 and 5 of Delta*, and its check bound is 0
         assert oracle.naive_expand(EtaQuotientSpec(7, {7: 2}), 7).coeffs[7] == -2
         inst = RSInstance(m=2, M=7, N=7, t=1, r=EtaQuotientSpec(7, {7: 2}),
                           r_prime=EtaQuotientSpec(7, {1: 0}), u=3)
-        assert verify_instance(inst).status != "verified"
+        cert = verify_instance(inst)
+        assert (cert.status, cert.checked_upto) == ("hypothesis_violation", 0)
+        assert cert.witness == {"delta_star_conditions": [1, 3, 4, 5]}
+        assert all(all(flags) for _, flags in cert.residues_ok)  # the scan was clean
+        assert cert.delta_star == "assumed"
+        assert revalidate_certificate(json.loads(cert.to_json()))
+        # strict mode does not consult the conditions
+        assert verify_instance(inst, assume_delta_star=False).status == "delta_star_unverified"
+
+    @pytest.mark.parametrize("N,failures,status", [(6, [4, 5], "hypothesis_violation"),
+                                                   (12, [], "verified")])
+    def test_delta_1_mod_3_at_two_levels(self, N, failures, status):
+        # Delta_1(2n + 1) == 0 (mod 3) with r' = {1: 5}: at N = 6 the tuple fails
+        # conditions 4 and 5 and is refused, at N = 12 it passes all six
+        inst = RSInstance(m=2, M=N, N=N, t=1, r=EtaQuotientSpec(N, {1: -3, 2: 1, 3: 1, 6: -1}),
+                          r_prime=EtaQuotientSpec(N, {1: 5}), u=3)
+        cert = verify_instance(inst)
+        assert cert.status == status
+        assert cert.witness == ({"delta_star_conditions": failures} if failures else None)
+
+    def test_counterexample_wins_over_delta_star(self):
+        # the perturbed mod-25 residue fails condition 5 too, and is a counterexample
+        inst = dataclasses.replace(KNOWN_INSTANCES["mod25"], t=98)
+        assert finite_check._delta_star_failures(inst) == [5]
+        assert verify_instance(inst).status == "counterexample"
+
+    def test_witness_at_the_check_bound(self):
+        # v = 7/6, so n = 0 and n = 1 are scanned: c(9) == 0 and c(20) == 3
+        # (mod 7).  A check bound one short of floor(v) would miss the witness
+        # and, the tuple passing all six Delta* conditions, certify it
+        inst = RSInstance(m=11, M=11, N=11, t=9, r=EtaQuotientSpec(11, {1: 4, 11: 1}),
+                          r_prime=EtaQuotientSpec(11, {1: -1}), u=7)
+        coeffs = oracle.naive_expand(inst.r, 20).coeffs
+        assert (coeffs[9] % 7, coeffs[20] % 7) == (0, 3)
+        assert finite_check._delta_star_failures(inst) == []
+        cert = verify_instance(inst)
+        assert cert.status == "counterexample"
+        assert cert.witness == {"n": 1, "exponent": 20, "value": 3, "t_prime": 9}
+        assert (cert.v_exact, cert.p_set, cert.checked_upto) == (Fraction(7, 6), (9,), 1)
 
     def test_order_cap_fails_fast(self):
         with pytest.raises(OrderCapExceeded):
@@ -640,21 +676,50 @@ class TestCertificateSerialization:
         assert not revalidate_certificate(data)
 
 
+def _bare(m, M, N, t, r):
+    return RSInstance(m, M, N, t, EtaQuotientSpec(M, r), EtaQuotientSpec(N, {}), 2)
+
+
+class TestDeltaStar:
+    """The six Delta* conditions that `_delta_star_failures` checks."""
+
+    # (condition, m, M, N, t, r): a tuple that fails that condition alone.
+    # kappa = gcd(m^2 - 1, 24) is 24 for m prime to 6, which makes conditions
+    # 3 and 4 hold, so m = 2 (kappa 3) and m = 3 (kappa 8).  With M = N,
+    # failing 3 forces failing 6 as well, so condition 3's tuple has M = 2N
+    @pytest.mark.parametrize("condition,m,M,N,t,r", [
+        (1, 3, 1, 1, 1, {1: 3}),
+        (2, 2, 16, 4, 0, {16: -4}),
+        (3, 2, 8, 4, 0, {1: 2, 2: 1, 8: 1}),
+        (4, 2, 4, 4, 0, {4: -1}),
+        (5, 2, 4, 4, 0, {1: -2}),
+        (6, 2, 4, 4, 0, {1: -2, 2: -1, 4: -1}),
+    ])
+    def test_each_condition_fails_alone(self, condition, m, M, N, t, r):
+        assert finite_check._delta_star_failures(_bare(m, M, N, t, r)) == [condition]
+
+
 class TestSoundnessCorpus:
-    """ROADMAP item 15, property B: no `verified` certificate of a seeded tuple
-    that passes item 4's six conditions has a nonzero residue up to n = 400.
-    The corpus lives in tests/corpus.py; scale/test_scale.py sweeps 3000."""
+    """ROADMAP item 15: no `verified` certificate of a seeded tuple has a nonzero
+    residue up to n = 400, whether every drawn tuple is certified (property A)
+    or only those that pass the six Delta* conditions (property B).  The
+    corpus lives in tests/corpus.py; scale/test_scale.py sweeps 1000 and 3000."""
 
     def test_conditions_by_hand(self):
         for instance in KNOWN_INSTANCES.values():
-            assert instance.M == instance.N
-            r = dict(instance.r.exponents)
-            assert delta_star_conditions(instance.m, instance.N, instance.t, r) == [True] * 6
+            assert finite_check._delta_star_failures(instance) == []
         # f7^2 with (m, t) = (2, 1), and Delta_1(2n + 1) mod 3 at N = 6 and N = 12
-        assert delta_star_conditions(2, 7, 1, {7: 2}) == [False, True, False, False, False, True]
+        assert finite_check._delta_star_failures(_bare(2, 7, 7, 1, {7: 2})) == [1, 3, 4, 5]
         delta_1 = {1: -3, 2: 1, 3: 1, 6: -1}
-        assert delta_star_conditions(2, 6, 1, delta_1) == [True, True, True, False, False, True]
-        assert delta_star_conditions(2, 12, 1, delta_1) == [True] * 6
+        assert finite_check._delta_star_failures(_bare(2, 6, 6, 1, delta_1)) == [4, 5]
+        assert finite_check._delta_star_failures(_bare(2, 12, 12, 1, delta_1)) == []
+
+    def test_no_false_verified_unfiltered(self):
+        result = sweep(seed=5, size=100, filtered=False)
+        print(result.summary())
+        assert result.false_verified == []
+        assert dict(result.statuses) == {
+            "counterexample": 88, "hypothesis_violation": 10, "verified": 2}
 
     def test_no_false_verified(self):
         result = sweep(seed=1, size=300)

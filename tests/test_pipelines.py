@@ -635,7 +635,7 @@ class TestResidueOnlySteps:
             assert run().overall
         products = counters["product"]
         exact = products["packed"]["exact"] + products["shift_add"]["exact"]
-        assert all(max(la, lb) <= 64 for la, lb, _ in exact), exact
+        assert all(max(entry[:2]) <= 64 for entry in exact), exact
         assert products["packed"]["modular"] or products["shift_add"]["modular"]
 
 

@@ -550,23 +550,18 @@ def _bound_operands(k, stride, n, amax, bmax, signed):
     return a, b
 
 
-def _record_lane_widths(monkeypatch):
-    widths = []
-    real = series_module._read_lanes
-
-    def recording(digits, w):
-        widths.append(w)
-        return real(digits, w)
-
-    monkeypatch.setattr(series_module, "_read_lanes", recording)
-    return widths
+def _entries(counters, ring=None):
+    """(route, [len(a), len(b), K, lo, hi, width]) of every product a `tracing()`
+    block counted, in `ring` or in both; in call order within a route and ring."""
+    return [(route, entry) for route, rings in counters["product"].items()
+            for name, entries in rings.items() if ring in (None, name) for entry in entries]
 
 
 # (u, max|a|, max|b|, K, lane width).  Mod u, K entries of u - 1 against a
 # dense operand of u - 1: K * (u - 1)**2 on either side of 10, 100, 10**4 and
 # 10**8.  Exact, with mixed signs: 2 * K * max|a| * max|b| on either side of
 # the same, so the largest |c| sits just under the half-slot.  None is the
-# per-slot string route
+# per-slot string route, in slots of exactly that bound's digit count
 @pytest.mark.parametrize(
     "u,amax,bmax,k,lane",
     [(3, 2, 2, 2, 1), (2, 1, 1, 9, 1), (2, 1, 1, 10, 2), (4, 3, 3, 11, 2), (2, 1, 1, 100, 4),
@@ -576,21 +571,24 @@ def _record_lane_widths(monkeypatch):
      (None, 7, 7, 102, 4), (None, 7, 7, 103, 8), (None, 5000, 9999, 1, 8),
      (None, 5000, 10**4, 1, None), (None, 10**20, 3, 7, None)],
 )
-def test_slot_bound_reached(u, amax, bmax, k, lane, no_shift_add, monkeypatch):
+def test_slot_bound_reached(u, amax, bmax, k, lane, no_shift_add):
     # the slots hold exactly the bound, counted from the nonzero entries, in
     # every window that reads a fully overlapped coefficient
-    widths = _record_lane_widths(monkeypatch)
-    for stride in (1, 2, 3):
-        a, b = _bound_operands(k, stride, stride * k + 5, amax, bmax, signed=u is None)
-        end = len(a) + len(b) - 1
-        exact = _convolve_schoolbook(a, b, end)
-        assert max(exact) == k * amax * bmax
-        assert u is not None or min(exact) == -max(exact)
-        for lo, hi in ((0, end), (0, len(b)), (stride * (k - 1), end)):
-            expected = _reference(a, b, lo, hi, u)
-            assert _product(a, b, lo, hi, u) == expected
-            assert _product(b, a, lo, hi, u) == expected
-    assert set(widths) == ({lane} if lane else set())
+    with series_module.tracing() as counters:
+        for stride in (1, 2, 3):
+            a, b = _bound_operands(k, stride, stride * k + 5, amax, bmax, signed=u is None)
+            end = len(a) + len(b) - 1
+            exact = _convolve_schoolbook(a, b, end)
+            assert max(exact) == k * amax * bmax
+            assert u is not None or min(exact) == -max(exact)
+            for lo, hi in ((0, end), (0, len(b)), (stride * (k - 1), end)):
+                expected = _reference(a, b, lo, hi, u)
+                assert _product(a, b, lo, hi, u) == expected
+                assert _product(b, a, lo, hi, u) == expected
+    entries = _entries(counters)
+    assert len(entries) == 18 and {route for route, _ in entries} == {"packed"}
+    span = k * amax * bmax << (u is None)
+    assert {entry[5] for _, entry in entries} == {lane or len(str(span))}
 
 
 @pytest.mark.parametrize("u", [None, 2, 49, 10**30])
@@ -609,60 +607,38 @@ def test_all_zero_operands(u, no_shift_add):
 
 
 @pytest.mark.parametrize("u", [None, 49])
-def test_lane_chunk_boundaries(u, no_shift_add, monkeypatch):
+def test_lane_chunk_boundaries(u, no_shift_add):
     # slots are decoded in chunks of _LANE_CHUNK; windows end just before,
     # on and just after a chunk boundary, and one past two chunks, from 0 and
     # from a slot inside the first chunk
-    widths = _record_lane_widths(monkeypatch)
     chunk = series_module._LANE_CHUNK
     rng = random.Random(chunk)
     n = 2 * chunk + 3
     sparse = _sparse(rng, n, 9, 0.01)
     dense = tuple(rng.randint(-9, 9) for _ in range(n))
-    for hi in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-        for lo in (0, 5):
+    windows = [(lo, hi) for hi in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1) for lo in (0, 5)]
+    with series_module.tracing() as counters:
+        for lo, hi in windows:
             expected = _reference(sparse, dense, lo, hi, u)
             assert _product(dense, sparse, lo, hi, u) == expected, (lo, hi)
-    assert widths and all(w <= series_module._LANE_DIGITS for w in widths)
+    entries = _entries(counters)
+    assert [(route, entry[3], entry[4]) for route, entry in entries] == [
+        ("packed", lo, hi) for lo, hi in windows]
+    assert all(entry[5] <= series_module._LANE_DIGITS for _, entry in entries)
 
 
 # --- windowed products: shift-and-add by a sparse operand -----------------------
 
 
-def _record_products(monkeypatch):
-    """(lo, hi, route) of every `_product` call from now on.
-
-    The route is the lane bytes `_shift_add` was given, "packed" for
-    `_convolve_packed`, or None when neither ran.
-    """
-    products, route = [], []
-    real_product = series_module._product
-    real_shift_add = series_module._shift_add
-    real_packed = series_module._convolve_packed
-
-    def product(a, b, lo, hi, modulus=None):
-        route.clear()
-        out = real_product(a, b, lo, hi, modulus)
-        products.append((lo, hi, route[0] if route else None))
-        return out
-
-    def shift_add(groups, dense, lo, hi, slot, signed):
-        route.append(slot)
-        return real_shift_add(groups, dense, lo, hi, slot, signed)
-
-    def packed(*args):
-        route.append("packed")
-        return real_packed(*args)
-
-    monkeypatch.setattr(series_module, "_product", product)
-    monkeypatch.setattr(series_module, "_shift_add", shift_add)
-    monkeypatch.setattr(series_module, "_convolve_packed", packed)
-    return products
+def _lanes_used(counters, ring):
+    """The lane bytes of every shift-and-add in `ring`, and "packed" if a packed
+    multiply ran there."""
+    return {entry[5] if route == "shift_add" else route
+            for route, entry in _entries(counters, ring)}
 
 
 @pytest.mark.parametrize("u", [2, 7, 49, 125])
-def test_shift_add_windows_match_schoolbook(u, monkeypatch):
-    products = _record_products(monkeypatch)
+def test_shift_add_windows_match_schoolbook(u):
     rng = random.Random(u)
     # signed entries far outside 0..u-1 on both sides
     sparse = [0] * 300
@@ -673,21 +649,23 @@ def test_shift_add_windows_match_schoolbook(u, monkeypatch):
     # from 0, empty, inside, the Newton windows [n, 2n), and past the end
     windows = [(0, 60), (0, end), (37, 37), (150, 420), (100, 200), (150, 300),
                (end - 30, end + 40), (end + 5, end + 50)]
-    for lo, hi in windows:
-        expected = _reference(sparse, dense, lo, hi, u)
-        assert series_module._product(sparse, dense, lo, hi, u) == expected, (lo, hi)
-        assert series_module._product(dense, sparse, lo, hi, u) == expected, (lo, hi)
-        assert series_module._product(sparse, sparse, lo, hi, u) == _reference(
-            sparse, sparse, lo, hi, u
-        ), (lo, hi)
+    with series_module.tracing() as counters:
+        for lo, hi in windows:
+            expected = _reference(sparse, dense, lo, hi, u)
+            assert series_module._product(sparse, dense, lo, hi, u) == expected, (lo, hi)
+            assert series_module._product(dense, sparse, lo, hi, u) == expected, (lo, hi)
+            assert series_module._product(sparse, sparse, lo, hi, u) == _reference(
+                sparse, sparse, lo, hi, u
+            ), (lo, hi)
     # every window was shifted and added; an empty one formed no product
-    assert products
-    assert all((route in (1, 2, 4)) if lo < hi else route is None for lo, hi, route in products)
+    entries = _entries(counters)
+    assert [(route, entry[3], entry[4]) for route, entry in entries] == [
+        ("shift_add", lo, hi) for lo, hi in windows if lo < hi for _ in range(3)]
+    assert _lanes_used(counters, "modular") <= {1, 2, 4}
 
 
 @pytest.mark.parametrize("u", [2, 49])
-def test_shift_add_operands_reducing_to_zero(u, monkeypatch):
-    products = _record_products(monkeypatch)
+def test_shift_add_operands_reducing_to_zero(u):
     rng = random.Random(u)
     multiples = [0] * 80
     for k in rng.sample(range(80), 6):
@@ -695,13 +673,15 @@ def test_shift_add_operands_reducing_to_zero(u, monkeypatch):
     dense = [rng.randint(-10**4, 10**4) for _ in range(90)]
     sparse = [0] * 90
     sparse[3] = sparse[50] = -1
-    for a, b in ((multiples, dense), (dense, multiples), (sparse, [u] * 90)):
-        for lo, hi in ((0, 100), (40, 169), (150, 200)):
-            assert series_module._product(a, b, lo, hi, u) == [0] * (hi - lo)
-    assert {route for _, _, route in products} <= {1, 2, 4}
-    products.clear()
-    assert series_module._product([0] * 40, dense, 0, 129, u) == [0] * 129
-    assert products == [(0, 129, None)]
+    with series_module.tracing() as counters:
+        for a, b in ((multiples, dense), (dense, multiples), (sparse, [u] * 90)):
+            for lo, hi in ((0, 100), (40, 169), (150, 200)):
+                assert series_module._product(a, b, lo, hi, u) == [0] * (hi - lo)
+    assert len(_entries(counters)) == 9
+    assert _lanes_used(counters, "modular") <= {1, 2, 4}
+    with series_module.tracing() as counters:
+        assert series_module._product([0] * 40, dense, 0, 129, u) == [0] * 129
+    assert _entries(counters) == []
 
 
 # (u, K, lane bytes): K * (u - 1)**2 just below and at 2**8, 2**16, 2**32 and
@@ -711,19 +691,20 @@ def test_shift_add_operands_reducing_to_zero(u, monkeypatch):
     [(2, 255, 1), (2, 256, 2), (16, 291, 2), (17, 256, 4), (2**16, 1, 4), (2**16 + 1, 1, 8),
      (2**32, 1, 8), (2**32 + 1, 1, "packed")],
 )
-def test_shift_add_lane_bound_reached(u, k, lane, monkeypatch):
+def test_shift_add_lane_bound_reached(u, k, lane):
     # K entries of u - 1, 3 apart, against a dense operand of u - 1: the
     # coefficients from 3 * (K - 1) on are the bound itself
-    products = _record_products(monkeypatch)
     a, b = _bound_operands(k, 3, 3 * k + 5, u - 1, u - 1, signed=False)
     end = len(a) + len(b) - 1
     exact = _convolve_schoolbook(a, b, end)
     assert max(exact) == exact[3 * (k - 1)] == k * (u - 1) ** 2
-    for lo, hi in ((max(3 * k - 5, 0), 3 * k), (0, end + 2)):
-        expected = _reference(a, b, lo, hi, u)
-        assert series_module._product(a, b, lo, hi, u) == expected
-        assert series_module._product(b, a, lo, hi, u) == expected
-    assert {route for _, _, route in products} == {lane}
+    with series_module.tracing() as counters:
+        for lo, hi in ((max(3 * k - 5, 0), 3 * k), (0, end + 2)):
+            expected = _reference(a, b, lo, hi, u)
+            assert series_module._product(a, b, lo, hi, u) == expected
+            assert series_module._product(b, a, lo, hi, u) == expected
+    assert len(_entries(counters)) == 4
+    assert _lanes_used(counters, "modular") == {lane}
 
 
 # --- the same route rule for exact products ----------------------------------------
@@ -786,21 +767,22 @@ def test_exact_shift_add_matches_schoolbook(operands, data):
      (3, 21845, 281479271743489, 8), (4, 2**31, 2**31, "packed")],
 )
 @pytest.mark.parametrize("signed", [False, True])
-def test_exact_shift_add_lane_bound_reached(k, smax, dmax, lane, signed, monkeypatch):
+def test_exact_shift_add_lane_bound_reached(k, smax, dmax, lane, signed):
     # signed, the K terms of a fully overlapped coefficient share one sign,
     # so the plus or the minus sum of its lane reaches the bound
-    products = _record_products(monkeypatch)
-    for stride in (1, 3):
-        a, b = _bound_operands(k, stride, stride * k + 5, smax, dmax, signed)
-        end = len(a) + len(b) - 1
-        exact = _convolve_schoolbook(a, b, end)
-        assert max(map(abs, exact)) == k * smax * dmax
-        first = stride * (k - 1)  # the first fully overlapped coefficient
-        for lo, hi in ((first, first + 5), (0, end + 2)):
-            expected = _convolve_schoolbook(a, b, hi)[lo:]
-            assert series_module._product(a, b, lo, hi) == expected
-            assert series_module._product(b, a, lo, hi) == expected
-    assert {route for _, _, route in products} == {lane}
+    with series_module.tracing() as counters:
+        for stride in (1, 3):
+            a, b = _bound_operands(k, stride, stride * k + 5, smax, dmax, signed)
+            end = len(a) + len(b) - 1
+            exact = _convolve_schoolbook(a, b, end)
+            assert max(map(abs, exact)) == k * smax * dmax
+            first = stride * (k - 1)  # the first fully overlapped coefficient
+            for lo, hi in ((first, first + 5), (0, end + 2)):
+                expected = _convolve_schoolbook(a, b, hi)[lo:]
+                assert series_module._product(a, b, lo, hi) == expected
+                assert series_module._product(b, a, lo, hi) == expected
+    assert len(_entries(counters)) == 8
+    assert _lanes_used(counters, "exact") == {lane}
 
 
 @pytest.mark.parametrize("exps", [{1: 4, 3: 1}, {1: -3, 5: 2}])
@@ -824,25 +806,32 @@ def test_residue_operands_are_not_reduced_again():
     assert series_module._residues([-7], 7) == [0]
 
 
-# (lo, hi, route) of each product of b_series(19549, 49): the Newton windows
-# h = (a * g)[n:2n] by the cube, f_2 * g and the residual are shifted and
-# added, in 2-byte lanes for the 25 cube terms below 306 and in 4-byte lanes
-# from there; the dense g * h and g * (num - a * y) stay packed
+# (lo, hi, route, width) of each product of b_series(19549, 49), in call
+# order: the Newton windows h = (a * g)[n:2n] by the cube, f_2 * g and the
+# residual are shifted and added, in 2-byte lanes for the 25 cube terms below
+# 306 and in 4-byte lanes from there; the dense g * h and g * (num - a * y)
+# stay packed, in 8-digit slots
 _B_19549_PRODUCTS = [
-    (153, 306, 2), (0, 153, "packed"),
-    (306, 612, 4), (0, 306, "packed"),
-    (612, 1224, 4), (0, 612, "packed"),
-    (1224, 2448, 4), (0, 1224, "packed"),
-    (2448, 4896, 4), (0, 2448, "packed"),
-    (4896, 9775, 4), (0, 4879, "packed"),
-    (0, 9775, 4), (9775, 19550, 4), (0, 9775, "packed"),
+    (153, 306, "shift_add", 2), (0, 153, "packed", 8),
+    (306, 612, "shift_add", 4), (0, 306, "packed", 8),
+    (612, 1224, "shift_add", 4), (0, 612, "packed", 8),
+    (1224, 2448, "shift_add", 4), (0, 1224, "packed", 8),
+    (2448, 4896, "shift_add", 4), (0, 2448, "packed", 8),
+    (4896, 9775, "shift_add", 4), (0, 4879, "packed", 8),
+    (0, 9775, "shift_add", 4), (9775, 19550, "shift_add", 4), (0, 9775, "packed", 8),
 ]
 
 
-def test_b_series_product_routes(monkeypatch):
-    products = _record_products(monkeypatch)
-    b_series(19549, 49)
-    assert products == _B_19549_PRODUCTS
+def test_b_series_product_routes():
+    # each route's list holds its products in call order; the interleaving of
+    # the two is checked call by call below
+    with series_module.tracing() as counters:
+        b_series(19549, 49)
+    assert _entries(counters, "exact") == []
+    for route in ("packed", "shift_add"):
+        assert [(entry[3], entry[4], route, entry[5])
+                for entry in counters["product"][route]["modular"]] == [
+            product for product in _B_19549_PRODUCTS if product[2] == route]
 
 
 def test_shift_add_reduces_only_the_dense_operand(monkeypatch):
@@ -850,9 +839,8 @@ def test_shift_add_reduces_only_the_dense_operand(monkeypatch):
     # dense operand alone: the sparse one, such as the signed Jacobi cube of
     # every Newton window, is reduced term by term over its nonzero entries,
     # never whole; a packed product reduces each operand, a square once
-    products = _record_products(monkeypatch)
     reduced, calls = [], []
-    real_residues, recorded = series_module._residues, series_module._product
+    real_residues, real_product = series_module._residues, series_module._product
 
     def residues(coeffs, u):
         reduced.append(coeffs)
@@ -860,15 +848,17 @@ def test_shift_add_reduces_only_the_dense_operand(monkeypatch):
 
     def product(a, b, lo, hi, modulus=None):
         reduced.clear()
-        out = recorded(a, b, lo, hi, modulus)
-        calls.append((a, b, list(reduced)))
+        with series_module.tracing() as counters:
+            out = real_product(a, b, lo, hi, modulus)
+        (route, entry), = _entries(counters, "modular")
+        calls.append((a, b, list(reduced), (entry[3], entry[4], route, entry[5])))
         return out
 
     monkeypatch.setattr(series_module, "_residues", residues)
     monkeypatch.setattr(series_module, "_product", product)
     b_series(19549, 49)
-    assert products == _B_19549_PRODUCTS
-    for (a, b, seen), (_, _, route) in zip(calls, products):
+    assert [call[3] for call in calls] == _B_19549_PRODUCTS
+    for a, b, seen, (_, _, route, _) in calls:
         dense = b if len(a) - a.count(0) <= len(b) - b.count(0) else a
         if route == "packed":
             assert len(seen) == 1 + (a is not b)
@@ -1251,10 +1241,11 @@ class TestTracing:
             series_module._expand(EtaQuotientSpec(2, {1: -3, 2: 1}), 14, 7, reduce=False)
         assert counters["expand"] == {"exact": [10], "reduced": [12], "unreduced": [14]}
         # the 4 x 4 product by K = 3 terms is shifted and added in both
-        # rings; only the dense square is packed
+        # rings, in 1-byte lanes (bounds 3 * 3 * 7 and 3 * 6 * 6); only the
+        # dense square is packed, its bound 300 * 6 * 6 in 8-digit slots
         assert counters["product"] == {
-            "packed": {"exact": [], "modular": [[300, 300, 300]]},
-            "shift_add": {"exact": [[4, 4, 3]], "modular": [[4, 4, 3]]},
+            "packed": {"exact": [], "modular": [[300, 300, 300, 0, 300, 8]]},
+            "shift_add": {"exact": [[4, 4, 3, 0, 4, 1]], "modular": [[4, 4, 3, 0, 4, 1]]},
         }
 
     def test_nested_block_counts_on_its_own(self):
@@ -1336,19 +1327,13 @@ class TestNewtonInversion:
     def test_exact_path_keeps_recurrence(self, monkeypatch):
         # the exact path never runs a Newton step, whatever the length
         monkeypatch.setattr(series_module, "_NEWTON_MIN", 16)
-        calls = []
-        real = series_module._product
-
-        def counting(a, b, lo, hi, modulus=None):
-            calls.append(modulus)
-            return real(a, b, lo, hi, modulus)
-
-        monkeypatch.setattr(series_module, "_product", counting)
         a = eta_factor(1, 300)
-        assert series_invert(a) == naive_invert(a)
-        assert calls == []
-        series_invert(a, modulus=7)
-        assert calls and set(calls) == {7}
+        with series_module.tracing() as counters:
+            assert series_invert(a) == naive_invert(a)
+        assert _entries(counters) == []
+        with series_module.tracing() as counters:
+            series_invert(a, modulus=7)
+        assert _entries(counters, "exact") == [] and _entries(counters, "modular")
 
 
 # --- division by the sparse f1 or f1^3 base --------------------------------------
@@ -1369,27 +1354,22 @@ class TestDivision:
                 got = expand_eta_quotient(spec, order, modulus=u)
                 assert got == _expand_per_factor(spec, order, u), (order, u)
 
-    def test_division_drops_the_full_length_product(self, monkeypatch):
-        windows = []
-        real = series_module._product
+    def test_division_drops_the_full_length_product(self):
+        def windows(order, modulus=None):
+            with series_module.tracing() as counters:
+                expand_eta_quotient(spec, order, modulus)
+            return [(entry[3], entry[4]) for _, entry in _entries(counters)]
 
-        def recording(a, b, lo, hi, modulus=None):
-            windows.append((lo, hi))
-            return real(a, b, lo, hi, modulus)
-
-        monkeypatch.setattr(series_module, "_product", recording)
         spec = EtaQuotientSpec(4, {1: -3, 4: 2})
-        expand_eta_quotient(spec, 600)
-        assert windows and all(hi < 601 for _, hi in windows)
-        windows.clear()
-        expand_eta_quotient(spec, _T - 1, modulus=49)
-        assert windows and all(hi < _T for _, hi in windows)
+        exact = windows(600)
+        assert exact and all(hi < 601 for _, hi in exact)
+        below = windows(_T - 1, 49)
+        assert below and all(hi < _T for _, hi in below)
         # one past the threshold the cube takes a Newton inverse: the residual
         # window ends at _T + 1, and no product forms all _T + 1 coefficients
-        windows.clear()
-        expand_eta_quotient(spec, _T, modulus=49)
-        assert ((_T + 2) // 2, _T + 1) in windows
-        assert all(lo > 0 for lo, hi in windows if hi == _T + 1)
+        newton = windows(_T, 49)
+        assert ((_T + 2) // 2, _T + 1) in newton
+        assert all(lo > 0 for lo, hi in newton if hi == _T + 1)
 
     @pytest.mark.parametrize("kind", ["ones", "others", "mixed"])
     @pytest.mark.parametrize("c0", [1, -1])
@@ -1498,16 +1478,10 @@ class TestKarpMarkstein:
         for u in _NEWTON_MODULI:
             assert series_module._divide(num, a, u) == reduce_mod(reference, u), u
 
-    def test_b_series_forms_no_full_length_product(self, monkeypatch):
-        pairs = []
-        real = series_module._product
-
-        def recording(a, b, lo, hi, modulus=None):
-            pairs.append((len(a), len(b)))
-            return real(a, b, lo, hi, modulus)
-
-        monkeypatch.setattr(series_module, "_product", recording)
-        b_series(19549, 49)
+    def test_b_series_forms_no_full_length_product(self):
+        with series_module.tracing() as counters:
+            b_series(19549, 49)
+        pairs = [(entry[0], entry[1]) for _, entry in _entries(counters)]
         assert pairs and (19550, 19550) not in pairs
 
     # across the threshold, and at lengths 1024 to 1026, which straddle a
@@ -1542,15 +1516,8 @@ class TestQuotientsInQPower:
         spec = EtaQuotientSpec(max(exps), exps)
         assert expand_eta_quotient(spec, order, u) == _expand_per_factor(spec, order, u)
 
-    def test_expanded_at_order_over_g(self, monkeypatch):
+    def test_expanded_at_order_over_g(self):
         # f_343 / f_686 to 3771 is f_1 / f_2 to 10, lifted once
-        lengths = []
-        real = series_module._product
-
-        def recording(a, b, lo, hi, modulus=None):
-            lengths.append(hi)
-            return real(a, b, lo, hi, modulus)
-
-        monkeypatch.setattr(series_module, "_product", recording)
-        expand_eta_quotient(EtaQuotientSpec(686, {343: 1, 686: -1}), 3771)
-        assert lengths == [3771 // 343 + 1]
+        with series_module.tracing() as counters:
+            expand_eta_quotient(EtaQuotientSpec(686, {343: 1, 686: -1}), 3771)
+        assert [entry[4] for _, entry in _entries(counters)] == [3771 // 343 + 1]

@@ -145,9 +145,10 @@ class TestJtpAgainstReferences:
             raise AssertionError("jtp_product used another route")
 
         monkeypatch.setattr(theta_module, "theta_series", refuse)
-        monkeypatch.setattr(series_module, "series_mul", refuse)
-        monkeypatch.setattr(series_module, "_convolve_packed", refuse)
-        assert jtp_product(spec, 300) == want
+        with series_module.tracing() as counters:
+            assert jtp_product(spec, 300) == want
+        assert counters["product"] == {route: {"exact": [], "modular": []}
+                                       for route in ("packed", "shift_add")}
 
 
 @pytest.mark.parametrize(
