@@ -108,12 +108,6 @@ class RSInstance:
             raise ValueError(f"r' has level {self.r_prime.level}, expected N = {self.N}")
         if self.u < 2:
             raise ValueError(f"congruence modulus must be >= 2, got {self.u}")
-        # the cusp sums are taken at (1 0; delta 1), one per divisor delta of N, but
-        # Gamma0(N) has sum over d | N of phi(gcd(d, N/d)) cusps, and phi(g) > 1 iff g > 2
-        for d in divisors(self.N):
-            if gcd(d, self.N // d) > 2:
-                raise ValueError(f"Gamma0({self.N}) has more cusps than the divisors of N "
-                                 f"the check covers: gcd({d}, {self.N // d}) > 2")
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,7 +252,12 @@ def index_gamma0(N: int) -> int:
 
 
 def coset_representatives(N: int) -> tuple[int, ...]:
-    """The lower-left entries delta of the representatives (1 0; delta 1): the divisors of N."""
+    """The lower-left entries delta of the representatives (1 0; delta 1): the divisors of N.
+
+    They stand for every cusp of Gamma0(N): at a cusp a/c, p_min and p_star
+    equal their values at 1/c, since the derivation in `p_min` uses only
+    gcd(a, c) = 1, and gcd(delta a, c) = gcd(delta, c).
+    """
     return divisors(N)
 
 

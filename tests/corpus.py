@@ -19,14 +19,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
 
 from etacert import EtaQuotientSpec, RSInstance, divisors, p_min, verify_instance
 from etacert.finite_check import _delta_star_failures
 from etacert.series import _expand
 
-# N <= 30 where the divisors of N stand for every cusp of Gamma0(N), as RSInstance requires
-LEVELS = tuple(N for N in range(1, 31) if all(gcd(d, N // d) <= 2 for d in divisors(N)))
+LEVELS = tuple(range(1, 31))
 SCAN_UPTO = 400
 
 

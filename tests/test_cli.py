@@ -14,7 +14,7 @@ import pytest
 
 from etacert import (
     DEFAULT_ORDER_CAP, EtaQuotientSpec, TruncatedSeries, cli, dissect, expand_eta_quotient,
-    finite_check, pipelines, reduce_mod, series,
+    finite_check, oracle, pipelines, reduce_mod, series,
 )
 
 
@@ -261,12 +261,18 @@ class TestCertify:
         assert (code, out) == (64, "")
         assert err.startswith("etacert: ")
 
-    def test_incomplete_cusp_table_exits_64(self, run_cli):
-        # Gamma0(9) has 4 cusps; the divisors 1, 3, 9 give only 3 cusp sums
-        code, out, err = run_cli("certify", "--m", "1", "--M", "1", "--N", "9", "--t", "0",
-                                 "--r", "1:-1", "--rprime", "1:1", "--mod", "2")
-        assert (code, out) == (64, "")
-        assert "cusps" in err
+    def test_level_with_more_cusps_than_divisors(self, run_cli):
+        # Gamma0(25) has 6 cusps, a/5 for a = 1..4 among them; the sums at 1/5
+        # stand for all four, so the 3 divisors of 25 give the whole table
+        code, out, err = run_cli("certify", "--m", "5", "--M", "25", "--N", "25", "--t", "3",
+                                 "--r", "1:3,5:1,25:4", "--rprime", "1:-2", "--mod", "5")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert [row["delta"] for row in data["cusp_table"]] == [1, 5, 25]
+        assert finite_check.revalidate_certificate(data)
+        # the naive product, apart from the kernel, agrees well past checked_upto = 6
+        coeffs = oracle.naive_expand(EtaQuotientSpec(25, {1: 3, 5: 1, 25: 4}), 5 * 60 + 3).coeffs
+        assert data["checked_upto"] == 6 and all(c % 5 == 0 for c in coeffs[3::5])
 
     def test_order_cap_flag_exits_65(self, run_cli):
         code, out, err = run_cli(*self.MOD25, "--order-cap", "100")

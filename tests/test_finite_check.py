@@ -138,41 +138,28 @@ class TestCuspSums:
             assert p_min(inst, c) + p_star(inst, c) >= 0
 
 
-def _reference_p_min(instance: RSInstance, c: int) -> Fraction:
-    """min over lambda in 0..m-1 of (1/24) sum_delta r_delta gcd^2(delta(1 + kappa lambda c), mc) / (delta m)."""
+def _reference_p_min(instance: RSInstance, a: int, c: int) -> Fraction:
+    """min over lambda in 0..m-1 of (1/24) sum_delta r_delta gcd^2(delta(a + kappa lambda c), mc) / (delta m)."""
     m = instance.m
     kap = math.gcd(m * m - 1, 24)
     best = None
     for lam in range(m):
         total = Fraction(0)
         for delta, r in instance.r.exponents:
-            g = math.gcd(delta * (1 + kap * lam * c), m * c)
+            g = math.gcd(delta * (a + kap * lam * c), m * c)
             total += Fraction(r * g * g, 24 * delta * m)
         if best is None or total < best:
             best = total
     return best
 
 
-def _reference_p_star(instance: RSInstance, c: int) -> Fraction:
-    """(1/24) sum over delta | N of r'_delta gcd^2(delta, c) / delta."""
+def _reference_p_star(instance: RSInstance, a: int, c: int) -> Fraction:
+    """(1/24) sum over delta | N of r'_delta gcd^2(delta a, c) / delta."""
     total = Fraction(0)
     for delta, r in instance.r_prime.exponents:
-        g = math.gcd(delta, c)
+        g = math.gcd(delta * a, c)
         total += Fraction(r * g * g, 24 * delta)
     return total
-
-
-def _reference_cusp_count(N: int) -> int:
-    """Number of cusps of Gamma0(N): the sum over d | N of phi(gcd(d, N/d))."""
-    total = 0
-    for d in divisors(N):
-        g = math.gcd(d, N // d)
-        total += sum(1 for x in range(1, g + 1) if math.gcd(x, g) == 1)
-    return total
-
-
-# levels whose cusps are all of the form (1 0; delta 1), so RSInstance accepts them
-_COMPLETE_LEVELS = [N for N in range(1, 61) if _reference_cusp_count(N) == len(divisors(N))]
 
 
 @st.composite
@@ -186,27 +173,34 @@ _R70 = EtaQuotientSpec(70, {1: -4, 2: 3, 5: 5, 7: -6, 35: 2})
 
 
 class TestCuspSumsAgainstReference:
-    """p_min and p_star against the term-by-term Fraction sums they replaced."""
+    """p_min and p_star against the term-by-term Fraction sums they replaced,
+    taken at any cusp a/c: the sums at 1/c stand for it, so the divisors of N
+    cover every cusp of Gamma0(N)."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         m=st.integers(1, 60),
         r=_eta_spec(list(range(1, 61))),
-        r_prime=_eta_spec(_COMPLETE_LEVELS),
+        r_prime=_eta_spec(list(range(1, 61))),
         c=st.integers(1, 60),
+        a=st.integers(1, 60),
     )
     @example(m=24, r=EtaQuotientSpec(6, {1: 5, 2: -3, 3: 1, 6: -7}),
-             r_prime=EtaQuotientSpec(6, {1: -2, 6: 3}), c=3)
-    @example(m=49, r=EtaQuotientSpec(14, {}), r_prime=EtaQuotientSpec(14, {}), c=7)
+             r_prime=EtaQuotientSpec(6, {1: -2, 6: 3}), c=3, a=1)
+    @example(m=49, r=EtaQuotientSpec(14, {}), r_prime=EtaQuotientSpec(14, {}), c=7, a=1)
     # m = 2 * 3 * 5 * 7 * 11: each c leaves a different set of divisors prime to it
-    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=6)
-    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=10)
-    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=14)
-    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=35)
-    def test_p_min_and_p_star(self, m, r, r_prime, c):
+    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=6, a=1)
+    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=10, a=1)
+    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=14, a=1)
+    @example(m=2310, r=_R70, r_prime=EtaQuotientSpec(1, {}), c=35, a=1)
+    # the cusp 2/3 of Gamma0(9), which the table of (1 0; delta 1) does not list
+    @example(m=6, r=EtaQuotientSpec(9, {1: -3, 3: 5, 9: -2}),
+             r_prime=EtaQuotientSpec(9, {1: 2, 3: -4, 9: 1}), c=3, a=2)
+    def test_p_min_and_p_star(self, m, r, r_prime, c, a):
+        a += next(k for k in range(c) if math.gcd(a + k, c) == 1)  # the least a' >= a prime to c
         inst = RSInstance(m=m, M=r.level, N=r_prime.level, t=0, r=r, r_prime=r_prime, u=2)
-        assert p_min(inst, c) == _reference_p_min(inst, c)
-        assert p_star(inst, c) == _reference_p_star(inst, c)
+        assert p_min(inst, c) == _reference_p_min(inst, a, c)
+        assert p_star(inst, c) == _reference_p_star(inst, a, c)
         assert type(p_min(inst, c)) is type(p_star(inst, c)) is Fraction
 
     @settings(max_examples=150, deadline=None)
@@ -230,7 +224,7 @@ class TestCuspSumsAgainstReference:
         assert finite_check._cusp_sum(r, xs, y, m) == brute
 
     @settings(max_examples=40, deadline=None)
-    @given(r_prime=_eta_spec(_COMPLETE_LEVELS), c=st.integers(-40, 0))
+    @given(r_prime=_eta_spec(list(range(1, 61))), c=st.integers(-40, 0))
     def test_c_below_one_refused(self, r_prime, c):
         inst = RSInstance(m=1, M=1, N=r_prime.level, t=0, r=EtaQuotientSpec(1, {1: 1}),
                           r_prime=r_prime, u=2)
@@ -309,6 +303,30 @@ class TestVBound:
         for inst in KNOWN_INSTANCES.values():
             v, floor = v_bound(inst)
             assert floor == math.floor(v)
+
+
+# (m, N = M, t, r, r', u, v, P, (n, exponent, value, t'), failed Delta* conditions):
+# counterexamples whose witness lies at n = checked_upto > 0, so a check bound
+# one short of floor(v) misses it.  The first is the hand-made m = N = 11 pin:
+# v = 7/6, so n = 0 and n = 1 are scanned, c(9) == 0 and c(20) == 3 (mod 7),
+# and the tuple passing all six conditions, a short bound would certify it.
+# The rest are every such witness of the scale/ corpus sweeps: seven of
+# seed 7 (property B), then three of seed 3 (property A)
+_BOUNDARY_WITNESSES = [
+    (11, 11, 9, {1: 4, 11: 1}, {1: -1}, 7, "7/6", (9,), (1, 20, 3, 9), []),
+    (11, 11, 9, {1: 4}, {}, 3, "7/6", (9,), (1, 20, 1, 9), []),
+    (23, 23, 20, {1: 3, 23: -1}, {1: 1}, 2, "17/8", (20,), (2, 66, 1, 20), []),
+    (13, 13, 8, {1: 3, 13: -3}, {1: 3}, 5, "9/8", (8,), (1, 21, 3, 8), []),
+    (17, 17, 2, {1: 3, 17: 2}, {1: -2}, 7, "17/8", (2,), (2, 36, 3, 2), []),
+    (19, 19, 7, {1: 3, 19: 4}, {1: -4}, 2, "17/8", (7,), (2, 45, 1, 7), []),
+    (17, 17, 7, {1: 2, 17: -1}, {1: 1}, 3, "13/12", (7,), (1, 24, 2, 7), []),
+    (25, 5, 14, {1: 4, 5: -3}, {1: 11}, 3, "2", (14,), (2, 64, 2, 14), []),
+    (22, 9, 17, {1: 3, 3: -2, 9: 3}, {}, 3, "21/11", (1, 5, 7, 9, 17), (1, 27, 2, 5),
+     [1, 4, 5]),
+    (17, 7, 12, {1: 3, 7: 4}, {}, 3, "299/136", (1, 3, 4, 5, 8, 9, 10, 12), (2, 35, 1, 1),
+     [1, 5]),
+    (15, 7, 1, {1: 2, 7: 2}, {}, 2, "11/9", (1, 6, 11), (1, 16, 1, 1), [1, 5]),
+]
 
 
 class TestVerifyInstance:
@@ -459,18 +477,17 @@ class TestVerifyInstance:
         assert verify_instance(inst).status == "counterexample"
 
     def test_witness_at_the_check_bound(self):
-        # v = 7/6, so n = 0 and n = 1 are scanned: c(9) == 0 and c(20) == 3
-        # (mod 7).  A check bound one short of floor(v) would miss the witness
-        # and, the tuple passing all six Delta* conditions, certify it
-        inst = RSInstance(m=11, M=11, N=11, t=9, r=EtaQuotientSpec(11, {1: 4, 11: 1}),
-                          r_prime=EtaQuotientSpec(11, {1: -1}), u=7)
-        coeffs = oracle.naive_expand(inst.r, 20).coeffs
-        assert (coeffs[9] % 7, coeffs[20] % 7) == (0, 3)
-        assert finite_check._delta_star_failures(inst) == []
-        cert = verify_instance(inst)
-        assert cert.status == "counterexample"
-        assert cert.witness == {"n": 1, "exponent": 20, "value": 3, "t_prime": 9}
-        assert (cert.v_exact, cert.p_set, cert.checked_upto) == (Fraction(7, 6), (9,), 1)
+        for m, N, t, r, r_prime, u, v, p_set, witness, failures in _BOUNDARY_WITNESSES:
+            inst = RSInstance(m, N, N, t, EtaQuotientSpec(N, r), EtaQuotientSpec(N, r_prime), u)
+            n, exponent, value, t_prime = witness
+            coeffs = oracle.naive_expand(inst.r, exponent).coeffs
+            assert [c % u for c in coeffs[t_prime::m]] == [0] * n + [value], inst
+            assert finite_check._delta_star_failures(inst) == failures, inst
+            cert = verify_instance(inst)
+            assert cert.status == "counterexample", inst
+            assert cert.witness == {"n": n, "exponent": exponent, "value": value,
+                                    "t_prime": t_prime}, inst
+            assert (cert.v_exact, cert.p_set, cert.checked_upto) == (Fraction(v), p_set, n), inst
 
     def test_order_cap_fails_fast(self):
         with pytest.raises(OrderCapExceeded):
@@ -571,47 +588,6 @@ class TestVerifyInstance:
             RSInstance(m=5, M=10, N=10, t=1, r=r, r_prime=rp, u=1)
 
 
-def _cusp_test_fields(N: int) -> dict:
-    return dict(
-        m=1, M=1, N=N, t=0,
-        r=EtaQuotientSpec(1, {1: -1}), r_prime=EtaQuotientSpec(N, {1: 1}), u=2,
-    )
-
-
-class TestCuspCompleteness:
-    """The check covers the cusps (1 0; delta 1), delta | N, and must cover all of them."""
-
-    @pytest.mark.parametrize("N", [9, 16, 18, 25])
-    def test_incomplete_cusp_table_refused(self, N):
-        with pytest.raises(ValueError, match="cusps"):
-            RSInstance(**_cusp_test_fields(N))
-
-    @pytest.mark.parametrize("N", [1, 10, 14])
-    def test_complete_cusp_table_accepted(self, N):
-        assert RSInstance(**_cusp_test_fields(N)).N == N
-
-    def test_refusal_matches_cusp_count(self):
-        # the gcd rule refuses exactly the N with more cusps than divisors
-        for N in range(1, 301):
-            incomplete = _reference_cusp_count(N) > len(divisors(N))
-            try:
-                RSInstance(**_cusp_test_fields(N))
-            except ValueError as exc:
-                assert incomplete and "cusps" in str(exc), N
-            else:
-                assert not incomplete, N
-
-    def test_replay_refuses_incomplete_cusp_table(self):
-        # a self-consistent N = 9 certificate, made by skipping the refusal:
-        # only the refusal itself can reject its replay
-        instance = object.__new__(RSInstance)
-        for name, value in _cusp_test_fields(9).items():
-            object.__setattr__(instance, name, value)
-        data = json.loads(verify_instance(instance).to_json())
-        assert len(data["cusp_table"]) == 3
-        assert not revalidate_certificate(data)
-
-
 class TestCertificateSerialization:
     def test_schema_fields(self):
         cert = verify_instance(KNOWN_INSTANCES["mod7_t47"])
@@ -698,6 +674,30 @@ class TestDeltaStar:
     def test_each_condition_fails_alone(self, condition, m, M, N, t, r):
         assert finite_check._delta_star_failures(_bare(m, M, N, t, r)) == [condition]
 
+    # (condition, m, M, N, t, r, r', u, n): a false congruence that fails that
+    # condition alone.  Its scan to checked_upto is clean, so only the check
+    # of the condition refuses it, and the naive product shows its first
+    # nonzero residue at m n + t.  No such tuple is known for 3 or 6
+    @pytest.mark.parametrize("condition,m,M,N,t,r,r_prime,u,n", [
+        (1, 7, 19, 19, 3, {19: 1}, {}, 2, 5),
+        (2, 4, 25, 24, 3, {5: 2, 25: -2}, {}, 5, 3),
+        (4, 4, 4, 4, 2, {1: -4, 2: -4, 4: 1}, {1: 23}, 3, 4),
+        (5, 4, 2, 2, 2, {1: -4}, {1: 16}, 7, 3),
+    ])
+    def test_false_congruence_refused_by_its_condition(self, run_cli, condition, m, M, N, t,
+                                                       r, r_prime, u, n):
+        def spec(exponents):
+            return ",".join(f"{d}:{e}" for d, e in exponents.items()) or "1:0"
+
+        code, out, err = run_cli("certify", "--m", m, "--M", M, "--N", N, "--t", t,
+                                 "--r", spec(r), "--rprime", spec(r_prime), "--mod", u)
+        assert (code, err) == (2, "")
+        data = json.loads(out)
+        assert data["witness"] == {"delta_star_conditions": [condition]}
+        assert data["p_set"] == [t] and data["checked_upto"] < n
+        coeffs = oracle.naive_expand(EtaQuotientSpec(M, r), m * n + t).coeffs
+        assert [c % u != 0 for c in coeffs[t::m]] == [False] * n + [True]
+
 
 class TestSoundnessCorpus:
     """ROADMAP item 15: no `verified` certificate of a seeded tuple has a nonzero
@@ -717,12 +717,12 @@ class TestSoundnessCorpus:
     def test_no_false_verified_unfiltered(self):
         result = sweep(seed=5, size=100, filtered=False)
         print(result.summary())
+        # this draw holds no `verified`, so the status counts are what pin it
         assert result.false_verified == []
-        assert dict(result.statuses) == {
-            "counterexample": 88, "hypothesis_violation": 10, "verified": 2}
+        assert dict(result.statuses) == {"counterexample": 95, "hypothesis_violation": 5}
 
     def test_no_false_verified(self):
         result = sweep(seed=1, size=300)
         print(result.summary())
         assert result.false_verified == []
-        assert dict(result.statuses) == {"counterexample": 275, "verified": 25}
+        assert dict(result.statuses) == {"counterexample": 268, "verified": 32}
