@@ -75,13 +75,12 @@ outside one it counts nothing.
 import sys
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import compress, count
 from math import gcd, isqrt, lcm
-from operator import sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import index, sub
 
 __all__ = [
     "TruncatedSeries",
@@ -112,20 +111,53 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class TruncatedSeries:
+class _Value:
+    """A value over the fields named in `__slots__`, frozen as a dataclass is;
+    only the certifier layers, which load together, import `dataclasses`."""
+
+    __slots__ = ()
+
+    def _bind(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class TruncatedSeries(_Value):
     """Coefficients c(0)..c(order) of a power series in q, all exact ints."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"need exactly order+1 = {self.order + 1} coefficients, got {len(self.coeffs)}"
-            )
+    def __init__(self, order: int, coeffs: Iterable[int]):
+        coeffs = tuple(coeffs)
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
+        if len(coeffs) != order + 1:
+            raise ValueError(f"need exactly order+1 = {order + 1} coefficients, got {len(coeffs)}")
+        self._bind(order, coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "TruncatedSeries":
@@ -168,30 +200,32 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, tuple(-c for c in self.coeffs))
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(_Value):
     """Exponent map delta -> r_delta over the positive divisors of `level`.
 
     Represents the product over delta of (q^delta; q^delta)_inf ** r_delta.
-    Zero exponents are dropped on construction, so equal quotients compare
-    equal; every key must divide the level.
+    Every key is an integer that divides the level, every exponent an integer;
+    zero exponents are dropped on construction, so equal quotients compare equal.
     """
 
-    level: int
-    exponents: tuple[tuple[int, int], ...]
+    __slots__ = ("level", "exponents")
 
     def __init__(self, level: int, exponents: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         if level < 1:
             raise ValueError(f"level must be positive, got {level}")
-        items = dict(exponents)
-        for delta in items:
+        items = []
+        for delta, r in dict(exponents).items():
+            try:
+                delta, r = index(delta), index(r)
+            except TypeError:
+                raise ValueError(f"divisor {delta!r} and exponent {r!r} must be integers") from None
             if delta < 1:
                 raise ValueError(f"divisor {delta} must be positive")
             if level % delta != 0:
                 raise ValueError(f"divisor {delta} does not divide level {level}")
-        canonical = tuple(sorted((d, int(r)) for d, r in items.items() if r != 0))
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "exponents", canonical)
+            if r:
+                items.append((delta, r))
+        self._bind(level, tuple(sorted(items)))
 
     @classmethod
     def from_string(cls, text: str, level: int | None = None) -> "EtaQuotientSpec":

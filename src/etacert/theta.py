@@ -6,12 +6,11 @@ cross-check the other: the product's two (-q^s; q^P)_inf factors come from
 Euler's identity, never from the sum or from a series product.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate, count
 from math import gcd
 from operator import add
 
-from .series import TruncatedSeries, _jacobi_walk, _sparse_series, eta_factor
+from .series import TruncatedSeries, _jacobi_walk, _sparse_series, _Value, eta_factor
 
 __all__ = [
     "ThetaSpec",
@@ -26,29 +25,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaSpec:
+class ThetaSpec(_Value):
     """f(q^alpha, q^beta) with alpha, beta >= 1."""
 
-    alpha: int
-    beta: int
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        if self.alpha < 1 or self.beta < 1:
-            raise ValueError(f"theta exponents must be >= 1, got ({self.alpha}, {self.beta})")
+    def __init__(self, alpha: int, beta: int):
+        if alpha < 1 or beta < 1:
+            raise ValueError(f"theta exponents must be >= 1, got ({alpha}, {beta})")
+        self._bind(alpha, beta)
 
 
-@dataclass(frozen=True, slots=True)
-class DissectionBlocks:
+class DissectionBlocks(_Value):
     """The three components of the 5-dissection of psi(q).
 
     block_a = f(q^10, q^15) and block_b = f(q^5, q^20) live on exponents
     divisible by 5; block_c = psi(q^25) on exponents divisible by 25.
     """
 
-    block_a: TruncatedSeries
-    block_b: TruncatedSeries
-    block_c: TruncatedSeries
+    __slots__ = ("block_a", "block_b", "block_c")
+
+    def __init__(self, block_a, block_b, block_c):
+        self._bind(block_a, block_b, block_c)
 
 
 def theta_series(spec: ThetaSpec, order: int) -> TruncatedSeries:

@@ -1,8 +1,10 @@
-"""Shared fixtures: each theorem pipeline runs once per session, timed, and
-the in-process command line."""
+"""Shared fixtures: each theorem pipeline runs once per session, timed, the
+in-process command line, and the checks every frozen value class must pass."""
 
 import contextlib
+import copy
 import io
+import pickle
 import time
 from typing import NamedTuple
 
@@ -66,3 +68,25 @@ def run_cli(monkeypatch):
         return CliRun(code, out.getvalue(), err.getvalue())
 
     return run
+
+
+@pytest.fixture
+def frozen_value():
+    """`frozen_value(value, by_keyword, text, fields)` checks one value of a frozen
+    value class: `by_keyword` is the same value built with keyword arguments,
+    `text` its repr and `fields` the tuple of its fields, as a frozen dataclass
+    prints and hashes them."""
+
+    def check(value, by_keyword, text, fields):
+        assert repr(value) == text
+        assert value == by_keyword and hash(value) == hash(by_keyword) == hash(fields)
+        assert value != fields  # another class compares unequal
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+
+    return check

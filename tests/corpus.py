@@ -51,14 +51,20 @@ def draw(rng: random.Random, filtered: bool = True) -> RSInstance | None:
 class Sweep:
     statuses: Counter = field(default_factory=Counter)
     false_verified: list = field(default_factory=list)  # (instance, t', n, residue)
-    witness_at_zero: int = 0  # counterexamples first nonzero at n = 0
-    witness_at_bound: int = 0  # and at n = checked_upto > 0
+    failing_at_zero: int = 0  # counterexamples whose least failing n over P is 0
+    failing_at_bound: int = 0  # and is checked_upto > 0
 
     def summary(self) -> str:
         counterexamples = self.statuses["counterexample"]
         return (f"{dict(self.statuses)}; {len(self.false_verified)} false verified; "
-                f"witness at n = 0 in {self.witness_at_zero} and at n = checked_upto > 0 in "
-                f"{self.witness_at_bound} of {counterexamples} counterexamples")
+                f"least failing n = 0 in {self.failing_at_zero} and n = checked_upto > 0 in "
+                f"{self.failing_at_bound} of {counterexamples} counterexamples")
+
+
+def least_failing_n(cert) -> int:
+    """The least n with a nonzero residue at some t' in P.  The witness gives
+    the first nonzero of the first failing t' only, which can lie later."""
+    return min(flags.index(False) for _, flags in cert.residues_ok if False in flags)
 
 
 def sweep(seed: int, size: int, filtered: bool = True) -> Sweep:
@@ -75,8 +81,9 @@ def sweep(seed: int, size: int, filtered: bool = True) -> Sweep:
         cert = verify_instance(instance)
         out.statuses[cert.status] += 1
         if cert.status == "counterexample":
-            out.witness_at_zero += cert.witness["n"] == 0
-            out.witness_at_bound += cert.witness["n"] == cert.checked_upto > 0
+            n = least_failing_n(cert)
+            out.failing_at_zero += n == 0
+            out.failing_at_bound += n == cert.checked_upto > 0
         if not cert.verified:
             continue
         m, u = instance.m, instance.u

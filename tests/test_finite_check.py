@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import sweep
+from corpus import least_failing_n, sweep
 from etacert import finite_check, oracle
 from etacert import (
     EtaQuotientSpec,
@@ -713,6 +713,14 @@ class TestSoundnessCorpus:
         delta_1 = {1: -3, 2: 1, 3: 1, 6: -1}
         assert finite_check._delta_star_failures(_bare(2, 6, 6, 1, delta_1)) == [4, 5]
         assert finite_check._delta_star_failures(_bare(2, 12, 12, 1, delta_1)) == []
+
+    def test_sweep_counts_the_least_failing_n_over_p(self):
+        # a seed-3 tuple of the scale/ sweep: its witness is t' = 1 at
+        # n = checked_upto = 2, but t' = 3 and t' = 10 already fail at n = 0
+        inst = RSInstance(17, 7, 7, 12, EtaQuotientSpec(7, {1: 3, 7: 4}), EtaQuotientSpec(7, {}), 3)
+        cert = verify_instance(inst)
+        assert (cert.witness["t_prime"], cert.witness["n"], cert.checked_upto) == (1, 2, 2)
+        assert least_failing_n(cert) == 0
 
     def test_no_false_verified_unfiltered(self):
         result = sweep(seed=5, size=100, filtered=False)

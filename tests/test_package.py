@@ -8,6 +8,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import etacert
 
 LAYERS = ("series", "theta", "finite_check", "pipelines")
@@ -59,11 +61,12 @@ def test_oracle_stays_unexported():
     assert not [name for name in etacert.__all__ if name.startswith("naive_")]
 
 
-def _fresh_interpreter(script):
+def _fresh_interpreter(script, *flags):
     """Run `script` in a new interpreter that imports etacert from this checkout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True
+        [sys.executable, *flags, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -117,3 +120,20 @@ def test_unexported_module_loads_no_other_layer():
         loaded = {name for name in sys.modules if name.split(".")[0] == "etacert"}
         assert loaded == {"etacert", "etacert.series", "etacert.oracle"}, loaded
     """)
+
+
+@pytest.mark.parametrize("work", [
+    "import etacert\n"
+    "etacert.expand_eta_quotient(etacert.EtaQuotientSpec(2, {1: -3, 2: 1}), 64)",
+    "import etacert.theta",
+], ids=["setup_probe", "theta"])
+def test_series_and_theta_import_no_dataclasses_or_typing(work):
+    # the benchmark's set-up probe, and the theta layer, under python -S: with
+    # no site packages loaded, only etacert could import these
+    _fresh_interpreter(f"""
+        import sys
+        start = set(sys.modules)
+        exec({work!r})
+        added = {{"dataclasses", "inspect", "typing"}} & (set(sys.modules) - start)
+        assert not added, added
+    """, "-S")

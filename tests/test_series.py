@@ -55,6 +55,20 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             TruncatedSeries(-1, ())
 
+    def test_frozen_value(self, frozen_value):
+        frozen_value(
+            TruncatedSeries(2, (1, -2, 3)),
+            TruncatedSeries(coeffs=(1, -2, 3), order=2),
+            "TruncatedSeries(order=2, coeffs=(1, -2, 3))",
+            (2, (1, -2, 3)),
+        )
+
+    def test_coefficients_are_held_as_a_tuple(self):
+        coeffs = (1, 2, 3)
+        assert TruncatedSeries(2, coeffs).coeffs is coeffs  # a tuple is not copied
+        held = TruncatedSeries(2, [1, 2, 3])
+        assert held.coeffs == coeffs and hash(held) == hash((2, coeffs))
+
     def test_truncate(self):
         s = S(1, 2, 3, 4)
         assert s.truncate(1) == S(1, 2)
@@ -206,6 +220,20 @@ class TestEtaQuotientSpec:
             EtaQuotientSpec(10, {0: 1})
         with pytest.raises(ValueError):
             EtaQuotientSpec(0, {})
+
+    @pytest.mark.parametrize("exponents", [{1: 2.5}, {1: 0.5}, {1.0: 3}])
+    def test_non_integers_refused(self, exponents):
+        # 2.5 was truncated to 2, 0.5 kept as a zero exponent, 1.0 kept as a divisor
+        with pytest.raises(ValueError, match="must be integers"):
+            EtaQuotientSpec(2, exponents)
+
+    def test_frozen_value(self, frozen_value):
+        frozen_value(
+            EtaQuotientSpec(10, {5: -5, 1: 22, 2: 1}),
+            EtaQuotientSpec(exponents=[(1, 22), (2, 1), (5, -5)], level=10),
+            "EtaQuotientSpec(level=10, exponents=((1, 22), (2, 1), (5, -5)))",
+            (10, ((1, 22), (2, 1), (5, -5))),
+        )
 
     def test_sums(self):
         spec = EtaQuotientSpec(10, {1: 22, 2: 1, 5: -5})

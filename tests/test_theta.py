@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from etacert import (
     BrokenDiamondSpec,
+    DissectionBlocks,
     EtaQuotientSpec,
     ThetaSpec,
     TruncatedSeries,
@@ -289,6 +290,24 @@ class TestExtract:
             extract_arithmetic_progression(s, 3, 3)
         with pytest.raises(ValueError):
             extract_arithmetic_progression(TruncatedSeries.one(1), 5, 2)
+
+
+class TestValues:
+    def test_theta_spec(self, frozen_value):
+        frozen_value(
+            ThetaSpec(1, 3), ThetaSpec(beta=3, alpha=1), "ThetaSpec(alpha=1, beta=3)", (1, 3)
+        )
+
+    def test_dissection_blocks(self, frozen_value):
+        a, b, c = (TruncatedSeries.monomial(e, 1) for e in (0, 1, 1))
+        frozen_value(
+            DissectionBlocks(a, b, c),
+            DissectionBlocks(block_c=c, block_a=a, block_b=b),
+            "DissectionBlocks(block_a=TruncatedSeries(order=1, coeffs=(1, 0)), "
+            "block_b=TruncatedSeries(order=1, coeffs=(0, 1)), "
+            "block_c=TruncatedSeries(order=1, coeffs=(0, 1)))",
+            (a, b, c),
+        )
 
 
 class TestDissectionBlocks:
