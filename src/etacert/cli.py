@@ -77,14 +77,24 @@ def _order_cap_default() -> int:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write `text` to stdout, or to `path` by an atomic replace.
+
+    The text goes to a temporary file, made mode 0o600, beside `path`.  It
+    takes the mode of the file it replaces, or 0o666 less the umask for a
+    new file, as a plain open() would give it.
+    """
     if path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0o022)  # the umask is read only by setting it, so it is set back
+    os.umask(umask)
+    mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".etacert-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

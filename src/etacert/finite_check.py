@@ -11,13 +11,12 @@ the checked residues are emitted as a machine-readable certificate.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
-from typing import Callable, Iterable, Mapping
 
-from .series import EtaQuotientSpec, TruncatedSeries, expand_eta_quotient
+from .series import EtaQuotientSpec, TruncatedSeries, _integer, _Value, expand_eta_quotient
 from .theta import extract_arithmetic_progression
 
 __all__ = [
@@ -59,12 +58,13 @@ class OrderCapExceeded(RuntimeError):
 
 
 def _check_order(order: int, cap: int = DEFAULT_ORDER_CAP, least: int = 0) -> None:
-    """Refuse a negative scan order, one above `cap`, or one short of exponent `least`.
+    """Refuse a non-integer or negative scan order, one above `cap`, or one short of `least`.
 
     A scan of no coefficients proves nothing, and one past the cap would
     expand for as long as the series work takes, so every entry point checks
     its order here before any series is expanded.
     """
+    order = _integer("order", order)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if order > cap:
@@ -85,29 +85,25 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-@dataclass(frozen=True, slots=True)
-class RSInstance:
+class RSInstance(_Value):
     """One verification problem (m, M, N, t, r, r', u)."""
 
-    m: int
-    M: int
-    N: int
-    t: int
-    r: EtaQuotientSpec
-    r_prime: EtaQuotientSpec
-    u: int
+    __slots__ = ("m", "M", "N", "t", "r", "r_prime", "u")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if not 0 <= self.t < self.m:
-            raise ValueError(f"t = {self.t} outside 0..{self.m - 1}")
-        if self.r.level != self.M:
-            raise ValueError(f"r has level {self.r.level}, expected M = {self.M}")
-        if self.r_prime.level != self.N:
-            raise ValueError(f"r' has level {self.r_prime.level}, expected N = {self.N}")
-        if self.u < 2:
-            raise ValueError(f"congruence modulus must be >= 2, got {self.u}")
+    def __init__(self, m: int, M: int, N: int, t: int, r: EtaQuotientSpec,
+                 r_prime: EtaQuotientSpec, u: int):
+        m, M, N, t, u = map(_integer, ("m", "M", "N", "t", "u"), (m, M, N, t, u))
+        if m < 1:
+            raise ValueError(f"m must be positive, got {m}")
+        if not 0 <= t < m:
+            raise ValueError(f"t = {t} outside 0..{m - 1}")
+        if r.level != M:
+            raise ValueError(f"r has level {r.level}, expected M = {M}")
+        if r_prime.level != N:
+            raise ValueError(f"r' has level {r_prime.level}, expected N = {N}")
+        if u < 2:
+            raise ValueError(f"congruence modulus must be >= 2, got {u}")
+        self._bind(m, M, N, t, r, r_prime, u)
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,31 +135,32 @@ def instance_from_dict(data: Mapping) -> RSInstance:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CuspEntry:
+class CuspEntry(_Value):
     """Exact cusp sums at the representative with lower-left entry `delta`."""
 
-    delta: int
-    p_min: Fraction
-    p_star: Fraction
+    __slots__ = ("delta", "p_min", "p_star")
+
+    def __init__(self, delta: int, p_min: Fraction, p_star: Fraction):
+        self._bind(delta, p_min, p_star)
 
 
-@dataclass(frozen=True, slots=True)
-class RSCertificate:
-    instance: RSInstance
-    kappa: int
-    p_set: tuple[int, ...]
-    t_min: int
-    index: int
-    cusp_table: tuple[CuspEntry, ...]
-    v_exact: Fraction
-    v_floor: int
-    checked_upto: int
-    residues_ok: tuple[tuple[int, tuple[bool, ...]], ...]
-    status: str
-    witness: dict | None
-    delta_star: str
-    series_hash: str
+class RSCertificate(_Value):
+    """The derived constants and the scan verdict of one instance.
+
+    p_set is the orbit P, sorted; cusp_table has one CuspEntry per coset
+    representative; v_exact is the exact Fraction v and v_floor its floor;
+    residues_ok holds, per t' in P, whether each scanned coefficient
+    vanishes mod u; witness is a dict, or None when nothing failed.
+    """
+
+    __slots__ = ("instance", "kappa", "p_set", "t_min", "index", "cusp_table", "v_exact",
+                 "v_floor", "checked_upto", "residues_ok", "status", "witness", "delta_star",
+                 "series_hash")
+
+    def __init__(self, instance, kappa, p_set, t_min, index, cusp_table, v_exact, v_floor,
+                 checked_upto, residues_ok, status, witness, delta_star, series_hash):
+        self._bind(instance, kappa, p_set, t_min, index, cusp_table, v_exact, v_floor,
+                   checked_upto, residues_ok, status, witness, delta_star, series_hash)
 
     @property
     def verified(self) -> bool:

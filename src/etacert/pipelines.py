@@ -8,7 +8,6 @@ previously known congruences.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .finite_check import (
     DEFAULT_ORDER_CAP,
@@ -25,7 +24,9 @@ from .series import (
     EtaQuotientSpec,
     TruncatedSeries,
     _expand,
+    _integer,
     _reduce_exponents,
+    _Value,
     expand_eta_quotient,
     reduce_mod,
     series_mul,
@@ -54,15 +55,16 @@ class PreconditionViolated(ValueError):
     """A divisibility hypothesis of the congruence-lifting step fails."""
 
 
-@dataclass(frozen=True, slots=True)
-class BrokenDiamondSpec:
+class BrokenDiamondSpec(_Value):
     """Diamond parameter k; the attached eta quotient has level 2(2k+1)."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+    def __init__(self, k: int):
+        k = _integer("k", k)
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
+        self._bind(k)
 
     @property
     def ell(self) -> int:
@@ -73,12 +75,14 @@ class BrokenDiamondSpec:
         return EtaQuotientSpec(2 * ell, {1: -3, 2: 1, ell: 1, 2 * ell: -1})
 
 
-@dataclass(frozen=True, slots=True)
-class StepResult:
-    name: str
-    status: str  # "pass" | "fail"
-    order: int
-    witness: dict | None = None
+class StepResult(_Value):
+    """One named step's verdict, "pass" or "fail", checked to `order`; a failed
+    step's witness dict locates the failure."""
+
+    __slots__ = ("name", "status", "order", "witness")
+
+    def __init__(self, name: str, status: str, order: int, witness: dict | None = None):
+        self._bind(name, status, order, witness)
 
     @property
     def passed(self) -> bool:
@@ -91,11 +95,14 @@ class StepResult:
         return out
 
 
-@dataclass(frozen=True)
-class ProofReport:
-    theorem_id: str
-    steps: tuple[StepResult, ...]
-    certificates: tuple[RSCertificate, ...] = field(default=())
+class ProofReport(_Value):
+    """A theorem's steps in the order they ran, and the certificates they read."""
+
+    __slots__ = ("theorem_id", "steps", "certificates")
+
+    def __init__(self, theorem_id: str, steps: tuple[StepResult, ...],
+                 certificates: tuple[RSCertificate, ...] = ()):
+        self._bind(theorem_id, steps, certificates)
 
     @property
     def overall(self) -> bool:
@@ -147,8 +154,7 @@ KNOWN_INSTANCES: dict[str, RSInstance] = {
 _B_SPEC = EtaQuotientSpec(2, {1: -3, 2: 1})
 
 
-@dataclass(frozen=True, slots=True)
-class _Theorem:
+class _Theorem(_Value):
     """A theorem id's CLI alias and default order, and for a family its data.
 
     A row with instances is a certified b-family b(m n + t) == 0 (mod u),
@@ -164,16 +170,15 @@ class _Theorem:
     f_r == f_b (mod u).  For odd u a quotient has one reduced form however
     it is written; forms that differ only refuse, never admit.  b is
     expanded to the b-scan order, so a row is refused too if that is short
-    of a certificate's order m max(floor(v), 0) + max(P).
+    of a certificate's order m max(floor(v), 0) + max(P).  b_scan_depth is
+    the empirical depth n of the b(m n + t) scan.
     """
 
-    alias: str
-    order: int
-    residues: tuple[int, ...] = ()
-    instances: tuple[RSInstance, ...] = ()
-    b_scan_depth: int = 0  # empirical depth n of the b(m n + t) scan
+    __slots__ = ("alias", "order", "residues", "instances", "b_scan_depth")
 
-    def __post_init__(self):
+    def __init__(self, alias: str, order: int, residues: tuple[int, ...] = (),
+                 instances: tuple[RSInstance, ...] = (), b_scan_depth: int = 0):
+        self._bind(alias, order, residues, instances, b_scan_depth)
         covered = set()
         for instance in self.instances:
             r, b = (_reduce_exponents(s, instance.u, self.b_order) for s in (instance.r, _B_SPEC))

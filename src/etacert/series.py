@@ -111,9 +111,20 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int through `operator.index`, or ValueError naming the field."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class _Value:
-    """A value over the fields named in `__slots__`, frozen as a dataclass is;
-    only the certifier layers, which load together, import `dataclasses`."""
+    """A value over the fields named in `__slots__`, frozen as a dataclass is.
+
+    Every value class of the package derives from it: each lists its fields
+    in `__slots__`, takes them in that order and stores them through `_bind`.
+    """
 
     __slots__ = ()
 
@@ -152,7 +163,7 @@ class TruncatedSeries(_Value):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[int]):
-        coeffs = tuple(coeffs)
+        order, coeffs = _integer("order", order), tuple(coeffs)
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         if len(coeffs) != order + 1:
@@ -211,6 +222,7 @@ class EtaQuotientSpec(_Value):
     __slots__ = ("level", "exponents")
 
     def __init__(self, level: int, exponents: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        level = _integer("level", level)
         if level < 1:
             raise ValueError(f"level must be positive, got {level}")
         items = []

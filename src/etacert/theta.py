@@ -10,7 +10,7 @@ from itertools import accumulate, count
 from math import gcd
 from operator import add
 
-from .series import TruncatedSeries, _jacobi_walk, _sparse_series, _Value, eta_factor
+from .series import TruncatedSeries, _integer, _jacobi_walk, _sparse_series, _Value, eta_factor
 
 __all__ = [
     "ThetaSpec",
@@ -31,6 +31,7 @@ class ThetaSpec(_Value):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: int, beta: int):
+        alpha, beta = _integer("alpha", alpha), _integer("beta", beta)
         if alpha < 1 or beta < 1:
             raise ValueError(f"theta exponents must be >= 1, got ({alpha}, {beta})")
         self._bind(alpha, beta)

@@ -6,6 +6,7 @@ Every test but the last three runs `cli.main` in-process, through the
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -430,6 +431,35 @@ class TestUnwritableOutput:
         assert (code, out) == (64, "")
         assert err.startswith(f"etacert: cannot write {path}") and err.count("\n") == 1
         assert list(tmp_path.rglob(".etacert-*")) == []
+
+
+class TestOutputMode:
+    """--output and --trace files get the mode a plain open() would give them."""
+
+    def _run_under_umask(self, umask, run_cli, *argv):
+        old = os.umask(umask)
+        try:
+            return run_cli(*argv)
+        finally:
+            os.umask(old)
+
+    @pytest.mark.parametrize("umask", [0o002, 0o022, 0o077], ids=oct)
+    def test_new_file_takes_the_umask(self, umask, tmp_path, run_cli):
+        out, trace = tmp_path / "report.json", tmp_path / "trace.json"
+        run = self._run_under_umask(umask, run_cli, "verify-theorem", "1", "--output", out,
+                                    "--trace", trace)
+        assert run == (0, "", "")
+        assert [stat.S_IMODE(path.stat().st_mode) for path in (out, trace)] == [0o666 & ~umask] * 2
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, run_cli):
+        out = tmp_path / "series.txt"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        run = self._run_under_umask(0o022, run_cli, "expand", "--spec", "1:1", "--order", "5",
+                                    "--output", out)
+        assert run == (0, "", "")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640 and out.read_text() != "old\n"
+        assert list(tmp_path.glob(".etacert-*")) == []
 
 
 class TestTrace:

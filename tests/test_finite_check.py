@@ -1,6 +1,5 @@
 """Constants, cusp sums, bounds, and full certificate runs."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -12,9 +11,11 @@ from hypothesis import strategies as st
 from corpus import least_failing_n, sweep
 from etacert import finite_check, oracle
 from etacert import (
+    CuspEntry,
     EtaQuotientSpec,
     KNOWN_INSTANCES,
     OrderCapExceeded,
+    RSCertificate,
     RSInstance,
     compute_p_set,
     coset_representatives,
@@ -412,7 +413,8 @@ class TestVerifyInstance:
     def test_residue_flags_match_an_independent_scan(self):
         # the perturbed mod-25 instance fails: its flags, read off a fresh
         # expansion here, place the witness at the first nonzero coefficient
-        inst = dataclasses.replace(KNOWN_INSTANCES["mod25"], t=98)
+        mod25 = KNOWN_INSTANCES["mod25"]
+        inst = RSInstance(125, 10, 10, 98, mod25.r, mod25.r_prime, 25)
         cert = verify_instance(inst)
         assert cert.status == "counterexample"
         order = inst.m * cert.checked_upto + max(cert.p_set)
@@ -472,7 +474,8 @@ class TestVerifyInstance:
 
     def test_counterexample_wins_over_delta_star(self):
         # the perturbed mod-25 residue fails condition 5 too, and is a counterexample
-        inst = dataclasses.replace(KNOWN_INSTANCES["mod25"], t=98)
+        mod25 = KNOWN_INSTANCES["mod25"]
+        inst = RSInstance(125, 10, 10, 98, mod25.r, mod25.r_prime, 25)
         assert finite_check._delta_star_failures(inst) == [5]
         assert verify_instance(inst).status == "counterexample"
 
@@ -586,6 +589,51 @@ class TestVerifyInstance:
             RSInstance(m=5, M=14, N=10, t=1, r=r, r_prime=rp, u=25)
         with pytest.raises(ValueError):
             RSInstance(m=5, M=10, N=10, t=1, r=r, r_prime=rp, u=1)
+
+
+_MOD7_T47 = (
+    "RSInstance(m=49, M=14, N=14, t=47, "
+    "r=EtaQuotientSpec(level=14, exponents=((1, 4), (2, 1), (7, -1))), "
+    "r_prime=EtaQuotientSpec(level=14, exponents=((1, 3),)), u=7)"
+)
+
+
+class TestValues:
+    def test_instance(self, frozen_value):
+        inst = KNOWN_INSTANCES["mod7_t47"]
+        frozen_value(
+            RSInstance(49, 14, 14, 47, inst.r, inst.r_prime, 7),
+            RSInstance(u=7, r_prime=inst.r_prime, r=inst.r, t=47, N=14, M=14, m=49),
+            _MOD7_T47,
+            (49, 14, 14, 47, inst.r, inst.r_prime, 7),
+        )
+
+    def test_cusp_entry(self, frozen_value):
+        frozen_value(
+            CuspEntry(7, Fraction(-5, 2352), Fraction(1, 8)),
+            CuspEntry(p_star=Fraction(1, 8), p_min=Fraction(-5, 2352), delta=7),
+            "CuspEntry(delta=7, p_min=Fraction(-5, 2352), p_star=Fraction(1, 8))",
+            (7, Fraction(-5, 2352), Fraction(1, 8)),
+        )
+
+    def test_verified_certificate(self, frozen_value):
+        # a witness dict is unhashable, so the value checked is a verified one
+        cert = verify_instance(KNOWN_INSTANCES["mod7_t47"])
+        fields = (
+            KNOWN_INSTANCES["mod7_t47"], 24, (47,), 47, 24, cert.cusp_table, Fraction(71, 12), 5,
+            5, ((47, (True,) * 6),), "verified", None, "assumed", cert.series_hash,
+        )
+        frozen_value(
+            cert,
+            RSCertificate(**dict(zip(RSCertificate.__slots__, fields))),
+            f"RSCertificate(instance={_MOD7_T47}, kappa=24, p_set=(47,), t_min=47, index=24, "
+            f"cusp_table={cert.cusp_table!r}, v_exact=Fraction(71, 12), v_floor=5, "
+            "checked_upto=5, residues_ok=((47, (True, True, True, True, True, True)),), "
+            "status='verified', witness=None, delta_star='assumed', "
+            f"series_hash={cert.series_hash!r})",
+            fields,
+        )
+        assert cert.cusp_table[0] == CuspEntry(1, Fraction(-5, 48), Fraction(1, 8))
 
 
 class TestCertificateSerialization:

@@ -126,10 +126,13 @@ def test_unexported_module_loads_no_other_layer():
     "import etacert\n"
     "etacert.expand_eta_quotient(etacert.EtaQuotientSpec(2, {1: -3, 2: 1}), 64)",
     "import etacert.theta",
-], ids=["setup_probe", "theta"])
-def test_series_and_theta_import_no_dataclasses_or_typing(work):
-    # the benchmark's set-up probe, and the theta layer, under python -S: with
-    # no site packages loaded, only etacert could import these
+    "import etacert.pipelines",
+    "import etacert.cli",
+], ids=["setup_probe", "theta", "pipelines", "cli"])
+def test_package_imports_no_dataclasses_or_typing(work):
+    # the benchmark's set-up probe, each layer up to the top one, and the
+    # command line, under python -S: with no site packages loaded, only
+    # etacert could import these
     _fresh_interpreter(f"""
         import sys
         start = set(sys.modules)

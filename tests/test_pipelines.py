@@ -1,6 +1,5 @@
 """Theorem pipelines: structure, witnesses, lifts, and negative controls."""
 
-import dataclasses
 import inspect
 from itertools import count
 
@@ -16,7 +15,10 @@ from etacert import (
     EtaQuotientSpec,
     OrderCapExceeded,
     PreconditionViolated,
+    ProofReport,
     RSInstance,
+    StepResult,
+    ThetaSpec,
     TruncatedSeries,
     b_series,
     broken_k_diamond_series,
@@ -587,16 +589,16 @@ class TestSharedBSeries:
 
     def test_row_whose_r_is_not_b_is_refused(self):
         # r = {1: 4, 2: 1} is not b mod 7, so b's residues cannot stand in for it
-        instance = dataclasses.replace(
-            KNOWN_INSTANCES["mod7_t33"], r=EtaQuotientSpec(14, {1: 4, 2: 1})
-        )
+        mod7 = KNOWN_INSTANCES["mod7_t33"]
+        instance = RSInstance(49, 14, 14, 33, EtaQuotientSpec(14, {1: 4, 2: 1}), mod7.r_prime, 7)
         with pytest.raises(ValueError, match="is not b mod 7"):
             pipelines._Theorem("3", 1517, (19, 33, 40, 47), (instance,), 30)
 
     def test_row_whose_r_is_b_mod_25_only_is_refused_at_125(self):
         # mod 125 r = f1^22 f2 / f5^5 has no exponent above u/2 to move, and
         # b = f2 / f1^3 has none either: the two reduced forms differ
-        instance = dataclasses.replace(KNOWN_INSTANCES["mod25"], u=125)
+        mod25 = KNOWN_INSTANCES["mod25"]
+        instance = RSInstance(125, 10, 10, 99, mod25.r, mod25.r_prime, 125)
         with pytest.raises(ValueError, match="is not b mod 125"):
             pipelines._Theorem("2", 1349, (99,), (instance,), 50)
 
@@ -651,7 +653,8 @@ class TestKnownInstancesRule:
         assert inst.r == EtaQuotientSpec(2 * p, {1: u - 3, 2: 1, p: -(u // p)})
 
         def cusp_sums_nonnegative(x):
-            candidate = dataclasses.replace(inst, r_prime=EtaQuotientSpec(inst.N, {1: x}))
+            r_prime = EtaQuotientSpec(inst.N, {1: x})
+            candidate = RSInstance(inst.m, inst.M, inst.N, inst.t, inst.r, r_prime, inst.u)
             return all(p_min(candidate, c) + p_star(candidate, c) >= 0
                        for c in coset_representatives(inst.N))
 
@@ -724,10 +727,11 @@ class TestRunTheoremRefusals:
     @pytest.mark.parametrize("entry,least", list(GATED.values()), ids=list(GATED))
     @pytest.mark.parametrize(
         "case,error", [("negative", ValueError), ("above_cap", OrderCapExceeded),
-                       ("below_residue", ValueError)],
+                       ("below_residue", ValueError), ("non_integer", ValueError)],
     )
     def test_refusal_table(self, entry, least, case, error, no_series_work):
-        order = {"negative": -1, "above_cap": DEFAULT_ORDER_CAP + 1, "below_residue": least - 1}
+        order = {"negative": -1, "above_cap": DEFAULT_ORDER_CAP + 1, "below_residue": least - 1,
+                 "non_integer": float(least + 100)}
         with pytest.raises(error) as refused:
             entry(order[case])
         assert type(refused.value) is error
@@ -788,6 +792,73 @@ class TestRunTheoremRefusals:
 def test_negative_order_is_value_error(call):
     with pytest.raises(ValueError, match="order must be nonnegative"):
         call()
+
+
+def _mod7_instance(**fields):
+    base = KNOWN_INSTANCES["mod7_t33"]
+    return RSInstance(**{"m": base.m, "M": base.M, "N": base.N, "t": base.t, "r": base.r,
+                         "r_prime": base.r_prime, "u": base.u, **fields})
+
+
+@pytest.mark.parametrize(
+    "field,call",
+    [
+        ("order", lambda: TruncatedSeries(2.0, (1, 2, 3))),
+        ("level", lambda: EtaQuotientSpec(2.0, {1: -3, 2: 1})),
+        ("alpha", lambda: ThetaSpec(1.5, 2)),
+        ("beta", lambda: ThetaSpec(1, 2.0)),
+        ("k", lambda: BrokenDiamondSpec(2.0)),
+        *((name, lambda name=name, value=value: _mod7_instance(**{name: float(value)}))
+          for name, value in (("m", 49), ("M", 14), ("N", 14), ("t", 33), ("u", 7))),
+        ("order", lambda: run_theorem("T1_mod5", 100.0)),
+        ("order", lambda: run_theorem("T4_mod49", 4000.0)),
+    ],
+    ids=["series_order", "level", "alpha", "beta", "k", "m", "M", "N", "t", "u",
+         "T1_order", "T4_order"],
+)
+def test_non_integer_field_is_value_error(field, call):
+    # an integral float is refused by the field's name, before any expansion
+    with series.tracing() as counters:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            call()
+    assert not any(counters["expand"].values()), counters
+
+
+class TestValues:
+    def test_broken_diamond_spec(self, frozen_value):
+        frozen_value(
+            BrokenDiamondSpec(12), BrokenDiamondSpec(k=12), "BrokenDiamondSpec(k=12)", (12,)
+        )
+
+    def test_step_result(self, frozen_value):
+        frozen_value(
+            StepResult("absence", "pass", 1024),
+            StepResult(order=1024, status="pass", name="absence", witness=None),
+            "StepResult(name='absence', status='pass', order=1024, witness=None)",
+            ("absence", "pass", 1024, None),
+        )
+
+    def test_passing_report(self, frozen_value, t1_report):
+        report, _ = t1_report
+        names = ["reduction", "dissection", "jacobi_support", "absence", "conclusion"]
+        steps = tuple(StepResult(name, "pass", 1024) for name in names)
+        frozen_value(
+            report,
+            ProofReport(steps=steps, theorem_id="T1_mod5"),
+            f"ProofReport(theorem_id='T1_mod5', steps={steps!r}, certificates=())",
+            ("T1_mod5", steps, ()),
+        )
+
+    def test_theorem_row(self, frozen_value):
+        mod25 = KNOWN_INSTANCES["mod25"]
+        frozen_value(
+            pipelines._THEOREMS["T2_mod25"],
+            pipelines._Theorem(b_scan_depth=50, instances=(mod25,), residues=(99,), order=1349,
+                               alias="2"),
+            f"_Theorem(alias='2', order=1349, residues=(99,), instances=({mod25!r},), "
+            "b_scan_depth=50)",
+            ("2", 1349, (99,), (mod25,), 50),
+        )
 
 
 class TestRegressionSuite:
