@@ -399,8 +399,9 @@ def verify_instance(
 
     checked_upto defaults to floor(v), raised to 0 when floor(v) < 0 so that
     n = 0 is always scanned (v itself stays exact).  It may exceed floor(v)
-    for empirical over-checking; it may neither undercut it nor be negative.
-    Before P and the cusp table are built, f = max(floor(v) at t, 0) (at most
+    for empirical over-checking; it may neither undercut it nor be negative,
+    and a non-integer check_upto is refused by its name before any other
+    check.  Before P and the cusp table are built, f = max(floor(v) at t, 0) (at most
     the default, as t_min <= t) refuses a check_upto below f, then an order
     bound m * (check_upto or f) + t above order_cap, and then an m above
     order_cap, since building P takes m / gcd(24t + sigma, m) steps.  The
@@ -436,8 +437,10 @@ def _verify_instance(
     Each progression t' in P is read off the expansion once; its values give
     the series hash, the residues_ok flags and the first witness.
     """
-    if check_upto is not None and check_upto < 0:
-        raise ValueError(f"check_upto must be nonnegative, got {check_upto}")
+    if check_upto is not None:
+        check_upto = _integer("check_upto", check_upto)
+        if check_upto < 0:
+            raise ValueError(f"check_upto must be nonnegative, got {check_upto}")
     least_upto = max(math.floor(_v_exact(instance, instance.t)), 0)
     if check_upto is not None and check_upto < least_upto:
         raise ValueError(f"check_upto = {check_upto} undercuts the bound floor(v) >= {least_upto}")

@@ -280,11 +280,13 @@ def lift_congruence(
     the support claim literally, the congruence by scanning Delta_k mod u
     to `order`, formed as b mod u times the support factor.
 
-    A progression modulus m < 1, a residue t outside 0..m-1 or an
-    ell_multiple < 1 is refused, and then the order through `_check_order`
-    (it must reach exponent t), all before any series is expanded.
+    A non-integer m, t, u or ell_multiple is refused by its name, then a
+    progression modulus m < 1, a residue t outside 0..m-1 or an
+    ell_multiple < 1, and then the order through `_check_order` (it must
+    reach exponent t), all before any series is expanded.
     """
-    m, t, u = b_family
+    m, t, u = map(_integer, ("m", "t", "u"), b_family)
+    ell_multiple = _integer("ell_multiple", ell_multiple)
     if m < 1:
         raise ValueError(f"progression modulus must be positive, got {m}")
     if not 0 <= t < m:
@@ -313,6 +315,7 @@ def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofRepor
     every witness, are those of the exact series.
     """
     order = _THEOREMS["T1_mod5"].order if order is None else order
+    j = _integer("j", j)
     if j < 1 or j % 2 == 0:
         raise ValueError(f"need odd positive j (2k+1 = 25j must be odd), got {j}")
     _check_order(order, least=24)

@@ -140,3 +140,28 @@ def test_package_imports_no_dataclasses_or_typing(work):
         added = {{"dataclasses", "inspect", "typing"}} & (set(sys.modules) - start)
         assert not added, added
     """, "-S")
+
+
+_PROBE = "import etacert\nspec = etacert.EtaQuotientSpec(2, {1: -3, 2: 1})\n"
+
+
+@pytest.mark.parametrize("work,loaded", [
+    (_PROBE + "etacert.expand_eta_quotient(spec, 64)", set()),
+    (_PROBE + "etacert.expand_eta_quotient(spec, 300, 7)", {"etacert._carriers", "decimal"}),
+    ("from etacert import oracle\n"
+     "from etacert.series import EtaQuotientSpec\n"
+     "oracle.naive_expand(EtaQuotientSpec(2, {1: -3, 2: 1}), 64)", {"etacert.oracle"}),
+], ids=["setup_probe", "first_product", "oracle"])
+def test_carriers_load_on_the_first_product(work, loaded):
+    # the benchmark's set-up probe forms no product, so it compiles neither
+    # the carrier module nor decimal; a modular division past the Newton
+    # threshold forms products and loads both; the oracle forms its products
+    # itself and loads neither.  Under python -S only etacert loads decimal
+    _fresh_interpreter(f"""
+        import sys
+        start = set(sys.modules)
+        exec({work!r})
+        added = {{name for name in set(sys.modules) - start
+                 if name == "decimal" or name.split(".")[0] == "etacert"}}
+        assert added == {{"etacert", "etacert.series"}} | {loaded!r}, added
+    """, "-S")

@@ -812,9 +812,15 @@ def _mod7_instance(**fields):
           for name, value in (("m", 49), ("M", 14), ("N", 14), ("t", 33), ("u", 7))),
         ("order", lambda: run_theorem("T1_mod5", 100.0)),
         ("order", lambda: run_theorem("T4_mod49", 4000.0)),
+        ("check_upto", lambda: verify_instance(KNOWN_INSTANCES["mod7_t33"], check_upto=12.0)),
+        *((name, lambda family=family: lift_congruence(family, 49, BrokenDiamondSpec(24), 1517))
+          for name, family in (("m", (49.0, 19, 7)), ("t", (49, 19.0, 7)), ("u", (49, 19, 7.0)))),
+        ("ell_multiple", lambda: lift_congruence((49, 19, 7), 49.0, BrokenDiamondSpec(24), 1517)),
+        ("j", lambda: elementary_mod5_proof(100, j=1.0)),
     ],
     ids=["series_order", "level", "alpha", "beta", "k", "m", "M", "N", "t", "u",
-         "T1_order", "T4_order"],
+         "T1_order", "T4_order", "check_upto", "lift_m", "lift_t", "lift_u", "ell_multiple",
+         "j"],
 )
 def test_non_integer_field_is_value_error(field, call):
     # an integral float is refused by the field's name, before any expansion

@@ -27,6 +27,7 @@ from etacert import (
     series_pow,
     substitute_q_power,
 )
+from etacert import _carriers
 from etacert import series as series_module
 from etacert.oracle import naive_eta, naive_expand, naive_invert, naive_mul
 from etacert.series import _divide_recurrence, _product, _reduce_exponents
@@ -383,7 +384,7 @@ def _sparse(rng, length, mag, density):
 @pytest.fixture
 def no_shift_add(monkeypatch):
     """Every `_product` from now on is one packed multiply: shift-and-add never pays."""
-    monkeypatch.setattr(series_module, "_shift_add_pays", lambda *args: False)
+    monkeypatch.setattr(_carriers, "_shift_add_pays", lambda *args: False)
 
 
 @functools.cache
@@ -639,7 +640,7 @@ def test_lane_chunk_boundaries(u, no_shift_add):
     # slots are decoded in chunks of _LANE_CHUNK; windows end just before,
     # on and just after a chunk boundary, and one past two chunks, from 0 and
     # from a slot inside the first chunk
-    chunk = series_module._LANE_CHUNK
+    chunk = _carriers._LANE_CHUNK
     rng = random.Random(chunk)
     n = 2 * chunk + 3
     sparse = _sparse(rng, n, 9, 0.01)
@@ -652,7 +653,7 @@ def test_lane_chunk_boundaries(u, no_shift_add):
     entries = _entries(counters)
     assert [(route, entry[3], entry[4]) for route, entry in entries] == [
         ("packed", lo, hi) for lo, hi in windows]
-    assert all(entry[5] <= series_module._LANE_DIGITS for _, entry in entries)
+    assert all(entry[5] <= _carriers._LANE_DIGITS for _, entry in entries)
 
 
 # --- windowed products: shift-and-add by a sparse operand -----------------------
@@ -663,6 +664,23 @@ def _lanes_used(counters, ring):
     multiply ran there."""
     return {entry[5] if route == "shift_add" else route
             for route, entry in _entries(counters, ring)}
+
+
+def test_no_shift_add_patches_the_rule_product_reads(request):
+    # f_2 times the Jacobi cube mod 49 to order 2000 is shifted and added;
+    # under the fixture it must be one packed multiply, or the fixture patches
+    # a name `_product` no longer reads and the packed tests test nothing
+    cube = series_module._sparse_series(2000, series_module._jacobi_walk())
+    f2 = substitute_q_power(eta_factor(1, 1000), 2)
+
+    def route():
+        with series_module.tracing() as counters:
+            series_mul(f2, cube, 49)
+        return [name for name, _ in _entries(counters)]
+
+    assert route() == ["shift_add"]
+    request.getfixturevalue("no_shift_add")
+    assert route() == ["packed"]
 
 
 @pytest.mark.parametrize("u", [2, 7, 49, 125])
@@ -782,7 +800,7 @@ def test_exact_shift_add_matches_schoolbook(operands, data):
         for k, c in enumerate(sparse[:hi]):
             if c:
                 groups.setdefault(c, []).append(k)
-        got = series_module._shift_add(groups, dense, lo, hi, slot, min(dense) < 0)
+        got = _carriers._shift_add(groups, dense, lo, hi, slot, min(dense) < 0)
         assert list(got) == expected
 
 
@@ -912,7 +930,7 @@ def test_shift_add_reduces_only_the_dense_operand(monkeypatch):
     ],
 )
 def test_shift_add_rule_at_the_extension_orders(terms, slot, window, out_len, pays):
-    assert series_module._shift_add_pays(terms, slot, window, out_len) is pays
+    assert _carriers._shift_add_pays(terms, slot, window, out_len) is pays
 
 
 # --- short products: series_mul at every low order against the oracle --------
