@@ -64,9 +64,7 @@ def _check_order(order: int, cap: int = DEFAULT_ORDER_CAP, least: int = 0) -> No
     expand for as long as the series work takes, so every entry point checks
     its order here before any series is expanded.
     """
-    order = _integer("order", order)
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    order = _integer("order", order, 0)
     if order > cap:
         raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
     if order < least:
@@ -74,8 +72,7 @@ def _check_order(order: int, cap: int = DEFAULT_ORDER_CAP, least: int = 0) -> No
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
+    n = _integer("n", n, 1)
     small, large = [], []
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -92,17 +89,14 @@ class RSInstance(_Value):
 
     def __init__(self, m: int, M: int, N: int, t: int, r: EtaQuotientSpec,
                  r_prime: EtaQuotientSpec, u: int):
-        m, M, N, t, u = map(_integer, ("m", "M", "N", "t", "u"), (m, M, N, t, u))
-        if m < 1:
-            raise ValueError(f"m must be positive, got {m}")
+        m, u = _integer("m", m, 1), _integer("congruence modulus", u, 2)
+        M, N, t = map(_integer, ("M", "N", "t"), (M, N, t))
         if not 0 <= t < m:
             raise ValueError(f"t = {t} outside 0..{m - 1}")
         if r.level != M:
             raise ValueError(f"r has level {r.level}, expected M = {M}")
         if r_prime.level != N:
             raise ValueError(f"r' has level {r_prime.level}, expected N = {N}")
-        if u < 2:
-            raise ValueError(f"congruence modulus must be >= 2, got {u}")
         self._bind(m, M, N, t, r, r_prime, u)
 
     def to_json_dict(self) -> dict:
@@ -120,18 +114,20 @@ class RSInstance(_Value):
 def _spec_from_dict(level: int, exponents: Mapping) -> EtaQuotientSpec:
     if not isinstance(exponents, Mapping):
         raise TypeError(f"eta exponents must be a mapping, got {type(exponents).__name__}")
-    return EtaQuotientSpec(int(level), {int(d): int(r) for d, r in exponents.items()})
+    # JSON writes every key as a string; the values keep their own type
+    return EtaQuotientSpec(level, {int(d): r for d, r in exponents.items()})
 
 
 def instance_from_dict(data: Mapping) -> RSInstance:
+    """The instance of a certificate's "instance" dict, every value through the integer gate."""
     return RSInstance(
-        m=int(data["m"]),
-        M=int(data["M"]),
-        N=int(data["N"]),
-        t=int(data["t"]),
+        m=data["m"],
+        M=data["M"],
+        N=data["N"],
+        t=data["t"],
         r=_spec_from_dict(data["M"], data["r"]),
         r_prime=_spec_from_dict(data["N"], data["r_prime"]),
-        u=int(data["u"]),
+        u=data["u"],
     )
 
 
@@ -204,8 +200,7 @@ class RSCertificate(_Value):
 
 def kappa(m: int) -> int:
     """gcd(m^2 - 1, 24)."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    m = _integer("m", m, 1)
     return gcd(m * m - 1, 24)
 
 
@@ -242,8 +237,7 @@ def compute_p_set(instance: RSInstance) -> tuple[int, ...]:
 
 def index_gamma0(N: int) -> int:
     """Index of the level-N congruence subgroup: N * prod over p | N of (1 + 1/p)."""
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+    N = _integer("N", N, 1)
     primes = _primes(N)
     return N * math.prod(p + 1 for p in primes) // math.prod(primes)
 
@@ -270,11 +264,6 @@ def _cusp_sum(r: EtaQuotientSpec, xs: Iterable[int], y: int, m: int) -> Fraction
     return Fraction(num, 24 * m * lcm)
 
 
-def _check_lower_left(c: int) -> None:
-    if c < 1:
-        raise ValueError(f"representative (1 0; c 1) needs c >= 1, got {c}")
-
-
 def p_min(instance: RSInstance, c: int) -> Fraction:
     """Cusp sum of r at (1 0; c 1), c >= 1: the min over lambda in 0..m-1 of
     (1/24) sum_delta r_delta gcd^2(delta x, mc) / (delta m), x = 1 + kappa lambda c.
@@ -286,16 +275,14 @@ def p_min(instance: RSInstance, c: int) -> Fraction:
     as the exponents of each prime show, and gcd(d, mc) = d, so those
     divisors stand in for x in the cusp sum.
     """
-    _check_lower_left(c)
-    m = instance.m
+    c, m = _integer("c", c, 1), instance.m
     xs = [d for d in divisors(m) if gcd(d, c) == 1]
     return _cusp_sum(instance.r, xs, m * c, m)
 
 
 def p_star(instance: RSInstance, c: int) -> Fraction:
     """Cusp sum of r' at (1 0; c 1), c >= 1: (1/24) sum over delta | N of r'_delta gcd^2(delta, c) / delta."""
-    _check_lower_left(c)
-    return _cusp_sum(instance.r_prime, (1,), c, 1)
+    return _cusp_sum(instance.r_prime, (1,), _integer("c", c, 1), 1)
 
 
 def _delta_star_failures(instance: RSInstance) -> list[int]:
@@ -438,9 +425,7 @@ def _verify_instance(
     the series hash, the residues_ok flags and the first witness.
     """
     if check_upto is not None:
-        check_upto = _integer("check_upto", check_upto)
-        if check_upto < 0:
-            raise ValueError(f"check_upto must be nonnegative, got {check_upto}")
+        check_upto = _integer("check_upto", check_upto, 0)
     least_upto = max(math.floor(_v_exact(instance, instance.t)), 0)
     if check_upto is not None and check_upto < least_upto:
         raise ValueError(f"check_upto = {check_upto} undercuts the bound floor(v) >= {least_upto}")
@@ -532,7 +517,7 @@ def revalidate_certificate(data: Mapping) -> bool:
         fresh = verify_instance(
             instance,
             assume_delta_star=data.get("delta_star") == "assumed",
-            check_upto=int(data["checked_upto"]),
+            check_upto=data["checked_upto"],
         )
     except (KeyError, TypeError, ValueError):
         # malformed, unserializable or internally inconsistent input cannot

@@ -6,7 +6,7 @@ the literal double loop, eta factors come from the literal finite product
 term by term.  Slow on purpose; the only value is independence.
 """
 
-from .series import EtaQuotientSpec, TruncatedSeries
+from .series import EtaQuotientSpec, TruncatedSeries, _integer
 
 __all__ = ["naive_mul", "naive_eta", "naive_invert", "naive_expand", "naive_delta_k"]
 
@@ -23,8 +23,7 @@ def naive_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def naive_eta(delta: int, order: int) -> TruncatedSeries:
     """Expand the finite product of (1 - q^(delta*n)) over delta*n <= order."""
-    if delta < 1:
-        raise ValueError(f"delta must be positive, got {delta}")
+    delta = _integer("delta", delta, 1)
     out = [0] * (order + 1)
     out[0] = 1
     n = delta
@@ -63,7 +62,5 @@ def naive_expand(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
 
 def naive_delta_k(k: int, order: int) -> TruncatedSeries:
     """Reference expansion of the broken k-diamond series f2 f_(2k+1) / (f1^3 f_(4k+2))."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    ell = 2 * k + 1
+    ell = 2 * _integer("k", k, 1) + 1
     return naive_expand(EtaQuotientSpec(2 * ell, {1: -3, 2: 1, ell: 1, 2 * ell: -1}), order)

@@ -61,10 +61,7 @@ class BrokenDiamondSpec(_Value):
     __slots__ = ("k",)
 
     def __init__(self, k: int):
-        k = _integer("k", k)
-        if k < 1:
-            raise ValueError(f"k must be a positive integer, got {k}")
-        self._bind(k)
+        self._bind(_integer("k", k, 1))
 
     @property
     def ell(self) -> int:
@@ -285,10 +282,8 @@ def lift_congruence(
     ell_multiple < 1, and then the order through `_check_order` (it must
     reach exponent t), all before any series is expanded.
     """
-    m, t, u = map(_integer, ("m", "t", "u"), b_family)
+    m, t, u = map(_integer, ("progression modulus", "t", "u"), b_family, (1, None, None))
     ell_multiple = _integer("ell_multiple", ell_multiple)
-    if m < 1:
-        raise ValueError(f"progression modulus must be positive, got {m}")
     if not 0 <= t < m:
         raise ValueError(f"residue {t} outside 0..{m - 1}")
     if ell_multiple < 1:
@@ -315,8 +310,8 @@ def elementary_mod5_proof(order: int | None = None, *, j: int = 1) -> ProofRepor
     every witness, are those of the exact series.
     """
     order = _THEOREMS["T1_mod5"].order if order is None else order
-    j = _integer("j", j)
-    if j < 1 or j % 2 == 0:
+    j = _integer("j", j, 1)
+    if j % 2 == 0:
         raise ValueError(f"need odd positive j (2k+1 = 25j must be odd), got {j}")
     _check_order(order, least=24)
     k = (25 * j - 1) // 2

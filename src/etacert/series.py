@@ -99,12 +99,23 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int through `operator.index`, or ValueError naming the field."""
+def _integer(name: str, value, least: int | None = None) -> int:
+    """`value` as an int through `operator.index`, at least `least` when given.
+
+    The package's one integer gate: a value that is no integer, or one below
+    `least`, raises ValueError naming the field, as in "order must be
+    nonnegative, got -1", "m must be positive, got 0" or "modulus must be
+    >= 2, got 1".  A float is refused even when integral, so no modulus or
+    order is ever used in floating point.
+    """
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else "positive" if least == 1 else f">= {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 class _Value:
@@ -151,9 +162,7 @@ class TruncatedSeries(_Value):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[int]):
-        order, coeffs = _integer("order", order), tuple(coeffs)
-        if order < 0:
-            raise ValueError(f"order must be nonnegative, got {order}")
+        order, coeffs = _integer("order", order, 0), tuple(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError(f"need exactly order+1 = {order + 1} coefficients, got {len(coeffs)}")
         self._bind(order, coeffs)
@@ -176,6 +185,7 @@ class TruncatedSeries(_Value):
         return cls(order, tuple(cs))
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        order = _integer("order", order, 0)
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
@@ -210,17 +220,10 @@ class EtaQuotientSpec(_Value):
     __slots__ = ("level", "exponents")
 
     def __init__(self, level: int, exponents: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        level = _integer("level", level)
-        if level < 1:
-            raise ValueError(f"level must be positive, got {level}")
+        level = _integer("level", level, 1)
         items = []
         for delta, r in dict(exponents).items():
-            try:
-                delta, r = index(delta), index(r)
-            except TypeError:
-                raise ValueError(f"divisor {delta!r} and exponent {r!r} must be integers") from None
-            if delta < 1:
-                raise ValueError(f"divisor {delta} must be positive")
+            delta, r = _integer("divisor", delta, 1), _integer("exponent", r)
             if level % delta != 0:
                 raise ValueError(f"divisor {delta} does not divide level {level}")
             if r:
@@ -386,9 +389,9 @@ def _product(
     return list(out) if modulus is None else [c % modulus for c in out]
 
 
-def _check_modulus(modulus: int | None) -> None:
-    if modulus is not None and modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+def _check_modulus(modulus: int | None) -> int | None:
+    """The modulus through the integer gate, at least 2, or None for the exact path."""
+    return None if modulus is None else _integer("modulus", modulus, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +411,7 @@ def series_mul(
     a: TruncatedSeries, b: TruncatedSeries, modulus: int | None = None
 ) -> TruncatedSeries:
     """Cauchy product truncated to order min(a.order, b.order), optionally mod `modulus`."""
-    _check_modulus(modulus)
+    modulus = _check_modulus(modulus)
     order = min(a.order, b.order)
     n = order + 1
     return TruncatedSeries(order, tuple(_product(a.coeffs[:n], b.coeffs[:n], 0, n, modulus)))
@@ -425,7 +428,7 @@ def series_invert(a: TruncatedSeries, modulus: int | None = None) -> TruncatedSe
     windowed modular products, in O(M(N)) for M(N) the cost of one length-N
     product.
     """
-    _check_modulus(modulus)
+    modulus = _check_modulus(modulus)
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(f"constant term {c0} is not a unit in Z[[q]]")
@@ -539,7 +542,7 @@ def series_pow(a: TruncatedSeries, e: int, modulus: int | None = None) -> Trunca
     The base is not reduced up front: `_product` reduces every operand it
     multiplies, so only a**1, which forms no product, is reduced here.
     """
-    _check_modulus(modulus)
+    modulus, e = _check_modulus(modulus), _integer("exponent", e)
     if e == 0:
         return TruncatedSeries.one(a.order)
     if e == 1 and modulus is not None:
@@ -563,14 +566,11 @@ def substitute_q_power(a: TruncatedSeries, d: int, order: int | None = None) -> 
     extend it up to a.order*d + d - 1 (the last exponents still determined
     by a's known prefix).
     """
-    if d < 1:
-        raise ValueError(f"substitution power must be positive, got {d}")
+    d = _integer("substitution power", d, 1)
     known = a.order * d + d - 1
-    out_order = a.order * d if order is None else min(order, known)
+    out_order = a.order * d if order is None else min(_integer("order", order, 0), known)
     if d == 1 and out_order == a.order:
         return a
-    if out_order < 0:
-        raise ValueError(f"order must be nonnegative, got {out_order}")
     out = [0] * (out_order + 1)
     out[::d] = a.coeffs[: out_order // d + 1]
     return TruncatedSeries(out_order, tuple(out))
@@ -582,10 +582,7 @@ def eta_factor(delta: int, order: int) -> TruncatedSeries:
     Pentagonal number theorem: exponents delta*k(3k-1)/2 over k in Z with
     sign (-1)^k, so only O(sqrt(order/delta)) terms are touched.
     """
-    if delta < 1:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    delta = _integer("delta", delta, 1)
     # k(3k-1)/2 < k(3k+1)/2 < (k+1)(3k+2)/2, so the exponents come in increasing order
     pentagonal = (
         (delta * k * (3 * k + side) // 2, -1 if k & 1 else 1)
@@ -600,6 +597,7 @@ def _sparse_series(order: int, *walks: Iterable[tuple[int, int]]) -> TruncatedSe
     Each walk yields its exponents in increasing order and may be infinite:
     it is read up to its first exponent past the order, which ends it.
     """
+    order = _integer("order", order, 0)
     out = [0] * (order + 1)
     for walk in walks:
         for e, c in walk:
@@ -717,7 +715,7 @@ def _expand(
     the reduced expansion, and the route on which the lemma itself is
     checked.  `reduce` has no effect on the exact path.
     """
-    _check_modulus(modulus)
+    modulus, order = _check_modulus(modulus), _integer("order", order, 0)
     if _trace is not None:
         kind = "exact" if modulus is None else "reduced" if reduce else "unreduced"
         _trace["expand"][kind].append(order)
@@ -744,5 +742,5 @@ def _expand(
 
 def reduce_mod(a: TruncatedSeries, u: int) -> TruncatedSeries:
     """Replace every coefficient by its least nonnegative residue mod u."""
-    _check_modulus(u)
+    u = _check_modulus(u)
     return TruncatedSeries(a.order, tuple(c % u for c in a.coeffs))

@@ -31,10 +31,7 @@ class ThetaSpec(_Value):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: int, beta: int):
-        alpha, beta = _integer("alpha", alpha), _integer("beta", beta)
-        if alpha < 1 or beta < 1:
-            raise ValueError(f"theta exponents must be >= 1, got ({alpha}, {beta})")
-        self._bind(alpha, beta)
+        self._bind(_integer("alpha", alpha, 1), _integer("beta", beta, 1))
 
 
 class DissectionBlocks(_Value):
@@ -109,8 +106,7 @@ def _divide_one_minus(x: list[int], d: int) -> None:
 
 def psi_series(scale: int, order: int) -> TruncatedSeries:
     """psi(q^scale) = sum over n >= 0 of q^(scale*n(n+1)/2)."""
-    if scale < 1:
-        raise ValueError(f"scale must be positive, got {scale}")
+    scale = _integer("scale", scale, 1)
     return _sparse_series(order, ((scale * n * (n + 1) // 2, 1) for n in count()))
 
 
@@ -121,8 +117,7 @@ def jacobi_cube(order: int) -> TruncatedSeries:
 
 def dissect(s: TruncatedSeries, m: int) -> tuple[TruncatedSeries, ...]:
     """Split s into m full-length subseries by exponent residue class mod m; they sum to s."""
-    if m < 1:
-        raise ValueError(f"dissection modulus must be >= 1, got {m}")
+    m = _integer("dissection modulus", m, 1)
     buckets = [[0] * (s.order + 1) for _ in range(m)]
     for i, out in enumerate(buckets):
         out[i::m] = s.coeffs[i::m]
@@ -131,8 +126,7 @@ def dissect(s: TruncatedSeries, m: int) -> tuple[TruncatedSeries, ...]:
 
 def extract_arithmetic_progression(s: TruncatedSeries, m: int, t: int) -> TruncatedSeries:
     """Series of coefficients s(m*n + t); order floor((s.order - t)/m)."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
+    m = _integer("modulus", m, 1)
     if not 0 <= t < m:
         raise ValueError(f"residue {t} outside 0..{m - 1}")
     if t > s.order:

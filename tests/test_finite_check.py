@@ -230,7 +230,7 @@ class TestCuspSumsAgainstReference:
         inst = RSInstance(m=1, M=1, N=r_prime.level, t=0, r=EtaQuotientSpec(1, {1: 1}),
                           r_prime=r_prime, u=2)
         for cusp_sum in (p_min, p_star):
-            with pytest.raises(ValueError, match="c >= 1"):
+            with pytest.raises(ValueError, match=f"^c must be positive, got {c}$"):
                 cusp_sum(inst, c)
 
 
@@ -657,6 +657,17 @@ class TestCertificateSerialization:
     def test_instance_roundtrip(self):
         inst = KNOWN_INSTANCES["mod49"]
         assert instance_from_dict(inst.to_json_dict()) == inst
+
+    def test_fractional_field_refused(self):
+        # int() took 49.9 to m = 49 and an exponent 3.5 to 3; keys stay strings
+        data = KNOWN_INSTANCES["mod7_t33"].to_json_dict()
+        with pytest.raises(ValueError, match="^m must be an integer, got 49.9$"):
+            instance_from_dict(dict(data, m=49.9))
+        with pytest.raises(ValueError, match="^exponent must be an integer, got 3.5$"):
+            instance_from_dict(dict(data, r_prime={"1": 3.5}))
+        cert = json.loads(verify_instance(KNOWN_INSTANCES["mod7_t33"]).to_json())
+        cert["instance"]["m"] = 49.9
+        assert not revalidate_certificate(cert)
 
     def test_revalidate_genuine(self):
         cert = verify_instance(KNOWN_INSTANCES["mod7_t33"])

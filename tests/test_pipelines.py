@@ -24,20 +24,31 @@ from etacert import (
     broken_k_diamond_series,
     compute_p_set,
     coset_representatives,
+    dissect,
     divisors,
     elementary_mod5_proof,
     eta_factor,
     expand_eta_quotient,
+    extract_arithmetic_progression,
     finite_check,
+    index_gamma0,
+    jacobi_cube,
+    jtp_product,
+    kappa,
     lift_congruence,
     p_min,
     p_star,
     pipelines,
+    psi_series,
     reduce_mod,
     regression_suite,
     run_theorem,
     series,
+    series_invert,
     series_mul,
+    series_pow,
+    substitute_q_power,
+    theta_series,
     v_bound,
     verify_instance,
 )
@@ -800,6 +811,10 @@ def _mod7_instance(**fields):
                          "r_prime": base.r_prime, "u": base.u, **fields})
 
 
+_B_SPEC = EtaQuotientSpec(2, {1: -3, 2: 1})
+_UNIT = TruncatedSeries(3, (1, 2**60 + 3, 5, 7))
+
+
 @pytest.mark.parametrize(
     "field,call",
     [
@@ -808,19 +823,54 @@ def _mod7_instance(**fields):
         ("alpha", lambda: ThetaSpec(1.5, 2)),
         ("beta", lambda: ThetaSpec(1, 2.0)),
         ("k", lambda: BrokenDiamondSpec(2.0)),
-        *((name, lambda name=name, value=value: _mod7_instance(**{name: float(value)}))
-          for name, value in (("m", 49), ("M", 14), ("N", 14), ("t", 33), ("u", 7))),
+        *((field, lambda name=name, value=value: _mod7_instance(**{name: float(value)}))
+          for name, field, value in (("m", "m", 49), ("M", "M", 14), ("N", "N", 14),
+                                     ("t", "t", 33), ("u", "congruence modulus", 7))),
         ("order", lambda: run_theorem("T1_mod5", 100.0)),
         ("order", lambda: run_theorem("T4_mod49", 4000.0)),
         ("check_upto", lambda: verify_instance(KNOWN_INSTANCES["mod7_t33"], check_upto=12.0)),
         *((name, lambda family=family: lift_congruence(family, 49, BrokenDiamondSpec(24), 1517))
-          for name, family in (("m", (49.0, 19, 7)), ("t", (49, 19.0, 7)), ("u", (49, 19, 7.0)))),
+          for name, family in (("progression modulus", (49.0, 19, 7)), ("t", (49, 19.0, 7)),
+                               ("u", (49, 19, 7.0)))),
         ("ell_multiple", lambda: lift_congruence((49, 19, 7), 49.0, BrokenDiamondSpec(24), 1517)),
         ("j", lambda: elementary_mod5_proof(100, j=1.0)),
+        # entry points that took a float before the integer gate: a TypeError
+        # from deep inside, or, for a modulus, a silent result in floating point
+        ("order", lambda: eta_factor(1, 10.0)),
+        ("delta", lambda: eta_factor(1.0, 10)),
+        ("order", lambda: psi_series(2, 10.0)),
+        ("scale", lambda: psi_series(2.0, 10)),
+        ("order", lambda: jacobi_cube(10.0)),
+        ("order", lambda: theta_series(ThetaSpec(1, 2), 10.0)),
+        ("order", lambda: jtp_product(ThetaSpec(1, 2), 10.0)),
+        ("order", lambda: expand_eta_quotient(_B_SPEC, 10.0)),
+        ("order", lambda: b_series(10.0)),
+        ("order", lambda: _UNIT.truncate(2.0)),
+        ("substitution power", lambda: substitute_q_power(_UNIT, 2.0)),
+        ("dissection modulus", lambda: dissect(_UNIT, 2.0)),
+        ("modulus", lambda: extract_arithmetic_progression(_UNIT, 2.0, 0)),
+        ("modulus", lambda: series_mul(_UNIT, _UNIT, 7.0)),
+        ("modulus", lambda: series_pow(_UNIT, 2, 7.0)),
+        ("exponent", lambda: series_pow(_UNIT, 2.0)),
+        ("modulus", lambda: series_invert(_UNIT, 7.0)),
+        # these two returned (1.0,), although 2**60 + 3 == 4 (mod 7), and float
+        # coefficients
+        ("modulus", lambda: reduce_mod(TruncatedSeries(0, (2**60 + 3,)), 7.0)),
+        ("modulus", lambda: expand_eta_quotient(_B_SPEC, 10, 7.0)),
+        ("c", lambda: p_min(KNOWN_INSTANCES["mod7_t33"], 2.0)),
+        ("c", lambda: p_star(KNOWN_INSTANCES["mod7_t33"], 2.0)),
+        ("n", lambda: divisors(10.0)),
+        ("m", lambda: kappa(7.0)),
+        ("N", lambda: index_gamma0(10.0)),
     ],
     ids=["series_order", "level", "alpha", "beta", "k", "m", "M", "N", "t", "u",
          "T1_order", "T4_order", "check_upto", "lift_m", "lift_t", "lift_u", "ell_multiple",
-         "j"],
+         "j", "eta_factor_order", "eta_factor_delta", "psi_series_order", "psi_series_scale",
+         "jacobi_cube_order", "theta_series_order", "jtp_product_order", "expand_order",
+         "b_series_order", "truncate_order", "substitute_q_power", "dissect_modulus",
+         "extract_modulus", "series_mul_modulus", "series_pow_modulus", "series_pow_exponent",
+         "series_invert_modulus", "reduce_mod_modulus", "expand_modulus", "p_min_c", "p_star_c",
+         "divisors", "kappa", "index_gamma0"],
 )
 def test_non_integer_field_is_value_error(field, call):
     # an integral float is refused by the field's name, before any expansion

@@ -225,7 +225,8 @@ class TestEtaQuotientSpec:
     @pytest.mark.parametrize("exponents", [{1: 2.5}, {1: 0.5}, {1.0: 3}])
     def test_non_integers_refused(self, exponents):
         # 2.5 was truncated to 2, 0.5 kept as a zero exponent, 1.0 kept as a divisor
-        with pytest.raises(ValueError, match="must be integers"):
+        field = "exponent" if all(type(delta) is int for delta in exponents) else "divisor"
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             EtaQuotientSpec(2, exponents)
 
     def test_frozen_value(self, frozen_value):
