@@ -29,22 +29,23 @@ SCAN_UPTO = 400
 
 
 def draw(rng: random.Random, filtered: bool = True) -> RSInstance | None:
-    """Item 15's recipe: N <= 30, m <= 40, |r_delta| <= 4 on the divisors of N = M,
-    u in {2, 3, 5, 7}, and r' = {1: x} with the least x >= -30 whose cusp sums
+    """Item 15's recipe with M drawn apart from N: M, N <= 30, m <= 40,
+    |r_delta| <= 4 on the divisors of M, u in {2, 3, 5, 7}, and r' = {1: x}
+    at level N with the least x >= -30 whose cusp sums, at the divisors of N,
     are nonnegative.  When `filtered`, None for a tuple that fails one of the
-    six Delta* conditions."""
-    N = rng.choice(LEVELS)
-    r = {delta: rng.randint(-4, 4) for delta in divisors(N)}
+    six Delta* conditions; condition 2, delta | mN, can fail only when M != N."""
+    N, M = rng.choice(LEVELS), rng.choice(LEVELS)
+    r = {delta: rng.randint(-4, 4) for delta in divisors(M)}
     m = rng.randint(1, 40)
     t = rng.randrange(m)
     u = rng.choice((2, 3, 5, 7))
-    spec = EtaQuotientSpec(N, r)
-    bare = RSInstance(m, N, N, t, spec, EtaQuotientSpec(N, {}), u)
+    spec = EtaQuotientSpec(M, r)
+    bare = RSInstance(m, M, N, t, spec, EtaQuotientSpec(N, {}), u)
     if filtered and _delta_star_failures(bare):
         return None
     # p_star(c) = x / 24 at every c for r' = {1: x}
     x = max(-30, math.ceil(-24 * min(p_min(bare, c) for c in divisors(N))))
-    return RSInstance(m, N, N, t, spec, EtaQuotientSpec(N, {1: x}), u)
+    return RSInstance(m, M, N, t, spec, EtaQuotientSpec(N, {1: x}), u)
 
 
 @dataclass

@@ -306,28 +306,57 @@ class TestVBound:
             assert floor == math.floor(v)
 
 
-# (m, N = M, t, r, r', u, v, P, (n, exponent, value, t'), failed Delta* conditions):
+# (m, M, N, t, r, r', u, v, P, (n, exponent, value, t'), failed Delta* conditions):
 # counterexamples whose witness lies at n = checked_upto > 0, so a check bound
 # one short of floor(v) misses it.  The first is the hand-made m = N = 11 pin:
 # v = 7/6, so n = 0 and n = 1 are scanned, c(9) == 0 and c(20) == 3 (mod 7),
 # and the tuple passing all six conditions, a short bound would certify it.
-# The rest are every such witness of the scale/ corpus sweeps: seven of
-# seed 7 (property B), then three of seed 3 (property A)
+# The next ten are every such witness of the scale/ corpus sweeps while they
+# drew M = N: seven of seed 7 (property B), then three of seed 3 (property
+# A).  The last twelve are those of the sweeps that draw M apart from N whose
+# least failing n over P is checked_upto too: nine of seed 7, two of seed 3
+# and one of the tier-1 seed 5
 _BOUNDARY_WITNESSES = [
-    (11, 11, 9, {1: 4, 11: 1}, {1: -1}, 7, "7/6", (9,), (1, 20, 3, 9), []),
-    (11, 11, 9, {1: 4}, {}, 3, "7/6", (9,), (1, 20, 1, 9), []),
-    (23, 23, 20, {1: 3, 23: -1}, {1: 1}, 2, "17/8", (20,), (2, 66, 1, 20), []),
-    (13, 13, 8, {1: 3, 13: -3}, {1: 3}, 5, "9/8", (8,), (1, 21, 3, 8), []),
-    (17, 17, 2, {1: 3, 17: 2}, {1: -2}, 7, "17/8", (2,), (2, 36, 3, 2), []),
-    (19, 19, 7, {1: 3, 19: 4}, {1: -4}, 2, "17/8", (7,), (2, 45, 1, 7), []),
-    (17, 17, 7, {1: 2, 17: -1}, {1: 1}, 3, "13/12", (7,), (1, 24, 2, 7), []),
-    (25, 5, 14, {1: 4, 5: -3}, {1: 11}, 3, "2", (14,), (2, 64, 2, 14), []),
-    (22, 9, 17, {1: 3, 3: -2, 9: 3}, {}, 3, "21/11", (1, 5, 7, 9, 17), (1, 27, 2, 5),
+    (11, 11, 11, 9, {1: 4, 11: 1}, {1: -1}, 7, "7/6", (9,), (1, 20, 3, 9), []),
+    (11, 11, 11, 9, {1: 4}, {}, 3, "7/6", (9,), (1, 20, 1, 9), []),
+    (23, 23, 23, 20, {1: 3, 23: -1}, {1: 1}, 2, "17/8", (20,), (2, 66, 1, 20), []),
+    (13, 13, 13, 8, {1: 3, 13: -3}, {1: 3}, 5, "9/8", (8,), (1, 21, 3, 8), []),
+    (17, 17, 17, 2, {1: 3, 17: 2}, {1: -2}, 7, "17/8", (2,), (2, 36, 3, 2), []),
+    (19, 19, 19, 7, {1: 3, 19: 4}, {1: -4}, 2, "17/8", (7,), (2, 45, 1, 7), []),
+    (17, 17, 17, 7, {1: 2, 17: -1}, {1: 1}, 3, "13/12", (7,), (1, 24, 2, 7), []),
+    (25, 5, 5, 14, {1: 4, 5: -3}, {1: 11}, 3, "2", (14,), (2, 64, 2, 14), []),
+    (22, 9, 9, 17, {1: 3, 3: -2, 9: 3}, {}, 3, "21/11", (1, 5, 7, 9, 17), (1, 27, 2, 5),
      [1, 4, 5]),
-    (17, 7, 12, {1: 3, 7: 4}, {}, 3, "299/136", (1, 3, 4, 5, 8, 9, 10, 12), (2, 35, 1, 1),
+    (17, 7, 7, 12, {1: 3, 7: 4}, {}, 3, "299/136", (1, 3, 4, 5, 8, 9, 10, 12), (2, 35, 1, 1),
      [1, 5]),
-    (15, 7, 1, {1: 2, 7: 2}, {}, 2, "11/9", (1, 6, 11), (1, 16, 1, 1), [1, 5]),
+    (15, 7, 7, 1, {1: 2, 7: 2}, {}, 2, "11/9", (1, 6, 11), (1, 16, 1, 1), [1, 5]),
+    (13, 1, 13, 2, {1: 4}, {}, 2, "13/6", (2,), (2, 28, 1, 2), []),
+    (23, 23, 23, 21, {1: 2, 23: 3}, {1: -3}, 7, "13/12", (21,), (1, 44, 1, 21), []),
+    (5, 5, 5, 3, {1: -2, 5: -1}, {1: 11}, 2, "1", (3,), (1, 8, 1, 3), []),
+    (23, 1, 23, 19, {1: 4}, {}, 7, "19/6", (19,), (3, 88, 5, 19), []),
+    (5, 1, 5, 2, {1: -3}, {1: 15}, 3, "2", (2,), (2, 12, 2, 2), []),
+    (19, 1, 19, 3, {1: 4}, {}, 2, "19/6", (3,), (3, 60, 1, 3), []),
+    (29, 1, 29, 24, {1: 4}, {}, 7, "25/6", (24,), (4, 140, 6, 24), []),
+    (11, 29, 11, 9, {1: 4}, {}, 7, "7/6", (9,), (1, 20, 3, 9), []),
+    (5, 25, 5, 3, {1: -2, 5: -3, 25: -1}, {1: 14}, 2, "7/6", (3,), (1, 8, 1, 3), []),
+    (35, 19, 17, 10, {19: -3}, {1: 6}, 5, "571/280", (1, 10, 11, 15, 25, 31), (2, 95, 3, 25),
+     [1, 2, 5]),
+    (21, 17, 26, 16, {17: -3}, {1: 4}, 2, "275/168", (1, 13, 16), (1, 34, 1, 13),
+     [1, 2, 3, 5]),
+    (21, 10, 24, 9, {1: 3, 5: 2, 10: -4}, {}, 7, "13/8", (9,), (1, 30, 4, 9), [1, 2]),
 ]
+
+
+def _check_boundary_certificate(row) -> RSInstance:
+    """The instance of a `_BOUNDARY_WITNESSES` row, once its certificate is checked:
+    a counterexample with its witness at n = checked_upto, at the pinned v and P."""
+    m, M, N, t, r, r_prime, u, v, p_set, (n, exponent, value, t_prime), _ = row
+    inst = RSInstance(m, M, N, t, EtaQuotientSpec(M, r), EtaQuotientSpec(N, r_prime), u)
+    cert = verify_instance(inst)
+    assert cert.status == "counterexample", inst
+    assert cert.witness == {"n": n, "exponent": exponent, "value": value, "t_prime": t_prime}, inst
+    assert (cert.v_exact, cert.p_set, cert.checked_upto) == (Fraction(v), p_set, n), inst
+    return inst
 
 
 class TestVerifyInstance:
@@ -480,17 +509,12 @@ class TestVerifyInstance:
         assert verify_instance(inst).status == "counterexample"
 
     def test_witness_at_the_check_bound(self):
-        for m, N, t, r, r_prime, u, v, p_set, witness, failures in _BOUNDARY_WITNESSES:
-            inst = RSInstance(m, N, N, t, EtaQuotientSpec(N, r), EtaQuotientSpec(N, r_prime), u)
-            n, exponent, value, t_prime = witness
+        for row in _BOUNDARY_WITNESSES:
+            inst = _check_boundary_certificate(row)
+            (n, exponent, value, t_prime), failures = row[-2:]
             coeffs = oracle.naive_expand(inst.r, exponent).coeffs
-            assert [c % u for c in coeffs[t_prime::m]] == [0] * n + [value], inst
+            assert [c % inst.u for c in coeffs[t_prime::inst.m]] == [0] * n + [value], inst
             assert finite_check._delta_star_failures(inst) == failures, inst
-            cert = verify_instance(inst)
-            assert cert.status == "counterexample", inst
-            assert cert.witness == {"n": n, "exponent": exponent, "value": value,
-                                    "t_prime": t_prime}, inst
-            assert (cert.v_exact, cert.p_set, cert.checked_upto) == (Fraction(v), p_set, n), inst
 
     def test_order_cap_fails_fast(self):
         with pytest.raises(OrderCapExceeded):
@@ -711,6 +735,18 @@ class TestCertificateSerialization:
         assert not revalidate_certificate(data)
 
 
+# (condition, m, M, N, t, r, r', u, n): a false congruence that fails that
+# condition alone.  Its scan to checked_upto is clean, so only the check of
+# the condition refuses it, and the naive product shows its first nonzero
+# residue at m n + t.  No such tuple is known for 3 or 6
+_FALSE_CONGRUENCES = [
+    (1, 7, 19, 19, 3, {19: 1}, {}, 2, 5),
+    (2, 4, 25, 24, 3, {5: 2, 25: -2}, {}, 5, 3),
+    (4, 4, 4, 4, 2, {1: -4, 2: -4, 4: 1}, {1: 23}, 3, 4),
+    (5, 4, 2, 2, 2, {1: -4}, {1: 16}, 7, 3),
+]
+
+
 def _bare(m, M, N, t, r):
     return RSInstance(m, M, N, t, EtaQuotientSpec(M, r), EtaQuotientSpec(N, {}), 2)
 
@@ -733,16 +769,7 @@ class TestDeltaStar:
     def test_each_condition_fails_alone(self, condition, m, M, N, t, r):
         assert finite_check._delta_star_failures(_bare(m, M, N, t, r)) == [condition]
 
-    # (condition, m, M, N, t, r, r', u, n): a false congruence that fails that
-    # condition alone.  Its scan to checked_upto is clean, so only the check
-    # of the condition refuses it, and the naive product shows its first
-    # nonzero residue at m n + t.  No such tuple is known for 3 or 6
-    @pytest.mark.parametrize("condition,m,M,N,t,r,r_prime,u,n", [
-        (1, 7, 19, 19, 3, {19: 1}, {}, 2, 5),
-        (2, 4, 25, 24, 3, {5: 2, 25: -2}, {}, 5, 3),
-        (4, 4, 4, 4, 2, {1: -4, 2: -4, 4: 1}, {1: 23}, 3, 4),
-        (5, 4, 2, 2, 2, {1: -4}, {1: 16}, 7, 3),
-    ])
+    @pytest.mark.parametrize("condition,m,M,N,t,r,r_prime,u,n", _FALSE_CONGRUENCES)
     def test_false_congruence_refused_by_its_condition(self, run_cli, condition, m, M, N, t,
                                                        r, r_prime, u, n):
         def spec(exponents):
@@ -786,10 +813,10 @@ class TestSoundnessCorpus:
         print(result.summary())
         # this draw holds no `verified`, so the status counts are what pin it
         assert result.false_verified == []
-        assert dict(result.statuses) == {"counterexample": 95, "hypothesis_violation": 5}
+        assert dict(result.statuses) == {"counterexample": 89, "hypothesis_violation": 11}
 
     def test_no_false_verified(self):
         result = sweep(seed=1, size=300)
         print(result.summary())
         assert result.false_verified == []
-        assert dict(result.statuses) == {"counterexample": 268, "verified": 32}
+        assert dict(result.statuses) == {"counterexample": 249, "verified": 51}
