@@ -277,8 +277,8 @@ def lift_congruence(
     the support claim literally, the congruence by scanning Delta_k mod u
     to `order`, formed as b mod u times the support factor.
 
-    A non-integer m, t, u or ell_multiple is refused by its name, then a
-    progression modulus m < 1, a residue t outside 0..m-1 or an
+    A non-integer m, t, u or ell_multiple, or a progression modulus m < 1,
+    is refused by its name, then a residue t outside 0..m-1 or an
     ell_multiple < 1, and then the order through `_check_order` (it must
     reach exponent t), all before any series is expanded.
     """
